@@ -136,7 +136,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        return _usage_error(f"--jobs {args.jobs} must be at least 1")
     outcomes = run_verification(args.max_q, jobs=args.jobs)
     width = max(len(o.name) for o in outcomes)
     failed_any = False
@@ -167,6 +174,8 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.k < 1:
+        return _usage_error(f"--k {args.k} must be positive")
     field = _field_for(args.q)
     report = spectrum(build_graph(field, args.k))
     print(f"q={report.q} k={report.k} n={report.n} nature={report.nature.render()} "
@@ -188,7 +197,11 @@ def _render_witness(terms, k: int) -> str:
 
 
 def _cmd_waring(args) -> int:
+    if args.k < 1:
+        return _usage_error(f"--k {args.k} must be positive")
     field = _field_for(args.q)
+    if args.witness is not None and not 0 <= args.witness < field.q:
+        return _usage_error(f"--witness {args.witness} is not an element index in [0, {field.q})")
     result = waring_result(field, args.k)
     if not result.exists:
         print(f"q={args.q} k={args.k}: g and w do not exist ({result.reason_if_absent})")
@@ -246,8 +259,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except GPGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ multiplicative group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Iterator
@@ -378,6 +379,17 @@ class FiniteField:
                 raise DivisionByZero("negative power of the zero element")
             return 0
         return self.exp[self.log[u] * e % (self.q - 1)]
+
+    @functools.cached_property
+    def zech(self) -> np.ndarray:
+        """Zech logarithms: zech[e] = log(1 + omega^e) for e in [0, q - 1), -1 where 1 + omega^e = 0.
+
+        Built on first use rather than in the constructor, since only graph
+        traversal reads it.
+        """
+        exp = np.asarray(self.exp, dtype=np.int64)
+        low = self._digits[exp, 0]  # adding 1 changes only the constant coefficient
+        return np.asarray(self.log, dtype=np.int64)[exp - low + (low + 1) % self.p]
 
     def add_outer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Pairwise sums us[i] + vs[j] as a (len(us), len(vs)) index array."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldElement, FiniteField
-from .numbertheory import divisors, v2
+from .numbertheory import divisors, multiplicative_order, v2
 
 
 class GPGraph:
@@ -48,7 +48,6 @@ class GPGraph:
             assert not (neg & self.connection_set), "directed connection sets are antisymmetric"
 
         self._components: ComponentDecomposition | None = None
-        self._components_bfs_checked = False
         self._spectrum = None  # filled lazily by spectra.spectrum
 
     def connection_elements(self) -> list[FieldElement]:
@@ -78,10 +77,13 @@ def build_graph(field: FiniteField, k_raw: int) -> GPGraph:
 
 
 # ---------------------------------------------------------------------------
-# traversal helpers
+# traversal
 
 def bfs_distances(field: FiniteField, connection, root: int = 0) -> np.ndarray:
-    """BFS distances from a root over arcs u -> u + r, r in connection; -1 if unreached."""
+    """BFS distances from a root over arcs u -> u + r, r in connection; -1 if unreached.
+
+    Vertex-level reference for quotient_bfs; the library itself no longer calls it.
+    """
     q = field.q
     conn = np.asarray(connection, dtype=np.int64)
     dist = np.full(q, -1, dtype=np.int64)
@@ -97,21 +99,44 @@ def bfs_distances(field: FiniteField, connection, root: int = 0) -> np.ndarray:
     return dist
 
 
-def _component_labels(graph: GPGraph) -> tuple[np.ndarray, list[int]]:
-    """Weak-component label per vertex plus one root per component."""
-    field = graph.field
-    sym = graph.symmetric_connection()
-    labels = np.full(field.q, -1, dtype=np.int64)
-    roots = []
-    for start in range(field.q):
-        if labels[start] >= 0:
-            continue
-        dist = bfs_distances(field, sym, root=start)
-        members = dist >= 0
-        assert not (members & (labels >= 0)).any()
-        labels[members] = len(roots)
-        roots.append(start)
-    return labels, roots
+def quotient_bfs(graph: GPGraph, signed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BFS from vertex 0 over the coset classes of the k-th powers, on at most q + 1 arcs.
+
+    Multiplying by a k-th power is an automorphism that fixes 0, so the
+    distance from 0 is constant on each class i = log(x) mod k. A step
+    x -> x + r with e = log(r / x) lands in class i + zech[e], or on 0 where
+    zech[e] = -1, and e runs over the residues of -i mod k. A signed step
+    x -> x - r shifts e by h = (q - 1) / 2, the log of -1.
+
+    Returns (dist, src, dst): dist[i] for class i < k and dist[k] = 0 for
+    vertex 0, -1 where unreached; src -> dst are the distinct quotient arcs.
+    """
+    field, k = graph.field, graph.k
+    e = np.arange(field.q - 1, dtype=np.int64)
+    zech = field.zech
+    # an undirected graph contains -1 among its k-th powers, so signing adds nothing
+    shifts = [0, (field.q - 1) // 2] if signed and graph.directed else [0]
+    src = np.concatenate([(h - e) % k for h in shifts] + [np.full(len(shifts), k)])
+    dst = np.concatenate([np.where(zech < 0, k, (h - e + zech) % k) for h in shifts]
+                         + [np.array(shifts, dtype=np.int64) % k])
+    nodes = k + 1
+    keys = np.sort(src * nodes + dst)  # np.unique's hashing is slower here than sorting
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], nodes)
+
+    # each arc is scanned once; a level-synchronous numpy BFS would pay
+    # per level, and a directed cycle of length p has p levels
+    bounds = np.searchsorted(src, np.arange(nodes + 1)).tolist()
+    heads = dst.tolist()
+    dist = [-1] * nodes
+    dist[k] = 0
+    queue = [k]
+    for u in queue:
+        step = dist[u] + 1
+        for v in heads[bounds[u]:bounds[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = step
+                queue.append(v)
+    return np.array(dist, dtype=np.int64), src, dst
 
 
 @dataclass(frozen=True)
@@ -130,9 +155,7 @@ def component_structure(graph: GPGraph) -> ComponentDecomposition:
         return graph._components
     field = graph.field
     p, m, n = field.p, field.m, graph.n
-    a = 1
-    while (p ** a - 1) % n != 0:
-        a += 1
+    a = multiplicative_order(p, n)
     assert a <= m and m % a == 0
     dec = ComponentDecomposition(
         a=a,
@@ -145,14 +168,20 @@ def component_structure(graph: GPGraph) -> ComponentDecomposition:
 
 
 def components(graph: GPGraph) -> ComponentDecomposition:
-    """Connected-component structure, cross-checked by an explicit BFS count."""
-    dec = component_structure(graph)
-    if not graph._components_bfs_checked:
-        _, roots = _component_labels(graph)
-        assert len(roots) == dec.count, \
-            f"BFS found {len(roots)} components, formula says {dec.count}"
-        graph._components_bfs_checked = True
-    return dec
+    """Connected-component structure, from the coset classes reachable from 0.
+
+    The component of 0 is the subfield of order p^a spanned by the k-th
+    powers, and every other component is a translate of it.
+    """
+    dist, _, _ = quotient_bfs(graph)
+    reached = int((dist[:-1] >= 0).sum())
+    size = 1 + graph.n * reached
+    return ComponentDecomposition(
+        a=round(math.log(size, graph.field.p)),
+        count=graph.field.q // size,
+        component_k=reached,
+        component_q=size,
+    )
 
 
 def symmetrize(graph: GPGraph) -> GPGraph:
@@ -167,53 +196,18 @@ def symmetrize(graph: GPGraph) -> GPGraph:
 # ---------------------------------------------------------------------------
 # period (gcd of directed cycle lengths)
 
-def _undirected_is_bipartite(graph: GPGraph) -> bool:
-    field = graph.field
-    conn = np.asarray(graph.connection, dtype=np.int64)
-    seen = np.zeros(field.q, dtype=bool)
-    for start in range(field.q):
-        if seen[start]:
-            continue
-        dist = bfs_distances(field, graph.connection, root=start)
-        members = np.nonzero(dist >= 0)[0]
-        seen[members] = True
-        color = dist[members] & 1
-        ends = field.add_outer(members, conn)
-        if (dist[ends] % 2 == color[:, None]).any():
-            return False
-    return True
-
-
 def period(graph: GPGraph) -> int:
     """Gcd of directed cycle lengths; undirected graphs count each edge as an arc pair.
 
-    The computation is structural (BFS level differences within strongly
-    connected components); the result is asserted against the closed form:
-    1 always, except GP(q-1, q) which has period p for odd q and 2 for even q.
+    Every component is a strongly connected translate of the component of 0,
+    so this is the gcd of d(u) + 1 - d(v) over its arcs u -> v, d the
+    distance from 0. The quotient arcs carry the same values as the vertex
+    arcs they stand for. Closed form: 1 always, except GP(q-1, q), which has
+    period p for odd q and 2 for even q.
     """
-    field = graph.field
-    q, p = field.q, field.p
-    if graph.directed:
-        conn = np.asarray(graph.connection, dtype=np.int64)
-        back = np.asarray(sorted(field.index_neg(r) for r in graph.connection), dtype=np.int64)
-        labels, roots = _component_labels(graph)
-        d = 0
-        for comp_id, root in enumerate(roots):
-            fwd = bfs_distances(field, graph.connection, root=root)
-            members = np.nonzero(labels == comp_id)[0]
-            assert (fwd[members] >= 0).all(), "component is not strongly connected (forward)"
-            bwd = bfs_distances(field, tuple(back), root=root)
-            assert (bwd[members] >= 0).all(), "component is not strongly connected (backward)"
-            ends = field.add_outer(members, conn)
-            diffs = fwd[members][:, None] + 1 - fwd[ends]
-            d = int(np.gcd(int(np.gcd.reduce(np.abs(diffs).ravel())), d))
-        result = d
-        expected = p if graph.k == q - 1 else 1
-    else:
-        result = 2 if _undirected_is_bipartite(graph) else 1
-        expected = 2 if (p == 2 and graph.k == q - 1) else 1
-    assert result == expected, f"period {result} disagrees with closed form {expected}"
-    return result
+    dist, src, dst = quotient_bfs(graph)
+    reached = dist[src] >= 0
+    return int(np.gcd.reduce(np.abs(dist[src[reached]] + 1 - dist[dst[reached]])))
 
 
 # ---------------------------------------------------------------------------

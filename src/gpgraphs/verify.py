@@ -13,7 +13,7 @@ from . import spectra
 from .cyclotomic import CyclotomicInteger, root_power
 from .families import census
 from .fields import build_field
-from .graphs import GPGraph, build_graph, components, period
+from .graphs import GPGraph, build_graph, component_structure, components, period
 from .numbertheory import divisors, prime_power
 from .waring import waring_g, waring_w
 
@@ -76,13 +76,19 @@ def _check_period_law(graph: GPGraph):
 
 
 def _check_waring_formula(graph: GPGraph):
-    connected = components(graph).count == 1
+    traversed, closed_form = components(graph), component_structure(graph)
+    if traversed != closed_form:
+        raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
     g = waring_g(graph.field, graph.k)
-    if (g is not None) != connected:
+    if (g is not None) != (closed_form.count == 1):
         raise AssertionError("existence of g must coincide with connectedness")
     if g is not None:
-        w = waring_w(graph.field, graph.k)  # asserts BFS diameter == reduction formula
-        if w is None or w > g:
+        w = waring_w(graph.field, graph.k)
+        # reduction: w(k, q) = g(k, q) undirected, g(k/2, q) directed
+        by_formula = waring_g(graph.field, graph.k // 2) if graph.directed else g
+        if w != by_formula:
+            raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
+        if w > g:
             raise AssertionError(f"w = {w} inconsistent with g = {g}")
 
 

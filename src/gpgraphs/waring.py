@@ -4,7 +4,9 @@ g(k, q) is the least s with every field element a sum of s k-th powers;
 it exists exactly when GP(k, q) is connected and then equals its diameter,
 which by vertex-transitivity is the forward eccentricity of 0. The signed
 variant w(k, q) allows minus signs on the terms and is the diameter of the
-symmetrized graph; for directed GP(k, q) it collapses to g(k/2, q).
+symmetrized graph; for directed GP(k, q) it collapses to g(k/2, q). Both
+eccentricities come from one BFS over the coset classes of the k-th powers
+(graphs.quotient_bfs).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotPrime, NumberDoesNotExist, PreconditionViolated
 from .fields import DEFAULT_SIZE_BUDGET, FieldElement, FiniteField, build_field
-from .graphs import bfs_distances, build_graph, component_structure, symmetrize
+from .graphs import GPGraph, build_graph, component_structure, quotient_bfs
 from .numbertheory import is_prime
 
 
@@ -26,8 +28,9 @@ class WaringResult:
     reason_if_absent: str | None
 
 
-def _eccentricity(field: FiniteField, connection) -> int | None:
-    dist = bfs_distances(field, connection)
+def _diameter(graph: GPGraph, signed: bool) -> int | None:
+    """Largest distance from 0, over steps +r (and -r if signed); None if some vertex is unreached."""
+    dist, _, _ = quotient_bfs(graph, signed)
     if (dist < 0).any():
         return None
     return int(dist.max())
@@ -35,35 +38,22 @@ def _eccentricity(field: FiniteField, connection) -> int | None:
 
 def waring_g(field: FiniteField, k: int) -> int | None:
     """g(k, q), or None when GP(k, q) is disconnected."""
-    return _eccentricity(field, build_graph(field, k).connection)
+    return _diameter(build_graph(field, k), signed=False)
 
 
 def waring_w(field: FiniteField, k: int) -> int | None:
-    """w(k, q), or None when absent.
-
-    Computed two independent ways that are asserted to agree: the BFS
-    diameter of the symmetrized graph, and the reduction to g (g(k, q)
-    undirected, g(k/2, q) directed).
-    """
-    graph = build_graph(field, k)
-    g_value = waring_g(field, graph.k)
-    if g_value is None:
-        return None
-    by_diameter = _eccentricity(field, symmetrize(graph).connection)
-    by_formula = g_value if not graph.directed else waring_g(field, graph.k // 2)
-    assert by_diameter == by_formula, (
-        f"w({graph.k},{field.q}): diameter {by_diameter} != formula {by_formula}")
-    return by_diameter
+    """w(k, q), or None when absent: the diameter of the symmetrized graph."""
+    return _diameter(build_graph(field, k), signed=True)
 
 
 def waring_result(field: FiniteField, k: int) -> WaringResult:
     graph = build_graph(field, k)
-    g_value = waring_g(field, graph.k)
+    g_value = _diameter(graph, signed=False)
     if g_value is None:
         dec = component_structure(graph)
         return WaringResult(False, None, None,
                             f"GP({graph.k},{field.q}) splits into {dec.count} components")
-    return WaringResult(True, g_value, waring_w(field, graph.k), None)
+    return WaringResult(True, g_value, _diameter(graph, signed=True), None)
 
 
 def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int, FieldElement]]:

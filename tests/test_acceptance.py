@@ -10,6 +10,7 @@ from pathlib import Path
 
 from gpgraphs import (
     CyclotomicInteger,
+    bfs_distances,
     build_field,
     build_graph,
     canonical_modulus,
@@ -213,10 +214,13 @@ def test_criterion_06_waring_consistency():
             g = waring_g(field, graph.k)
             assert (g is not None) == connected, (q, graph.k)
             if connected:
-                # waring_w computes the symmetrized diameter and the g-reduction
-                # independently and asserts they agree
                 w = waring_w(field, graph.k)
                 assert w is not None and w <= g
+                # vertex-level BFS diameter of the symmetrized graph
+                dist = bfs_distances(field, graph.symmetric_connection())
+                assert w == int(dist.max()), (q, graph.k)
+                # reduction: g(k, q) undirected, g(k/2, q) directed
+                assert w == (waring_g(field, graph.k // 2) if graph.directed else g), (q, graph.k)
 
 
 @criterion(7, "weak Waring reduction formula for all admissible (p, a, b, c) with p^(ab) <= 2401")

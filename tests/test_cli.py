@@ -84,6 +84,21 @@ def test_cli_waring_with_witness(capsys):
     assert "do not exist" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "25", "--k", "0"],
+    ["spectrum", "--q", "25", "--k", "-3"],
+    ["waring", "--q", "25", "--k", "8", "--witness", "999"],
+    ["verify", "--max-q", "5", "--jobs", "0"],
+    ["verify", "--max-q", "5", "--jobs", "-2"],
+])
+def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_cli_families(capsys):
     assert cli.main(["families", "--kind", "CyclotomicValue", "--p", "3", "--d", "6",
                      "--max-q", "729"]) == 0

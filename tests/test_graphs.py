@@ -8,10 +8,15 @@ from gpgraphs import (
     build_field,
     build_graph,
     classify_structure,
+    component_structure,
     components,
     period,
     symmetrize,
+    waring_g,
+    waring_w,
 )
+from gpgraphs.graphs import quotient_bfs
+from gpgraphs.numbertheory import divisors, prime_power
 
 
 def test_build_examples():
@@ -77,16 +82,66 @@ def test_components_examples():
 
 
 def test_components_bfs_count_small_sweep():
-    from gpgraphs.numbertheory import divisors, multiplicative_order, prime_power
+    from gpgraphs.numbertheory import multiplicative_order
 
     for q in (9, 16, 25, 27, 49, 81):
         p, m = prime_power(q)
         field = build_field(p, m)
         for k in divisors(q - 1):
             graph = build_graph(field, k)
-            dec = components(graph)  # assert inside compares formula with explicit BFS
+            dec = components(graph)
+            assert dec == component_structure(graph)
             assert dec.a == multiplicative_order(p, graph.n) if graph.n > 1 else dec.a == 1
             assert dec.count * dec.component_q == q
+            # explicit weak-component count: one vertex-level BFS per unlabelled vertex
+            labelled = np.zeros(q, dtype=bool)
+            bfs_count = 0
+            for start in range(q):
+                if not labelled[start]:
+                    labelled |= bfs_distances(field, graph.symmetric_connection(), start) >= 0
+                    bfs_count += 1
+            assert dec.count == bfs_count, (q, k)
+
+
+def _vertex_oracle(field, graph):
+    """(component count, period, g, w) from vertex-level BFS over all q vertices."""
+    dist = bfs_distances(field, graph.connection)
+    reached = np.nonzero(dist >= 0)[0]
+    conn = np.asarray(graph.connection, dtype=np.int64)
+    cycle_gcd = 0
+    for chunk in np.array_split(reached, max(1, reached.size * graph.n // 50_000)):
+        heads = field.add_outer(chunk, conn)
+        cycle_gcd = math.gcd(cycle_gcd, int(np.gcd.reduce(
+            np.abs(dist[chunk][:, None] + 1 - dist[heads]).ravel())))
+    g = int(dist.max()) if reached.size == field.q else None
+    if graph.directed:
+        signed = bfs_distances(field, graph.symmetric_connection())
+        w = None if (signed < 0).any() else int(signed.max())
+    else:
+        w = g
+    return field.q // reached.size, cycle_gcd, g, w
+
+
+def test_quotient_matches_vertex_bfs_sweep():
+    # every k on every q <= 343, plus q = 729 and 1024
+    qs = [q for q in range(2, 344) if prime_power(q) is not None] + [729, 1024]
+    for q in qs:
+        field = build_field(*prime_power(q))
+        for k in divisors(q - 1):
+            graph = build_graph(field, k)
+            quotient = (components(graph).count, period(graph),
+                        waring_g(field, k), waring_w(field, k))
+            assert quotient == _vertex_oracle(field, graph), (q, k)
+
+
+def test_quotient_bfs_shape():
+    graph = build_graph(build_field(7, 1), 6)  # directed 7-cycle 0 -> 1 -> ... -> 6 -> 0
+    dist, src, dst = quotient_bfs(graph)
+    assert dist.shape == (7,) and dist[6] == 0  # six singleton classes, then vertex 0
+    assert sorted(dist) == list(range(7))
+    assert len(src) == len(dst) == 7  # one arc out of every node
+    signed, _, _ = quotient_bfs(graph, signed=True)
+    assert signed.max() == 3  # the undirected 7-cycle
 
 
 def test_symmetrize():

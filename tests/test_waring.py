@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from gpgraphs import (
@@ -159,7 +161,8 @@ def test_reduction_formula_preconditions():
 
 
 def test_w_agrees_between_diameter_and_reduction_sweep():
-    # waring_w itself computes both routes and asserts agreement
+    # w against the vertex-level BFS diameter of the symmetrized graph and
+    # against the reduction to g: g(k, q) undirected, g(k/2, q) directed
     for q in (9, 25, 27, 49):
         field = build_field(*prime_power(q))
         for k in divisors(q - 1):
@@ -167,9 +170,23 @@ def test_w_agrees_between_diameter_and_reduction_sweep():
             if g is not None:
                 w = waring_w(field, k)
                 assert w <= g
-                sym = symmetrize(build_graph(field, k))
-                dist = bfs_distances(field, sym.connection)
+                graph = build_graph(field, k)
+                dist = bfs_distances(field, symmetrize(graph).connection)
                 assert w == int(dist.max())
+                assert w == (waring_g(field, graph.k // 2) if graph.directed else g), (q, k)
+
+
+def test_waring_result_memory_is_linear_in_q():
+    # vertex-level BFS for GP(1, 8192) needs a q x n x m array (about 3.5 GB)
+    field = build_field(2, 13)
+    tracemalloc.start()
+    try:
+        result = waring_result(field, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.g, result.w) == (1, 1)
+    assert peak < 16 * 2 ** 20
 
 
 def _sumset_oracle(field, k, signed):
