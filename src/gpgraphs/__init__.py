@@ -10,6 +10,7 @@ from .errors import (
     GPGraphError,
     HypothesisViolated,
     IndexOutOfRange,
+    InvariantViolated,
     MixedRootOrders,
     NotDirected,
     NotPrime,
@@ -49,6 +50,7 @@ from .graphs import (
     symmetrize,
 )
 from .spectra import (
+    Eigenvalue,
     Nature,
     PaleyUnionDigraph,
     SpectrumReport,

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .cyclotomic import ValueClass
-from .errors import GPGraphError, NotPrimePower
+from .errors import GPGraphError, InvariantViolated, NotPrimePower
 from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
 from .fields import FiniteField, build_field
 from .graphs import build_graph, classify_structure, components, period
@@ -120,11 +120,10 @@ def parse_records(text: str) -> list[FieldReportRow]:
     return rows
 
 
-def _format_numeric(value) -> str:
-    z = value.embed()
+def _format_numeric(z: complex, value_class: ValueClass) -> str:
     re = 0.0 if z.real == 0 else z.real
     im = 0.0 if z.imag == 0 else z.imag
-    if value.classify() is ValueClass.NONREAL:
+    if value_class is ValueClass.NONREAL:
         return f"{re:.6f}{im:+.6f}i"
     return f"{re:.6f}"
 
@@ -180,9 +179,11 @@ def _cmd_spectrum(args) -> int:
     report = spectrum(build_graph(field, args.k))
     print(f"q={report.q} k={report.k} n={report.n} nature={report.nature.render()} "
           f"mu={report.mu} components={report.principal_multiplicity}")
-    exact_width = max(len(str(v)) for v, _ in report.eigenvalues)
-    for value, mult in report.eigenvalues:
-        print(f"{str(value).ljust(exact_width)}  {_format_numeric(value):>22}  x{mult}")
+    exact = [str(entry.value) for entry in report.table]
+    exact_width = max(map(len, exact))
+    for text, entry in zip(exact, report.table):
+        numeric = _format_numeric(entry.numeric, entry.value_class)
+        print(f"{text.ljust(exact_width)}  {numeric:>22}  x{entry.multiplicity}")
     return 0
 
 
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantViolated as exc:  # a law failed on computed data: not the caller's error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except GPGraphError as exc:
         return _usage_error(str(exc))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +32,15 @@ class ValueClass(Enum):
 @lru_cache(maxsize=None)
 def _unit_roots(p: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(p) / p)
+
+
+def embed_coeffs(p: int, coeffs) -> complex:
+    """The image of a coefficient vector under zeta -> exp(2*pi*i/p).
+
+    The single place that rounds a value to a complex double, so every
+    caller agrees bit for bit on the image of the same coefficients.
+    """
+    return complex(np.asarray(coeffs, dtype=np.float64) @ _unit_roots(p))
 
 
 class CyclotomicInteger:
@@ -105,22 +115,20 @@ class CyclotomicInteger:
         return (-self) + other
 
     def conjugate(self) -> "CyclotomicInteger":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        p = self.p
-        out = [0] * p
-        for j, c in enumerate(self.coeffs):
-            out[-j % p] = c
-        return CyclotomicInteger(p, out)
+        """Complex conjugation zeta -> zeta^(-1): coefficient j moves to -j mod p."""
+        c = self.coeffs
+        return CyclotomicInteger(self.p, (c[0],) + c[:0:-1])
 
     def classify(self) -> ValueClass:
-        if not any(self.coeffs[1:self.p - 1]):
+        if self.is_rational():
             return ValueClass.RATIONAL
         if self == self.conjugate():
             return ValueClass.REAL_IRRATIONAL
         return ValueClass.NONREAL
 
     def is_rational(self) -> bool:
-        return self.classify() is ValueClass.RATIONAL
+        # canonical form: rational exactly when every coefficient but the first is zero
+        return not any(self.coeffs[1:self.p - 1])
 
     def rational_value(self) -> int:
         if not self.is_rational():
@@ -132,7 +140,7 @@ class CyclotomicInteger:
 
     def embed(self) -> complex:
         """Double-precision image under zeta -> exp(2*pi*i/p)."""
-        return complex(np.asarray(self.coeffs, dtype=np.float64) @ _unit_roots(self.p))
+        return embed_coeffs(self.p, self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -148,9 +156,7 @@ class CyclotomicInteger:
         if self.is_rational():
             return str(self.coeffs[0])
         parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for j, c in compress(enumerate(self.coeffs), self.coeffs):  # nonzero terms only
             mag = abs(c)
             if j == 0:
                 body = str(mag)

@@ -47,3 +47,7 @@ class HypothesisViolated(GPGraphError):
 
 class PreconditionViolated(GPGraphError):
     """A stated precondition of an operation does not hold."""
+
+
+class InvariantViolated(GPGraphError):
+    """A law the computation must satisfy failed: a defect, never a bad input."""

@@ -391,6 +391,16 @@ class FiniteField:
         low = self._digits[exp, 0]  # adding 1 changes only the constant coefficient
         return np.asarray(self.log, dtype=np.int64)[exp - low + (low + 1) % self.p]
 
+    @functools.cached_property
+    def trace_of_exp(self) -> np.ndarray:
+        """Absolute traces along the powers of omega: trace_of_exp[e] = Tr(omega^e) for e in [0, q - 1).
+
+        Built on first use, like zech; only the spectra read it. The field
+        keeps it, so it uses the narrowest dtype that holds a trace.
+        """
+        traces = np.asarray(self.trace_table, dtype=np.min_scalar_type(self.p - 1))
+        return traces[np.asarray(self.exp, dtype=np.int64)]
+
     def add_outer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Pairwise sums us[i] + vs[j] as a (len(us), len(vs)) index array."""
         s = (self._digits[us][:, None, :] + self._digits[vs][None, :, :]) % self.p

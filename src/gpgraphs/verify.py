@@ -6,6 +6,7 @@ with its exact location instead of aborting the sweep.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def _check_waring_formula(graph: GPGraph):
 
 
 def _check_mu_directed(graph: GPGraph):
-    spectra.detect_three_ev_digraph(graph)  # asserts mu >= 3 and the 3-eigenvalue law
+    spectra.detect_three_ev_digraph(graph)  # checks mu >= 3 and the 3-eigenvalue law
 
 
 def _check_boundary(graph: GPGraph):
@@ -150,8 +151,13 @@ def verify_field(q: int) -> list[CheckOutcome]:
 
 
 def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
-    """Sweep all prime powers q <= max_q; results merge in q order."""
+    """Sweep all prime powers q <= max_q; results merge in q order.
+
+    More workers than CPUs would only compete for them, so jobs is capped
+    at os.cpu_count().
+    """
     qs = [q for q in range(2, max_q + 1) if prime_power(q) is not None]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_q = list(pool.map(verify_field, qs))

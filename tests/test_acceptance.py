@@ -272,7 +272,7 @@ def test_criterion_10_three_eigenvalue_digraphs():
         for graph in graphs:
             if not graph.directed:
                 continue
-            found = detect_three_ev_digraph(graph)  # asserts mu >= 3 internally
+            found = detect_three_ev_digraph(graph)  # checks mu >= 3 internally
             a = component_structure(graph).a
             condition = (p ** a) % 4 == 3 and graph.k * (p ** a - 1) == 2 * (q - 1)
             assert (found is not None) == condition == (mu(graph) == 3), (q, graph.k)

@@ -68,11 +68,43 @@ def test_cli_verify_reports_corrupted_nature_rule(monkeypatch, capsys):
     assert "first counterexample: q=3 k=2" in out
 
 
+def test_cli_violated_law_exits_1_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(spectra, "nature_arithmetic", lambda graph: Nature.INTEGRAL)
+    assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GP(8,25): eigenvalue nature complex must match the arithmetic rule\n"
+
+
 def test_cli_spectrum(capsys):
     assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 0
     out = capsys.readouterr().out
     assert "nature=complex" in out and "mu=7" in out
     assert "x1" in out and "3.000000" in out
+
+
+def test_cli_spectrum_exact_output(capsys):
+    # row order: real part descending, then imaginary part, then coefficients
+    assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 0
+    assert capsys.readouterr().out == (
+        "q=25 k=8 n=3 nature=complex mu=7 components=1\n"
+        "3                                     3.000000  x1\n"
+        "-z^2 - z^3                            1.618034  x6\n"
+        "-2 - 2*z - z^2 - 2*z^3     -0.190983-1.314328i  x3\n"
+        "2*z + z^3                  -0.190983+1.314328i  x3\n"
+        "1 + z^2 + z^3                        -0.618034  x6\n"
+        "-1 - z - z^2 + z^3         -1.309017-2.126627i  x3\n"
+        "z + 2*z^2                  -1.309017+2.126627i  x3\n")
+    assert cli.main(["spectrum", "--q", "7", "--k", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "q=7 k=6 n=1 nature=complex mu=7 components=1\n"
+        "1                                             1.000000  x1\n"
+        "-1 - z - z^2 - z^3 - z^4 - z^5      0.623490-0.781831i  x1\n"
+        "z                                   0.623490+0.781831i  x1\n"
+        "z^5                                -0.222521-0.974928i  x1\n"
+        "z^2                                -0.222521+0.974928i  x1\n"
+        "z^4                                -0.900969-0.433884i  x1\n"
+        "z^3                                -0.900969+0.433884i  x1\n")
 
 
 def test_cli_waring_with_witness(capsys):
@@ -117,11 +149,11 @@ def test_cli_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_console_script_installed():
+def test_console_script_installed(package_env):
     import subprocess
     import sys
 
     proc = subprocess.run([sys.executable, "-m", "gpgraphs.cli", "report", "--q", "9"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("q")

@@ -66,6 +66,18 @@ def test_conjugate_examples():
         assert a.conjugate().conjugate() == a
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 47))
+def test_conjugate_is_zeta_to_inverse_and_an_involution(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        a = CyclotomicInteger(p, [rng.randrange(-9, 10) for _ in range(p)])
+        by_definition = CyclotomicInteger.zero(p)
+        for j, c in enumerate(a.coeffs):
+            by_definition = by_definition + root_power(p, -j) * c
+        assert a.conjugate() == by_definition
+        assert a.conjugate().conjugate() == a
+
+
 def test_classify_examples():
     assert CyclotomicInteger.from_int(5, -1).classify() is ValueClass.RATIONAL
     assert CyclotomicInteger.from_int(5, -1).rational_value() == -1

@@ -1,3 +1,10 @@
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from gpgraphs import (
@@ -21,7 +28,7 @@ from gpgraphs import (
     srg_parameters,
     verify_2re,
 )
-from gpgraphs.numbertheory import divisors, prime_power
+from gpgraphs.numbertheory import divisors, is_prime, prime_power
 
 
 def as_multiset(report):
@@ -239,3 +246,108 @@ def test_spectrum_invariant_under_modulus_change():
             left = as_multiset(spectrum(build_graph(canonical, k)))
             right = as_multiset(spectrum(build_graph(alternate, k)))
             assert left == right, (p, m, k)
+
+
+def per_character_spectrum(field, k):
+    """The spectrum as one n-term sum for each of the q - 1 nonzero characters, plus n.
+
+    Character omega^e0 sums zeta^Tr(omega^(e0 + k*j)) over j < n. This is the
+    oracle for the period path, which takes each class e0 mod k once.
+    """
+    p, q1 = field.p, field.q - 1
+    n = q1 // k
+    trace_of_exp = np.asarray(field.trace_table)[np.asarray(field.exp)]
+    counts = Counter({CyclotomicInteger.from_int(p, n): 1})
+    chunk = max(1, (1 << 18) // n)
+    for start in range(0, q1, chunk):
+        e0 = np.arange(start, min(start + chunk, q1))
+        traces = trace_of_exp[(e0[:, None] + k * np.arange(n)[None, :]) % q1]
+        offsets = np.arange(len(e0))[:, None] * p
+        hist = np.bincount((offsets + traces).ravel(), minlength=len(e0) * p).reshape(-1, p)
+        counts.update(CyclotomicInteger(p, row) for row in hist.tolist())
+    return counts
+
+
+def period_spectrum(field, k):
+    """{n} and every gaussian_period n times."""
+    n = (field.q - 1) // k
+    counts = Counter({CyclotomicInteger.from_int(field.p, n): 1})
+    for i in range(k):
+        counts[gaussian_period(field, k, i)] += n
+    return counts
+
+
+ORACLE_QS = [q for q in range(2, 344) if prime_power(q) is not None] + [729, 2401]
+
+
+def test_spectrum_matches_per_character_and_period_oracles():
+    disconnected = 0
+    for q in ORACLE_QS:
+        field = build_field(*prime_power(q))
+        for k in divisors(q - 1):
+            report = spectrum(build_graph(field, k))
+            principal = CyclotomicInteger.from_int(field.p, report.n)
+            by_character = per_character_spectrum(field, k)
+            assert as_multiset(report) == by_character == period_spectrum(field, k), (q, k)
+            assert report.principal_multiplicity == by_character[principal], (q, k)
+            assert report.mu == len(report.eigenvalues) == len(by_character), (q, k)
+            disconnected += field.m > 1 and report.principal_multiplicity > 1
+    assert disconnected >= 60  # the sweep exercises disconnected extension fields (68 graphs)
+
+
+def test_prime_fields_have_k_plus_one_eigenvalues():
+    for p in range(2, 2400):
+        if not is_prime(p):
+            continue
+        field = build_field(p, 1)
+        for k in divisors(p - 1):
+            report = spectrum(build_graph(field, k))
+            assert (report.mu, report.principal_multiplicity) == (k + 1, 1), (p, k)
+
+
+def test_prime_field_spectrum_memory_is_linear_in_p():
+    # the sparse coset path never builds a p x p matrix (46 MB of int64 here)
+    field = build_field(2399, 1)
+    graph = build_graph(field, 2398)
+    tracemalloc.start()
+    try:
+        report = spectrum(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mu == 2399
+    assert peak < 2 * 2**20, peak
+
+
+def test_report_table_agrees_with_values():
+    for q, k in ((25, 8), (49, 16), (343, 38), (2401, 30), (13, 4), (2399, 11)):
+        report = spectrum(build_graph(build_field(*prime_power(q)), k))
+        for entry in report.table:
+            assert entry.numeric == entry.value.embed()
+            assert entry.value_class is entry.value.classify()
+
+
+def test_spectrum_laws_survive_python_O(package_env):
+    # a corrupted component count must still be caught when asserts are stripped
+    script = textwrap.dedent("""
+        import dataclasses
+        import sys
+
+        from gpgraphs import InvariantViolated, build_field, build_graph, spectra
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        honest = spectra.component_structure
+        spectra.component_structure = lambda graph: dataclasses.replace(
+            honest(graph), count=honest(graph).count + 1)
+        try:
+            spectra.spectrum(build_graph(build_field(5, 2), 6))
+        except InvariantViolated as exc:
+            print(exc)
+        else:
+            sys.exit("the corrupted component count went unnoticed")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert "component count" in proc.stdout

@@ -1,3 +1,4 @@
+from gpgraphs import verify
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
 
 
@@ -28,3 +29,30 @@ def test_sequential_and_parallel_agree():
     par = run_verification(27, jobs=2)
     assert [(o.name, o.passed, o.failed) for o in seq] \
         == [(o.name, o.passed, o.failed) for o in par]
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    # a stub pool records its size and maps serially, so no process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    capped = run_verification(9, jobs=10_000)
+    assert sizes == [3]
+    assert capped == run_verification(9, jobs=1)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)  # unknown: run serially
+    assert run_verification(9, jobs=8) == capped
+    assert sizes == [3]
