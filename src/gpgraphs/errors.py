@@ -51,3 +51,9 @@ class PreconditionViolated(GPGraphError):
 
 class InvariantViolated(GPGraphError):
     """A law the computation must satisfy failed: a defect, never a bad input."""
+
+
+def check(holds, law: str) -> None:
+    """Raise InvariantViolated unless a law holds; unlike assert, this survives python -O."""
+    if not holds:
+        raise InvariantViolated(law)

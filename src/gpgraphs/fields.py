@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrime, SizeBudgetExceeded, ZeroHasNoLog
+from .errors import DivisionByZero, NotPrime, SizeBudgetExceeded, ZeroHasNoLog, check
 from .numbertheory import factorize, is_prime
 
 DEFAULT_SIZE_BUDGET = 2 ** 20
@@ -123,12 +123,13 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
     lexicographic order of their coefficient tuples.
 
     For m = 1 the degenerate modulus is the single polynomial x, so that
-    elements of the prime field are plain residues.
+    elements of the prime field are plain residues. For m >= 2 a zero
+    constant term makes x a factor, so those candidates are skipped.
     """
     if m == 1:
         yield (0, 1)
         return
-    for coeffs in itertools.product(range(p), repeat=m):
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         candidate = coeffs + (1,)
         if is_irreducible(candidate, p):
             yield candidate
@@ -238,6 +239,18 @@ class FieldElement:
         return f"FieldElement({self}, GF({self.field.p}^{self.field.m}))"
 
 
+def _check_field_size(p: int, m: int, size_budget: int) -> int:
+    """q = p^m, after checking that p is prime, m >= 1 and q is within the size budget."""
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError(f"extension degree m = {m} must be positive")
+    q = p ** m
+    if q > size_budget:
+        raise SizeBudgetExceeded(f"q = {p}^{m} = {q} exceeds the size budget {size_budget}")
+    return q
+
+
 class FiniteField:
     """GF(p^m) with a fixed modulus, primitive element and full log table.
 
@@ -247,13 +260,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], size_budget: int = DEFAULT_SIZE_BUDGET):
-        if not is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
-        if m < 1:
-            raise ValueError(f"extension degree m = {m} must be positive")
-        q = p ** m
-        if q > size_budget:
-            raise SizeBudgetExceeded(f"q = {p}^{m} = {q} exceeds the size budget {size_budget}")
+        q = _check_field_size(p, m, size_budget)
         modulus = tuple(int(c) % p for c in modulus)
         if m == 1:
             if modulus != (0, 1):
@@ -297,7 +304,7 @@ class FiniteField:
                 omega_index = idx
                 omega_coeffs = cand
                 break
-        assert omega_index is not None, "cyclic group of a field always has a generator"
+        check(omega_index is not None, f"{self!r}: the multiplicative group must have a generator")
         self.omega_index = omega_index
 
         exp = [0] * (q - 1)
@@ -308,7 +315,7 @@ class FiniteField:
             exp[e] = idx
             log[idx] = e
             cur = _poly_mul_mod(cur, omega_coeffs, self.modulus, p)
-        assert cur == (1,), "generator order must be exactly q - 1"
+        check(cur == (1,), f"{self!r}: the generator must have order exactly q - 1")
         self.exp = exp
         self.log = log
 
@@ -322,7 +329,7 @@ class FiniteField:
                 acc = self.index_add(acc, x)
                 x = self.index_pow(x, p)
             # Frobenius orbit sums land in the prime subfield (indices < p)
-            assert acc < p, "trace of a basis element must lie in the prime subfield"
+            check(acc < p, f"{self!r}: the trace of a basis element must lie in the prime subfield")
             basis_traces.append(acc)
         self._basis_traces = tuple(basis_traces)
         traces = (self._digits @ np.array(basis_traces, dtype=np.int64)) % p
@@ -486,12 +493,7 @@ def build_field(p: int, m: int, modulus: Iterable[int] | None = None,
     always yields the identical field. An explicit modulus must be a monic
     irreducible degree-m coefficient sequence, constant term first.
     """
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree m = {m} must be positive")
-    if p ** m > size_budget:
-        raise SizeBudgetExceeded(f"q = {p}^{m} = {p ** m} exceeds the size budget {size_budget}")
+    _check_field_size(p, m, size_budget)  # before searching for a modulus
     key_modulus = None if modulus is None else tuple(int(c) for c in modulus)
     key = (p, m, key_modulus)
     field = _FIELD_CACHE.get(key)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check
 from .fields import FieldElement, FiniteField
 from .numbertheory import divisors, multiplicative_order, v2
 
@@ -27,13 +28,14 @@ class GPGraph:
         k = math.gcd(k_raw, q - 1)
         n = (q - 1) // k
         connection = tuple(field.power_residue_indices(k))
-        assert len(connection) == n
+        label = f"GP({k},{q})"
+        check(len(connection) == n, f"{label}: the k-th powers must number (q-1)/k = {n}")
 
-        # the valuation rule and membership of -1 must agree on directedness
         directed_by_valuation = q % 2 == 1 and v2(k) == v2(q - 1) > 0
         minus_one = field.index_neg(1)
         directed_by_membership = minus_one not in set(connection)
-        assert directed_by_valuation == directed_by_membership
+        check(directed_by_valuation == directed_by_membership,
+              f"{label}: the valuation rule and membership of -1 must agree on directedness")
 
         self.field = field
         self.k_raw = k_raw
@@ -45,7 +47,7 @@ class GPGraph:
 
         if self.directed:
             neg = {field.index_neg(r) for r in connection}
-            assert not (neg & self.connection_set), "directed connection sets are antisymmetric"
+            check(not (neg & self.connection_set), f"{label}: directed connection sets are antisymmetric")
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
@@ -156,7 +158,7 @@ def component_structure(graph: GPGraph) -> ComponentDecomposition:
     field = graph.field
     p, m, n = field.p, field.m, graph.n
     a = multiplicative_order(p, n)
-    assert a <= m and m % a == 0
+    check(m % a == 0, f"GP({graph.k},{field.q}): ord of p mod n = {a} must divide m = {m}")
     dec = ComponentDecomposition(
         a=a,
         count=p ** (m - a),
@@ -189,7 +191,8 @@ def symmetrize(graph: GPGraph) -> GPGraph:
     if not graph.directed:
         return graph
     half = build_graph(graph.field, graph.k // 2)
-    assert set(graph.symmetric_connection()) == half.connection_set
+    check(set(graph.symmetric_connection()) == half.connection_set,
+          f"GP({graph.k},{graph.field.q}): the symmetrized connection set must be that of GP(k/2, q)")
     return half
 
 

@@ -1,4 +1,4 @@
-"""Exact spectra of GP-graphs from one matrix of Gaussian periods.
+"""Exact spectra of GP-graphs from one table of Gaussian periods.
 
 Every eigenvalue of GP(k, q) lies in Z[zeta_p]. The additive character
 x -> zeta^Tr(omega^e x) sums to the Gaussian period
@@ -7,15 +7,17 @@ x -> zeta^Tr(omega^e x) sums to the Gaussian period
 
 on the connection set, so the spectrum is the regularity degree
 n = (q-1)/k once (the trivial character) and every eta_i n times, for
-connected and disconnected graphs alike. The periods are the rows of one
-k x p histogram of Tr(omega^e) by class e mod k. Its rows are
-deduplicated, counted and classified in numpy: a row is rational when its
-interior coefficients vanish and real when it equals its conjugate, a
-column permutation. In a prime field the trace is the identity and each
-row is the indicator of a coset, so the cosets are kept as supports and
-no p x p matrix is built. The order of the eigenvalues and their float
-images are computed only when something reads them. The exact spectrum
-can be cross-checked against a dense floating-point eigensolver.
+connected and disconnected graphs, prime and extension fields alike. Each
+period is stored as the sorted traces of its coset, one row of q - 1 + n
+entries in all. A row sums to n, so two rows are the same cyclotomic
+integer exactly when they are equal as raw vectors, and numpy deduplicates
+and counts them. A value is real when it is fixed by zeta -> zeta^-1 and
+rational when it is fixed by zeta -> zeta^g, g a generator of F_p*, which
+generates the whole Galois group of Q(zeta_p); both automorphisms shift
+the period index, so the tests compare periods, not coefficients. The
+order of the eigenvalues and their float images are computed only when
+something reads them. The exact spectrum can be cross-checked against a
+dense floating-point eigensolver.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import IntEnum
-from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger, ValueClass, embed_coeffs
-from .errors import IndexOutOfRange, InvariantViolated, NotDirected, SizeBudgetExceeded
+from .errors import IndexOutOfRange, NotDirected, SizeBudgetExceeded, check
 from .fields import FiniteField
 from .graphs import GPGraph, build_graph, component_structure
 
@@ -64,19 +66,24 @@ class SpectrumReport:
     nature: Nature
     mu: int
     principal_multiplicity: int
-    # the distinct values, unordered; value 0 is the principal one
-    _row: Callable[[int], np.ndarray] = dataclass_field(repr=False, compare=False)
-    _multiplicities: tuple[int, ...] = dataclass_field(repr=False, compare=False)
-    _classes: tuple[ValueClass, ...] = dataclass_field(repr=False, compare=False)
+    # the distinct values, unordered, as rows of _period_rows, with their
+    # multiplicities and ValueClass codes (see spectrum)
+    _p: int = dataclass_field(repr=False, compare=False)
+    _rows: np.ndarray = dataclass_field(repr=False, compare=False)
+    _multiplicities: np.ndarray = dataclass_field(repr=False, compare=False)
+    _classes: np.ndarray = dataclass_field(repr=False, compare=False)
 
     @cached_property
     def table(self) -> tuple[Eigenvalue, ...]:
         """The distinct eigenvalues by descending real part, then imaginary part, then coefficients."""
+        p = self._p
+        value_classes = tuple(ValueClass)  # in the order of the codes
         entries = []
-        for j, (mult, value_class) in enumerate(zip(self._multiplicities, self._classes)):
-            row = self._row(j)
-            value = CyclotomicInteger(len(row), row.tolist())
-            entries.append(Eigenvalue(value, mult, value_class, embed_coeffs(len(row), row)))
+        for row, mult, code in zip(self._rows, self._multiplicities.tolist(), self._classes.tolist()):
+            coeffs = np.bincount(row, minlength=p)
+            coeffs -= coeffs[-1]
+            value = CyclotomicInteger(p, coeffs.tolist())
+            entries.append(Eigenvalue(value, mult, value_classes[code], embed_coeffs(p, coeffs)))
         entries.sort(key=lambda e: (-round(e.numeric.real, 9), round(e.numeric.imag, 9),
                                     e.value.coeffs))
         return tuple(entries)
@@ -111,113 +118,81 @@ def gaussian_period(field: FiniteField, k: int, i: int) -> CyclotomicInteger:
     return CyclotomicInteger(field.p, np.bincount(field.trace_of_exp[i::k], minlength=field.p).tolist())
 
 
-def _check(holds, graph: GPGraph, law: str):
-    """Raise unless a law holds; unlike assert, this survives python -O."""
-    if not holds:
-        raise InvariantViolated(f"GP({graph.k},{graph.field.q}): {law}")
+def _period_rows(field: FiniteField, k: int, n: int) -> np.ndarray:
+    """n and the k Gaussian periods as a (k + 1) x n array of sorted traces.
 
-
-# Each builder returns the distinct values of {n} and the k periods, value 0
-# being n: (row, multiplicities, rational, real, total), where row(j) is the
-# canonical coefficient vector of value j and total is the sum of every
-# eigenvalue with multiplicity, as an uncanonicalized coefficient vector.
-
-def _period_matrix(field: FiniteField, k: int, n: int):
-    """Extension fields: the k x p histogram of Tr(omega^e) by class e mod k."""
-    p = field.p
-    e = np.arange(field.q - 1, dtype=np.int64)
-    periods = np.bincount(e % k * p + field.trace_of_exp, minlength=k * p).reshape(k, p)
-    # canonical form: the last coefficient is zero. The column is copied
-    # first; subtracting an overlapping view makes numpy copy the whole matrix.
-    periods -= periods[:, -1:].copy()
-    principal = np.zeros(p, dtype=np.int64)
-    principal[0] = n
-    # hashing row bytes; np.unique(axis=0) sorts lexicographically and is far slower
-    ids = {principal.tobytes(): 0}
-    inverse = np.fromiter((ids.setdefault(row.tobytes(), len(ids)) for row in periods),
-                          dtype=np.int64, count=k)
-    found, firsts = np.unique(inverse, return_index=True)
-    values = np.vstack([principal, periods[firsts[found > 0]]])
-    multiplicities = np.bincount(inverse, minlength=len(ids)) * n
-    multiplicities[0] += 1
-    rational = ~values[:, 1:p - 1].any(axis=1)
-    # conjugation permutes the columns j -> -j mod p; column 0 stays put, so
-    # a canonical row equals its re-canonicalized conjugate only if it equals
-    # the permuted row itself
-    real = (values[:, -np.arange(p) % p] == values).all(axis=1)
-    return values.__getitem__, multiplicities, rational, real, multiplicities @ values
-
-
-def _coset_periods(field: FiniteField, k: int, n: int):
-    """Prime fields: Tr is the identity, so eta_i is the indicator of its coset.
-
-    The k cosets are disjoint and nonempty, so their indicators are k
-    distinct values, none equal to n; an indicator is rational only when
-    its coset is all of F_p*, and real when the coset is closed under
-    negation.
+    Row 1 + i lists Tr(x) for x in the coset of class i in ascending order,
+    so eta_i is the sum of zeta^j over its entries j; row 0, all zeros, is
+    n. The array holds q - 1 + n entries, whatever k and p are.
     """
-    p = field.p
-    cosets = np.sort(np.asarray(field.exp, dtype=np.int64).reshape(n, k).T, axis=1)
-    real = np.ones(k + 1, dtype=bool)
-    real[1:] = (np.sort(p - cosets, axis=1) == cosets).all(axis=1)
-    rational = np.ones(k + 1, dtype=bool)
-    rational[1:] = n == p - 1
-    multiplicities = np.full(k + 1, n, dtype=np.int64)
-    multiplicities[0] = 1
-    total = n * np.bincount(cosets.ravel(), minlength=p)
-    total[0] += n
-    return partial(_coset_row, p, n, cosets), multiplicities, rational, real, total
+    rows = np.zeros((k + 1, n), dtype=field.trace_of_exp.dtype)
+    rows[1:] = field.trace_of_exp.reshape(n, k).T  # class i = e mod k is column i
+    rows[1:].sort(axis=1)
+    return rows
 
 
-def _coset_row(p: int, n: int, cosets: np.ndarray, j: int) -> np.ndarray:
-    """Canonical coefficients of value j of `_coset_periods`: n, or a coset indicator."""
-    out = np.zeros(p, dtype=np.int64)
-    if j:
-        out[cosets[j - 1]] = 1
-    else:
-        out[0] = n
-    return out - out[-1]
+def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
+    """Which periods are fixed by zeta -> zeta^a, for a = omega^shift in F_p*.
+
+    ids[i] identifies the value of eta_i. Since a * Tr(x) = Tr(a * x), the
+    automorphism maps eta_i to eta_(i + shift mod k), so eta_i is fixed
+    exactly when that period has the same value.
+    """
+    return ids == np.roll(ids, -shift)
 
 
 def spectrum(graph: GPGraph) -> SpectrumReport:
     """The exact eigenvalue multiset of GP(k, q): n once, and every Gaussian period n times.
 
-    Extension fields read the periods off one k x p histogram
-    (`_period_matrix`); prime fields keep them as coset supports
-    (`_coset_periods`). Either way the result is checked on every call:
-    the multiplicities sum to q, n occurs once per component, the
-    eigenvalues sum to zero, and the nature matches the arithmetic rule.
+    The periods are the rows of `_period_rows`, deduplicated by their
+    bytes. A period equal to n, over a coset on which the trace vanishes,
+    adds n to the principal multiplicity. A value is rational when it is
+    fixed by zeta -> zeta^g, g = omega^((q-1)/(p-1)), and real when it is
+    fixed by zeta -> zeta^-1. The result is checked on every call: the
+    multiplicities sum to q, n occurs once per component, the eigenvalues
+    sum to zero, and the nature matches the arithmetic rule.
     """
     if graph._spectrum is not None:
         return graph._spectrum
     field = graph.field
-    q, k, n = field.q, graph.k, graph.n
-    build = _coset_periods if field.m == 1 else _period_matrix
-    row, multiplicities, rational, real, total = build(field, k, n)
+    p, q, k, n = field.p, field.q, graph.k, graph.n
+    rows = _period_rows(field, k, n)
+    # np.unique(axis=0) spends more promoting dtypes than sorting the row bytes
+    _, firsts, inverse = np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                                   return_index=True, return_inverse=True)
+    values = rows[firsts]
+    multiplicities = np.bincount(inverse) * n
+    principal = inverse[0]
+    multiplicities[principal] += 1 - n
+    ids = inverse[1:]
+    irrational = ~_fixed_by(ids, (q - 1) // (p - 1))  # g
+    nonreal = ~_fixed_by(ids, field.log[p - 1])  # -1, an element of F_p
+    # codes 0 rational, 1 real irrational, 2 nonreal, in the order of
+    # ValueClass and of Nature; equal periods get equal codes, and n is rational
+    classes = np.zeros(len(values), dtype=np.int64)
+    classes[ids] = irrational.astype(np.int64) + nonreal
+    nature = Nature(int(classes.max()))
 
-    if not real.all():
-        nature = Nature.COMPLEX
-    elif not rational.all():
-        nature = Nature.REAL_NONINTEGRAL
-    else:
-        nature = Nature.INTEGRAL
     count = component_structure(graph).count
-    _check(multiplicities.sum() == q, graph, "eigenvalue multiplicities must sum to q")
-    _check(multiplicities[0] == count,
-           graph, f"principal multiplicity {multiplicities[0]} must equal the component count {count}")
-    _check((total == total[-1]).all(), graph, "a loop-free adjacency matrix has trace zero")
-    _check(nature == nature_arithmetic(graph), graph,
-           f"eigenvalue nature {nature.render()} must match the arithmetic rule")
+    # float sums are exact here: the largest is q * n < 2^53
+    total = np.bincount(values.ravel(), weights=np.repeat(multiplicities, n), minlength=p)
+    label = f"GP({k},{q})"
+    check(multiplicities.sum() == q, f"{label}: eigenvalue multiplicities must sum to q")
+    check(multiplicities[principal] == count,
+          f"{label}: principal multiplicity {multiplicities[principal]} "
+          f"must equal the component count {count}")
+    check((total == total[-1]).all(), f"{label}: a loop-free adjacency matrix has trace zero")
+    check(nature == nature_arithmetic(graph),
+          f"{label}: eigenvalue nature {nature.render()} must match the arithmetic rule")
 
-    classes = tuple(ValueClass.RATIONAL if ra else ValueClass.REAL_IRRATIONAL if re
-                    else ValueClass.NONREAL for ra, re in zip(rational.tolist(), real.tolist()))
     report = SpectrumReport(
         q=q, k=k, n=n,
         nature=nature,
-        mu=len(classes),
-        principal_multiplicity=int(multiplicities[0]),
-        _row=row,
-        _multiplicities=tuple(multiplicities.tolist()),
+        mu=len(values),
+        principal_multiplicity=int(multiplicities[principal]),
+        _p=p,
+        _rows=values,
+        _multiplicities=multiplicities,
         _classes=classes,
     )
     graph._spectrum = report
@@ -269,9 +244,10 @@ def detect_three_ev_digraph(graph: GPGraph) -> PaleyUnionDigraph | None:
     if pa % 4 == 3 and graph.k * (pa - 1) == 2 * (field.q - 1):
         found = PaleyUnionDigraph(copies=dec.count, part=pa)
     m = mu(graph)
-    _check(m >= 3, graph, f"a directed GP-graph has at least three eigenvalues, not {m}")
-    _check((found is not None) == (m == 3), graph,
-           f"the union-of-directed-Paley test must hold exactly when mu = 3 (mu = {m})")
+    label = f"GP({graph.k},{field.q})"
+    check(m >= 3, f"{label}: a directed GP-graph has at least three eigenvalues, not {m}")
+    check((found is not None) == (m == 3),
+          f"{label}: the union-of-directed-Paley test must hold exactly when mu = 3 (mu = {m})")
     return found
 
 
@@ -293,8 +269,8 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     w = next(i for i in range(1, q) if i not in nbrs0)
     nbrs_non = {field.index_add(w, r) for r in graph.connection}
     d = len(nbrs0 & nbrs_non)
-    _check((q - n - 1) * d == n * (n - e - 1), graph,
-           f"srg({q},{n},{e},{d}) must satisfy (v-r-1)d = r(r-e-1)")
+    check((q - n - 1) * d == n * (n - e - 1),
+          f"GP({graph.k},{q}): srg({q},{n},{e},{d}) must satisfy (v-r-1)d = r(r-e-1)")
     return (q, n, e, d)
 
 

@@ -15,7 +15,7 @@ from .cyclotomic import CyclotomicInteger, root_power
 from .families import census
 from .fields import build_field
 from .graphs import GPGraph, build_graph, component_structure, components, period
-from .numbertheory import divisors, prime_power
+from .numbertheory import divisors, prime_power, v2
 from .waring import waring_g, waring_w
 
 CHECK_NAMES = (
@@ -112,6 +112,22 @@ def _check_boundary(graph: GPGraph):
         raise AssertionError(f"boundary spectrum {sorted(map(str, found))} != expected")
 
 
+def _check_census(q: int):
+    c = census(q)
+    p, m = prime_power(q)
+    by_nature = [spectra.nature_for(p, m, k) for k in divisors(q - 1)]
+    counted = tuple(by_nature.count(nature) for nature in spectra.Nature)
+    by_formula = (c.n_integral, c.n_real_nonintegral, c.n_complex)
+    if counted != by_formula:
+        raise AssertionError(f"(integral, real-nonintegral, complex) = {by_formula} by formula, "
+                             f"{counted} by classifying every divisor of q - 1")
+    # odd q: each odd divisor d of q - 1 gives v2(q - 1) + 1 graphs GP(2^j d, q),
+    # and only the one with the whole 2-part of q - 1 is complex
+    if q % 2 == 1 and (c.sigma, c.n_real) != ((v2(q - 1) + 1) * c.n_complex, v2(q - 1) * c.n_complex):
+        raise AssertionError(f"(sigma, n_real) = {(c.sigma, c.n_real)} breaks the v2 identities "
+                             f"for n_complex = {c.n_complex}")
+
+
 _GRAPH_CHECKS = (
     ("nature", _check_nature, False),
     ("trace-identities", _check_moments, False),
@@ -139,7 +155,7 @@ def verify_field(q: int) -> list[CheckOutcome]:
     outcomes = {name: CheckOutcome(name) for name in CHECK_NAMES}
     p, m = prime_power(q)
     field = build_field(p, m)
-    _record(outcomes["census"], f"q={q}", census, q)
+    _record(outcomes["census"], f"q={q}", _check_census, q)
     for k in divisors(q - 1):
         graph = build_graph(field, k)
         context = f"q={q} k={k}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotPrime, NumberDoesNotExist, PreconditionViolated
+from .errors import NotPrime, NumberDoesNotExist, PreconditionViolated, check
 from .fields import DEFAULT_SIZE_BUDGET, FieldElement, FiniteField, build_field
 from .graphs import GPGraph, build_graph, component_structure, quotient_bfs
 from .numbertheory import is_prime
@@ -91,7 +91,7 @@ def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int,
         sign = steps[r]
         residue = r if sign == 1 else field.index_neg(r)
         e = field.log[residue]
-        assert e % graph.k == 0, "step elements are k-th powers"
+        check(e % graph.k == 0, f"GP({graph.k},{field.q}): step elements are k-th powers")
         out.append((sign, FieldElement(field, field.exp[e // graph.k])))
         v = u
     out.reverse()
@@ -125,5 +125,6 @@ def verify_reduction(p: int, a: int, b: int, c: int,
     small = build_field(p, a, size_budget=size_budget)
     lhs = waring_w(big, (p ** (a * b) - 1) // (b * c))
     rhs = waring_w(small, (p ** a - 1) // c)
-    assert lhs is not None and rhs is not None
+    check(lhs is not None and rhs is not None,
+          f"w must exist on both sides for (p, a, b, c) = ({p}, {a}, {b}, {c})")
     return lhs == b * rhs

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from gpgraphs import (
     CyclotomicInteger,
+    Nature,
     bfs_distances,
     build_field,
     build_graph,
@@ -20,6 +21,7 @@ from gpgraphs import (
     is_primitive_divisor,
     mu,
     nature_arithmetic,
+    nature_for,
     numeric_oracle_check,
     period,
     root_power,
@@ -30,7 +32,7 @@ from gpgraphs import (
     waring_w,
 )
 from gpgraphs.cli import build_report_rows, parse_records, render_records, render_table
-from gpgraphs.numbertheory import divisors, prime_power
+from gpgraphs.numbertheory import divisors, prime_power, v2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -247,7 +249,15 @@ def test_criterion_07_reduction_formula():
 def test_criterion_08_census():
     start = time.perf_counter()
     for q in prime_powers_up_to(10 ** 4):
-        census(q)  # recounts internally by classifying every divisor of q - 1
+        c = census(q)
+        p, m = prime_power(q)
+        natures = [nature_for(p, m, k) for k in divisors(q - 1)]
+        counted = tuple(natures.count(nature) for nature in Nature)
+        assert counted == (c.n_integral, c.n_real_nonintegral, c.n_complex), q
+        assert c.sigma == len(natures), q
+        if q % 2 == 1:
+            assert c.sigma == (v2(q - 1) + 1) * c.n_complex, q
+            assert c.n_real == v2(q - 1) * c.n_complex, q
     assert census(25).n_complex == 2
     assert census(25).n_integral == 4
     assert census(81).n_integral == 8

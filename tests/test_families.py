@@ -33,7 +33,7 @@ def test_census_rejects_non_prime_powers():
 
 
 def test_census_matches_enumeration_sweep():
-    # census() itself recounts by classifying every divisor; run it broadly
+    # the recount by nature_for lives in verify's census check and criterion 8
     for q in range(2, 2000):
         if prime_power(q) is not None:
             c = census(q)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gpgraphs import (
@@ -8,6 +10,7 @@ from gpgraphs import (
     build_field,
     canonical_modulus,
 )
+from gpgraphs import fields
 from gpgraphs.fields import is_irreducible
 
 # A concrete GF(25) model used throughout the tests: x^2 + 2x + 3,
@@ -187,3 +190,26 @@ def test_is_irreducible_known_cases():
     assert is_irreducible((1, 1, 0, 1, 1, 0, 0, 0, 1), 2)      # x^8+x^4+x^3+x+1
     assert not is_irreducible((1, 1, 0, 0, 0, 0, 0, 0, 1), 2)  # x^8+x+1 splits
     assert not is_irreducible((0, 0, 1), 7)   # x^2
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2),
+                                  (5, 3), (7, 2), (11, 2)])
+def test_canonical_modulus_matches_search_over_every_candidate(p, m):
+    every = [c + (1,) for c in itertools.product(range(p), repeat=m) if is_irreducible(c + (1,), p)]
+    assert [canonical_modulus(p, m, skip) for skip in (0, 1)] == every[:2]
+
+
+def test_modulus_search_skips_multiples_of_x(monkeypatch):
+    calls = []
+
+    def counting(modulus, p):
+        calls.append(modulus)
+        return is_irreducible(modulus, p)
+
+    monkeypatch.setattr(fields, "is_irreducible", counting)
+    assert canonical_modulus(2, 16) == (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)
+    assert len(calls) < 100  # 32,790 when every constant-term-0 candidate was tested
+    calls.clear()
+    with pytest.raises(SizeBudgetExceeded):
+        build_field(2, 40)  # the budget is checked before any modulus is searched for
+    assert calls == []

@@ -277,7 +277,7 @@ def period_spectrum(field, k):
     return counts
 
 
-ORACLE_QS = [q for q in range(2, 344) if prime_power(q) is not None] + [729, 2401]
+ORACLE_QS = [q for q in range(2, 344) if prime_power(q) is not None] + [729, 2209, 2401]
 
 
 def test_spectrum_matches_per_character_and_period_oracles():
@@ -306,21 +306,24 @@ def test_prime_fields_have_k_plus_one_eigenvalues():
 
 
 def test_prime_field_spectrum_memory_is_linear_in_p():
-    # the sparse coset path never builds a p x p matrix (46 MB of int64 here)
-    field = build_field(2399, 1)
-    graph = build_graph(field, 2398)
-    tracemalloc.start()
-    try:
-        report = spectrum(graph)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.mu == 2399
-    assert peak < 2 * 2**20, peak
+    # the period rows hold q - 1 + n traces, where a k x p matrix of int64
+    # would take 46 MB at q = 2399 and 21 MB at q = 139^2 (an extension field)
+    for q, mu, bound_mb in ((2399, 2399, 2), (139 ** 2, 139, 4)):
+        graph = build_graph(build_field(*prime_power(q)), q - 1)
+        tracemalloc.start()
+        try:
+            report = spectrum(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mu == mu, q
+        assert peak < bound_mb * 2**20, (q, peak)
 
 
 def test_report_table_agrees_with_values():
-    for q, k in ((25, 8), (49, 16), (343, 38), (2401, 30), (13, 4), (2399, 11)):
+    # GP(5, 256) over p = 2 and GP(16, 2401) are integral: every value is rational
+    for q, k in ((25, 8), (49, 16), (343, 38), (2401, 30), (13, 4), (2399, 11), (256, 5),
+                 (2401, 16)):
         report = spectrum(build_graph(build_field(*prime_power(q)), k))
         for entry in report.table:
             assert entry.numeric == entry.value.embed()

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 from gpgraphs import verify
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
 
@@ -22,6 +26,26 @@ def test_full_sweep_with_worker_pool():
     assert by_name["census"].passed == 86
     assert by_name["nature"].passed == 729
     assert by_name["two-re"].passed == by_name["mu-directed"].passed == 253
+
+
+def test_census_check_survives_python_O(package_env):
+    # the recount by nature_for is an explicit comparison, so -O keeps it
+    script = textwrap.dedent("""
+        import sys
+
+        from gpgraphs import Nature, spectra
+        from gpgraphs.verify import verify_field
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        spectra.nature_for = lambda p, m, k: Nature.INTEGRAL
+        census = next(o for o in verify_field(49) if o.name == "census")
+        print(census.passed, census.failed, census.first_failure)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("0 1 q=49: "), proc.stdout
 
 
 def test_sequential_and_parallel_agree():
