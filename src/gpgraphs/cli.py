@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cyclotomic import ValueClass
+from .cyclotomic import ValueClass, render_terms
 from .errors import GPGraphError, InvariantViolated, NotPrimePower
 from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
 from .fields import FiniteField, build_field
@@ -141,6 +141,8 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_q < 2:
+        return _usage_error(f"--max-q {args.max_q} must be at least 2")
     if args.jobs < 1:
         return _usage_error(f"--jobs {args.jobs} must be at least 1")
     outcomes = run_verification(args.max_q, jobs=args.jobs)
@@ -179,9 +181,9 @@ def _cmd_spectrum(args) -> int:
     report = spectrum(build_graph(field, args.k))
     print(f"q={report.q} k={report.k} n={report.n} nature={report.nature.render()} "
           f"mu={report.mu} components={report.principal_multiplicity}")
-    exact = [str(entry.value) for entry in report.table]
+    exact = [render_terms(entry.terms) for entry in report.entries]
     exact_width = max(map(len, exact))
-    for text, entry in zip(exact, report.table):
+    for text, entry in zip(exact, report.entries):
         numeric = _format_numeric(entry.numeric, entry.value_class)
         print(f"{text.ljust(exact_width)}  {numeric:>22}  x{entry.multiplicity}")
     return 0

@@ -67,6 +67,14 @@ class CyclotomicInteger:
         return cls(p, coeffs)
 
     @classmethod
+    def from_terms(cls, p: int, terms: Iterable[tuple[int, int]]) -> "CyclotomicInteger":
+        """The value with coefficient c_j at zeta^j for each term (j, c_j), zero elsewhere."""
+        coeffs = [0] * p
+        for j, c in terms:
+            coeffs[j] = c
+        return cls(p, coeffs)
+
+    @classmethod
     def one(cls, p: int) -> "CyclotomicInteger":
         return cls.from_int(p, 1)
 
@@ -153,24 +161,27 @@ class CyclotomicInteger:
         return hash((self.p, self.coeffs))
 
     def __str__(self):
-        if self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for j, c in compress(enumerate(self.coeffs), self.coeffs):  # nonzero terms only
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                var = "z" if j == 1 else f"z^{j}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms(compress(enumerate(self.coeffs), self.coeffs))  # nonzero terms only
 
     def __repr__(self):
         return f"CyclotomicInteger(p={self.p}, {self})"
+
+
+def render_terms(terms: Iterable[tuple[int, int]]) -> str:
+    """A value from its nonzero canonical terms (j, c_j), ascending in j, as `str` prints it."""
+    parts = []
+    for j, c in terms:
+        mag = abs(c)
+        if j == 0:
+            body = str(mag)
+        else:
+            var = "z" if j == 1 else f"z^{j}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def root_power(p: int, j: int) -> CyclotomicInteger:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check
-from .fields import FieldElement, FiniteField
+from .fields import FiniteField
 from .numbertheory import divisors, multiplicative_order, v2
 
 
@@ -51,9 +51,6 @@ class GPGraph:
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
-
-    def connection_elements(self) -> list[FieldElement]:
-        return [FieldElement(self.field, i) for i in self.connection]
 
     def has_arc(self, u, v) -> bool:
         ui = self.field.element(u).index

@@ -16,13 +16,19 @@ rational when it is fixed by zeta -> zeta^g, g a generator of F_p*, which
 generates the whole Galois group of Q(zeta_p); both automorphisms shift
 the period index, so the tests compare periods, not coefficients. The
 order of the eigenvalues and their float images are computed only when
-something reads them. The exact spectrum can be cross-checked against a
-dense floating-point eigensolver.
+something reads them, and the values are rendered from their nonzero
+terms. The products that the checks need, eta^2 and eta * conj(eta), are
+histograms of trace sums over pairs from one row, and eta + conj(eta) is
+the row merged with its negative, so no check multiplies dense
+coefficient vectors; CyclotomicInteger arithmetic is the tests' oracle.
+The exact spectrum can be cross-checked against a dense floating-point
+eigensolver.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from enum import IntEnum
 from functools import cached_property
@@ -36,6 +42,7 @@ from .fields import FiniteField
 from .graphs import GPGraph, build_graph, component_structure
 
 ORACLE_SIZE_LIMIT = 512
+PAIR_BLOCK = 1 << 20  # trace pairs summed at once by period_products: 8 MB of int64
 
 
 class Nature(IntEnum):
@@ -47,6 +54,15 @@ class Nature(IntEnum):
 
     def render(self) -> str:
         return {0: "integral", 1: "real-nonintegral", 2: "complex"}[self.value]
+
+
+class Entry(NamedTuple):
+    """One distinct eigenvalue as its nonzero canonical terms (j, c_j), ascending in j."""
+
+    terms: tuple[tuple[int, int], ...]
+    multiplicity: int
+    value_class: ValueClass
+    numeric: complex
 
 
 class Eigenvalue(NamedTuple):
@@ -74,19 +90,44 @@ class SpectrumReport:
     _classes: np.ndarray = dataclass_field(repr=False, compare=False)
 
     @cached_property
-    def table(self) -> tuple[Eigenvalue, ...]:
+    def entries(self) -> tuple[Entry, ...]:
         """The distinct eigenvalues by descending real part, then imaginary part, then coefficients."""
+        return self._entries(np.arange(self.mu))
+
+    def _entries(self, indices: np.ndarray) -> tuple[Entry, ...]:
+        """The entries of the rows at `indices`, in the order of `entries`.
+
+        Each row is decoded into a transient canonical coefficient vector,
+        c_j = h_j - h_(p-1) for the trace histogram h; only its nonzero terms
+        are kept, and its float image is the one CyclotomicInteger.embed
+        gives. Dense coefficient tuples break ties between rounded images, so
+        they are built only for the entries that tie.
+        """
         p = self._p
         value_classes = tuple(ValueClass)  # in the order of the codes
         entries = []
-        for row, mult, code in zip(self._rows, self._multiplicities.tolist(), self._classes.tolist()):
+        for row, mult, code in zip(self._rows[indices], self._multiplicities[indices].tolist(),
+                                   self._classes[indices].tolist()):
             coeffs = np.bincount(row, minlength=p)
             coeffs -= coeffs[-1]
-            value = CyclotomicInteger(p, coeffs.tolist())
-            entries.append(Eigenvalue(value, mult, value_classes[code], embed_coeffs(p, coeffs)))
-        entries.sort(key=lambda e: (-round(e.numeric.real, 9), round(e.numeric.imag, 9),
-                                    e.value.coeffs))
-        return tuple(entries)
+            nonzero = np.flatnonzero(coeffs)
+            entries.append(Entry(tuple(zip(nonzero.tolist(), coeffs[nonzero].tolist())), mult,
+                                 value_classes[code], embed_coeffs(p, coeffs)))
+        keys = [(-round(e.numeric.real, 9), round(e.numeric.imag, 9)) for e in entries]
+        tied = {key for key, count in Counter(keys).items() if count > 1}
+
+        def order(i):
+            if keys[i] not in tied:
+                return keys[i]
+            return keys[i] + (CyclotomicInteger.from_terms(p, entries[i].terms).coeffs,)
+
+        return tuple(entries[i] for i in sorted(range(len(entries)), key=order))
+
+    @cached_property
+    def table(self) -> tuple[Eigenvalue, ...]:
+        """`entries` with each value as a CyclotomicInteger."""
+        return tuple(Eigenvalue(CyclotomicInteger.from_terms(self._p, e.terms), e.multiplicity,
+                                e.value_class, e.numeric) for e in self.entries)
 
     @cached_property
     def eigenvalues(self) -> tuple[tuple[CyclotomicInteger, int], ...]:
@@ -141,6 +182,56 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     return ids == np.roll(ids, -shift)
 
 
+def _value_sum(rows: np.ndarray, multiplicities: np.ndarray, p: int) -> np.ndarray:
+    """The sum of mult * eta over the rows, as a canonical coefficient vector.
+
+    The float sums are exact: the largest is q * n < 2^53.
+    """
+    total = np.bincount(rows.ravel(), weights=np.repeat(multiplicities, rows.shape[1]),
+                        minlength=p).astype(np.int64)
+    return total - total[-1]
+
+
+def period_products(report: SpectrumReport, sign: int) -> np.ndarray:
+    """eta^2 (sign 1) or eta * conj(eta) (sign -1) for each distinct value, as canonical rows.
+
+    Row r is the histogram of (t + sign * u) mod p over all pairs of traces
+    t, u in period row r, less its last entry. That takes n^2 steps per row
+    when n <= p; wider rows (most graphs over p = 2) convolve their two
+    length-p trace histograms instead, in p^2 steps. The pairs are counted
+    in blocks of about PAIR_BLOCK, so beyond the mu x p result the
+    temporaries stay small. An entry is at most n^2 and the multiplicities
+    sum to q, so int64 holds every sum of mult * row while q * n^2 < 2^63.
+    """
+    p, q, n = report._p, report.q, report.n
+    check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
+    rows = report._rows.astype(np.int64)
+    offsets = np.arange(len(rows))[:, None] * p
+    products = np.zeros((len(rows), p), dtype=np.int64)
+    if n <= p:
+        step = max(1, PAIR_BLOCK // rows.size)
+        for start in range(0, n, step):
+            pairs = rows[:, start:start + step, None] + sign * rows[:, None, :]
+            pairs %= p
+            pairs += offsets[:, :, None]
+            np.add.at(products.reshape(-1), pairs, 1)
+    else:
+        counts = np.zeros_like(products)
+        np.add.at(counts.reshape(-1), rows + offsets, 1)
+        x = np.arange(p)
+        for t in range(p):  # the pairs (t, u) with t + sign * u = x
+            products += counts[:, t, None] * counts[:, sign * (x - t) % p]
+    products -= products[:, -1:].copy()
+    return products
+
+
+def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical."""
+    multiplicities = report._multiplicities
+    return (_value_sum(report._rows, multiplicities, report._p),
+            multiplicities @ period_products(report, 1))
+
+
 def spectrum(graph: GPGraph) -> SpectrumReport:
     """The exact eigenvalue multiset of GP(k, q): n once, and every Gaussian period n times.
 
@@ -174,14 +265,13 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     nature = Nature(int(classes.max()))
 
     count = component_structure(graph).count
-    # float sums are exact here: the largest is q * n < 2^53
-    total = np.bincount(values.ravel(), weights=np.repeat(multiplicities, n), minlength=p)
     label = f"GP({k},{q})"
     check(multiplicities.sum() == q, f"{label}: eigenvalue multiplicities must sum to q")
     check(multiplicities[principal] == count,
           f"{label}: principal multiplicity {multiplicities[principal]} "
           f"must equal the component count {count}")
-    check((total == total[-1]).all(), f"{label}: a loop-free adjacency matrix has trace zero")
+    check(not _value_sum(values, multiplicities, p).any(),
+          f"{label}: a loop-free adjacency matrix has trace zero")
     check(nature == nature_arithmetic(graph),
           f"{label}: eigenvalue nature {nature.render()} must match the arithmetic rule")
 
@@ -204,17 +294,35 @@ def mu(graph: GPGraph) -> int:
     return spectrum(graph).mu
 
 
+def doubled_rows(report: SpectrumReport) -> np.ndarray:
+    """eta + conj(eta) for each distinct value, as the sorted row of its traces t and -t mod p."""
+    p, rows = report._p, report._rows
+    doubled = np.concatenate([rows, ((p - rows.astype(np.int64)) % p).astype(rows.dtype)], axis=1)
+    doubled.sort(axis=1)
+    return doubled
+
+
+def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
+    """Whether {lam + conj(lam)} over the directed spectrum is the spectrum of its symmetrization.
+
+    The coset of the symmetrized graph GP(k/2, q) is the directed coset and
+    its negative, so its period rows, 2n wide, are the `doubled_rows`. Rows
+    of equal width are equal values exactly when they are equal, so the two
+    multisets are compared by row bytes.
+    """
+    expected = Counter()
+    for row, mult in zip(doubled_rows(directed), directed._multiplicities.tolist()):
+        expected[row.tobytes()] += mult
+    return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows),
+                                        half._multiplicities.tolist())))
+
+
 def verify_2re(field: FiniteField, k: int) -> bool:
     """Check that the symmetrized spectrum is {lam + conj(lam)} of the directed one."""
     graph = build_graph(field, k)
     if not graph.directed:
         raise NotDirected(f"GP({graph.k},{field.q}) is undirected")
-    doubled: dict[CyclotomicInteger, int] = {}
-    for value, mult in spectrum(graph).eigenvalues:
-        s = value + value.conjugate()
-        doubled[s] = doubled.get(s, 0) + mult
-    half = dict(spectrum(build_graph(field, graph.k // 2)).eigenvalues)
-    return doubled == half
+    return two_re_holds(spectrum(graph), spectrum(build_graph(field, graph.k // 2)))
 
 
 @dataclass(frozen=True)
@@ -277,13 +385,14 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
 def boundary_spectrum(graph: GPGraph) -> tuple[CyclotomicInteger, ...]:
     """Eigenvalues of maximum modulus n, decided exactly via lam * conj(lam) = n^2.
 
-    The float image only preselects the candidates, because the exact
-    product costs O(p) per nonzero coefficient; the exact product decides.
+    They come in the order of `SpectrumReport.entries`.
     """
-    p, n = graph.field.p, graph.n
-    n_squared = CyclotomicInteger.from_int(p, n * n)
-    return tuple(e.value for e in spectrum(graph).table
-                 if abs(abs(e.numeric) - n) < 0.5 and e.value * e.value.conjugate() == n_squared)
+    report = spectrum(graph)
+    norms = period_products(report, -1)
+    on_boundary = np.flatnonzero((norms[:, 0] == graph.n ** 2) & ~norms[:, 1:].any(axis=1))
+    del norms  # mu x p integers: free them before the values are built
+    return tuple(CyclotomicInteger.from_terms(report._p, e.terms)
+                 for e in report._entries(on_boundary))
 
 
 def numeric_oracle_check(graph: GPGraph, tolerance: float = 1e-8) -> bool:
@@ -304,7 +413,7 @@ def numeric_oracle_check(graph: GPGraph, tolerance: float = 1e-8) -> bool:
     numeric = np.linalg.eigvals(adj)
 
     exact: list[complex] = []
-    for entry in spectrum(graph).table:
+    for entry in spectrum(graph).entries:
         exact.extend([entry.numeric] * entry.multiplicity)
 
     def key(z):

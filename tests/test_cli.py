@@ -1,4 +1,7 @@
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,17 @@ def test_cli_spectrum_exact_output(capsys):
         "z^2                                -0.222521+0.974928i  x1\n"
         "z^4                                -0.900969-0.433884i  x1\n"
         "z^3                                -0.900969+0.433884i  x1\n")
+    # at k = p - 1, zeta^46 = -1 - z - ... - z^45 is one 46-term line, and
+    # every exact value is padded to its width
+    assert cli.main(["spectrum", "--q", "47", "--k", "46"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "2225c8eea3db59a4c51191e43e087c2038b3dc8eda8949fba1a18b83d8981c08"
+    header, *lines = out.splitlines()
+    assert header == "q=47 k=46 n=1 nature=complex mu=47 components=1" and len(lines) == 47
+    longest = next(line for line in lines if line.startswith("-1 - z - z^2"))
+    assert longest.split("  ")[0].count(" - ") == 45
+    assert {len(line) for line in lines} == {len(longest)}
 
 
 def test_cli_waring_with_witness(capsys):
@@ -122,6 +136,8 @@ def test_cli_waring_with_witness(capsys):
     ["waring", "--q", "25", "--k", "8", "--witness", "999"],
     ["verify", "--max-q", "5", "--jobs", "0"],
     ["verify", "--max-q", "5", "--jobs", "-2"],
+    ["verify", "--max-q", "1"],
+    ["verify", "--max-q", "-5"],
 ])
 def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
@@ -150,10 +166,14 @@ def test_cli_usage_error_exit_code():
 
 
 def test_console_script_installed(package_env):
-    import subprocess
-    import sys
-
     proc = subprocess.run([sys.executable, "-m", "gpgraphs.cli", "report", "--q", "9"],
                           capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("q")
+
+
+def test_python_m_gpgraphs(package_env):
+    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "verify", "--max-q", "9"],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("OK: 8 check categories")

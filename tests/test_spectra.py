@@ -24,11 +24,13 @@ from gpgraphs import (
     numeric_oracle_check,
     quadratic_gauss_sum,
     root_power,
+    spectra,
     spectrum,
     srg_parameters,
     verify_2re,
 )
 from gpgraphs.numbertheory import divisors, is_prime, prime_power
+from gpgraphs.spectra import doubled_rows, period_products
 
 
 def as_multiset(report):
@@ -295,6 +297,36 @@ def test_spectrum_matches_per_character_and_period_oracles():
     assert disconnected >= 60  # the sweep exercises disconnected extension fields (68 graphs)
 
 
+def test_row_products_match_cyclotomic_products(monkeypatch):
+    # eta^2, eta * conj(eta) and eta + conj(eta) from the period rows, against
+    # CyclotomicInteger arithmetic on every gaussian_period (with n once);
+    # with blocks of 4096 pairs, the rows of the larger fields take several steps
+    monkeypatch.setattr(spectra, "PAIR_BLOCK", 4096)
+    branches = Counter()
+    for q in ORACLE_QS[:-3]:  # q <= 343
+        field = build_field(*prime_power(q))
+        p = field.p
+        for k in divisors(q - 1):
+            report = spectrum(build_graph(field, k))
+            expected = (Counter(), Counter(), Counter())
+            for value, mult in period_spectrum(field, k).items():
+                conjugate = value.conjugate()
+                square = value * value
+                norm = square if conjugate == value else value * conjugate
+                for counts, image in zip(expected, (square, norm, value + conjugate)):
+                    counts[image.coeffs] += mult
+            sums = np.array([np.bincount(row, minlength=p) for row in doubled_rows(report)])
+            by_rows = (period_products(report, 1), period_products(report, -1),
+                       sums - sums[:, -1:])
+            for counts, rows in zip(expected, by_rows):
+                found = Counter()
+                for row, mult in zip(map(tuple, rows.tolist()), report._multiplicities.tolist()):
+                    found[row] += mult
+                assert found == counts, (q, k)
+            branches["pairs" if report.n <= p else "convolution"] += 1
+    assert branches == Counter(pairs=649, convolution=80)
+
+
 def test_prime_fields_have_k_plus_one_eigenvalues():
     for p in range(2, 2400):
         if not is_prime(p):
@@ -328,6 +360,16 @@ def test_report_table_agrees_with_values():
         for entry in report.table:
             assert entry.numeric == entry.value.embed()
             assert entry.value_class is entry.value.classify()
+
+
+def test_entries_break_float_ties_by_coefficients(monkeypatch):
+    # no two distinct eigenvalues are known to tie on their rounded images,
+    # so force every image to 0: the order must be that of the coefficients
+    monkeypatch.setattr(spectra, "embed_coeffs", lambda p, coeffs: 0j)
+    report = spectrum(build_graph(build_field(5, 2), 8))
+    values = [entry.value for entry in report.table]
+    assert [v.coeffs for v in values] == sorted(v.coeffs for v in values)
+    assert len(values) == report.mu == 7
 
 
 def test_spectrum_laws_survive_python_O(package_env):

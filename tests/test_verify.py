@@ -1,8 +1,11 @@
+import dataclasses
 import subprocess
 import sys
 import textwrap
 
-from gpgraphs import verify
+import pytest
+
+from gpgraphs import spectra, verify
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
 
 
@@ -26,6 +29,38 @@ def test_full_sweep_with_worker_pool():
     assert by_name["census"].passed == 86
     assert by_name["nature"].passed == 729
     assert by_name["two-re"].passed == by_name["mu-directed"].passed == 253
+
+
+def _corrupt_rows(report):
+    # the all-zero principal row sorts first; one nonzero trace changes its value
+    rows = report._rows.copy()
+    rows[0, -1] = 1
+    return dataclasses.replace(report, _rows=rows)
+
+
+def _corrupt_multiplicity(report):
+    multiplicities = report._multiplicities.copy()
+    multiplicities[0] += 1
+    return dataclasses.replace(report, _multiplicities=multiplicities)
+
+
+@pytest.mark.parametrize("check, corrupted_k, corrupt, failure", [
+    ("trace-identities", 6, _corrupt_multiplicity, "q=25 k=6: sum of eigenvalues is 4, not 0"),
+    ("boundary-spectrum", 6, _corrupt_rows, "q=25 k=6: boundary spectrum [] != expected"),
+    # the half graph of the directed GP(8, 25) is GP(4, 25)
+    ("two-re", 4, _corrupt_rows, "q=25 k=8: symmetrized spectrum is not twice the real parts"),
+])
+def test_corrupted_rows_fail_their_check(monkeypatch, check, corrupted_k, corrupt, failure):
+    honest = spectra.spectrum
+
+    def corrupted(graph):
+        report = honest(graph)
+        return corrupt(report) if graph.k == corrupted_k else report
+
+    monkeypatch.setattr(spectra, "spectrum", corrupted)
+    outcome = next(o for o in verify_field(25) if o.name == check)
+    assert outcome.failed == 1
+    assert outcome.first_failure == failure
 
 
 def test_census_check_survives_python_O(package_env):
