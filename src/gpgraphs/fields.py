@@ -141,6 +141,55 @@ def canonical_modulus(p: int, m: int, skip: int = 0) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# power tables by doubling (coefficient rows, constant first)
+
+_BLOCK_ENTRIES = 1 << 18  # matrix entries per block of temporaries
+
+
+def _product_mod(rows: np.ndarray, matrix: np.ndarray, modulus: int, out: np.ndarray) -> None:
+    """out = (rows @ matrix) % modulus for unsigned rows and a nonnegative matrix, a block of rows at a time.
+
+    The products run in float64 (BLAS) whenever every sum they form is
+    exact there, and in int64 otherwise.
+    """
+    width = rows.shape[1]
+    bound = width * int(np.iinfo(rows.dtype).max) * int(matrix.max())
+    matrix = matrix.astype(np.float64 if bound < 2 ** 53 else np.int64)
+    step = max(1, _BLOCK_ENTRIES // width)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step] @ matrix
+        out[start:start + step] = block.astype(np.int64) % modulus
+
+
+def _mul_matrix(a: tuple[int, ...], modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The m x m matrix of multiplication by a over F_p: row i holds the coefficients of a * x^i."""
+    m = len(modulus) - 1
+    matrix = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        row = _poly_mul_mod(a, (0,) * i + (1,), modulus, p)
+        matrix[i, :len(row)] = row
+    return matrix
+
+
+def _power_digits(omega: tuple[int, ...], modulus: tuple[int, ...], p: int, q: int) -> np.ndarray:
+    """Coefficient rows of omega^e for e in [0, q), in the narrowest dtype that holds a digit.
+
+    Rows [B, 2B) are rows [0, B) times the matrix of omega^B, so the table
+    takes ceil(log2 q) block products instead of q polynomial multiplies.
+    """
+    digits = np.zeros((q, len(modulus) - 1), dtype=np.min_scalar_type(p - 1))
+    digits[0, 0] = 1
+    step = _mul_matrix(omega, modulus, p)  # multiplication by omega^filled
+    filled = 1
+    while filled < q:
+        n = min(filled, q - filled)
+        _product_mod(digits[:n], step, p, digits[filled:filled + n])
+        step = step @ step % p
+        filled += n
+    return digits
+
+
+# ---------------------------------------------------------------------------
 # fields and elements
 
 class FieldElement:
@@ -254,6 +303,11 @@ def _check_field_size(p: int, m: int, size_budget: int) -> int:
 class FiniteField:
     """GF(p^m) with a fixed modulus, primitive element and full log table.
 
+    The tables are flat numpy arrays: exp[e] is the index of omega^e for
+    e in [0, q - 1), log inverts it (log[0] = -1), trace_table[x] is Tr(x)
+    and trace_of_exp[e] is Tr(omega^e). Index-level methods return Python
+    ints, so that exponent products never wrap in a fixed-width dtype.
+
     Instances are immutable once constructed and safe to share. Use
     build_field() rather than calling this constructor directly; it
     validates arguments and caches the result.
@@ -275,52 +329,46 @@ class FiniteField:
         self.m = m
         self.q = q
         self.modulus = modulus
-
         self._pows = tuple(p ** i for i in range(m))
-
-        # numpy views used by bulk helpers (BFS, adjacency construction)
-        digits = np.empty((q, m), dtype=np.int64)
-        x = np.arange(q, dtype=np.int64)
-        for i in range(m):
-            digits[:, i] = x % p
-            x //= p
-        self._digits = digits
-        self._weights = np.array(self._pows, dtype=np.int64)
-        self._neg = ((p - digits) % p) @ self._weights
-
-        self._build_log_tables()
-        self._build_trace_table()
+        self._build_tables()
 
     # -- construction internals ------------------------------------------------
 
-    def _build_log_tables(self):
-        p, m, q = self.p, self.m, self.q
+    def _least_primitive(self) -> int | None:
+        """The least index of multiplicative order q - 1, or None if there is none."""
+        p, q = self.p, self.q
         q1_factors = list(factorize(q - 1)) if q > 2 else []
-        omega_index = None
-        omega_coeffs = None
         for idx in range(1, q):
             cand = _poly_trim(self.index_coeffs(idx))
             if all(_poly_pow_mod(cand, (q - 1) // r, self.modulus, p) != (1,) for r in q1_factors):
-                omega_index = idx
-                omega_coeffs = cand
-                break
+                return idx
+        return None
+
+    def _build_tables(self):
+        p, m, q = self.p, self.m, self.q
+        omega_index = self._least_primitive()
         check(omega_index is not None, f"{self!r}: the multiplicative group must have a generator")
         self.omega_index = omega_index
 
-        exp = [0] * (q - 1)
-        log = [-1] * q
-        cur = (1,)
-        for e in range(q - 1):
-            idx = self._coeffs_index(cur)
-            exp[e] = idx
-            log[idx] = e
-            cur = _poly_mul_mod(cur, omega_coeffs, self.modulus, p)
-        check(cur == (1,), f"{self!r}: the generator must have order exactly q - 1")
+        digits = _power_digits(self.index_coeffs(omega_index), self.modulus, p, q)
+        check((digits[q - 1] == digits[0]).all(), f"{self!r}: the generator must satisfy omega^(q-1) = 1")
+        digits = digits[:q - 1]
+        index_dtype = np.promote_types(np.int32, np.min_scalar_type(-q))
+        exp = np.empty(q - 1, dtype=index_dtype)
+        _product_mod(digits, np.array(self._pows), q, exp)  # each index is already below q
+        log = np.full(q, -1, dtype=index_dtype)
+        log[exp] = np.arange(q - 1, dtype=index_dtype)
+        check(log[0] == -1 and (log[1:] >= 0).all(),
+              f"{self!r}: the powers of the generator must cover every nonzero element exactly once")
         self.exp = exp
         self.log = log
 
-    def _build_trace_table(self):
-        p, m = self.p, self.m
+        # -x = omega^((q-1)/2) * x for odd p, and -x = x in characteristic 2
+        half = (q - 1) // 2 if p > 2 else 0
+        neg = np.zeros(q, dtype=index_dtype)
+        neg[exp] = np.roll(exp, -half)
+        self._neg = neg
+
         basis_traces = []
         for i in range(m):
             acc = 0
@@ -331,9 +379,10 @@ class FiniteField:
             # Frobenius orbit sums land in the prime subfield (indices < p)
             check(acc < p, f"{self!r}: the trace of a basis element must lie in the prime subfield")
             basis_traces.append(acc)
-        self._basis_traces = tuple(basis_traces)
-        traces = (self._digits @ np.array(basis_traces, dtype=np.int64)) % p
-        self.trace_table = tuple(int(t) for t in traces)
+        self.trace_of_exp = np.empty(q - 1, dtype=np.min_scalar_type(p - 1))
+        _product_mod(digits, np.array(basis_traces), p, self.trace_of_exp)
+        self.trace_table = np.zeros(q, dtype=self.trace_of_exp.dtype)
+        self.trace_table[exp] = self.trace_of_exp
 
     # -- index-level arithmetic --------------------------------------------------
 
@@ -371,12 +420,12 @@ class FiniteField:
     def index_mul(self, u: int, v: int) -> int:
         if u == 0 or v == 0:
             return 0
-        return self.exp[(self.log[u] + self.log[v]) % (self.q - 1)]
+        return int(self.exp[(int(self.log[u]) + int(self.log[v])) % (self.q - 1)])
 
     def index_inv(self, u: int) -> int:
         if u == 0:
             raise DivisionByZero("the zero element has no inverse")
-        return self.exp[-self.log[u] % (self.q - 1)]
+        return int(self.exp[-int(self.log[u]) % (self.q - 1)])
 
     def index_pow(self, u: int, e: int) -> int:
         if u == 0:
@@ -385,7 +434,7 @@ class FiniteField:
             if e < 0:
                 raise DivisionByZero("negative power of the zero element")
             return 0
-        return self.exp[self.log[u] * e % (self.q - 1)]
+        return int(self.exp[int(self.log[u]) * e % (self.q - 1)])
 
     @functools.cached_property
     def zech(self) -> np.ndarray:
@@ -394,24 +443,17 @@ class FiniteField:
         Built on first use rather than in the constructor, since only graph
         traversal reads it.
         """
-        exp = np.asarray(self.exp, dtype=np.int64)
-        low = self._digits[exp, 0]  # adding 1 changes only the constant coefficient
-        return np.asarray(self.log, dtype=np.int64)[exp - low + (low + 1) % self.p]
-
-    @functools.cached_property
-    def trace_of_exp(self) -> np.ndarray:
-        """Absolute traces along the powers of omega: trace_of_exp[e] = Tr(omega^e) for e in [0, q - 1).
-
-        Built on first use, like zech; only the spectra read it. The field
-        keeps it, so it uses the narrowest dtype that holds a trace.
-        """
-        traces = np.asarray(self.trace_table, dtype=np.min_scalar_type(self.p - 1))
-        return traces[np.asarray(self.exp, dtype=np.int64)]
+        low = self.exp % self.p  # the constant coefficient, the only one that adding 1 changes
+        return self.log[self.exp - low + (low + 1) % self.p]
 
     def add_outer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Pairwise sums us[i] + vs[j] as a (len(us), len(vs)) index array."""
-        s = (self._digits[us][:, None, :] + self._digits[vs][None, :, :]) % self.p
-        return s @ self._weights
+        us = np.asarray(us, dtype=np.int64)[:, None]
+        vs = np.asarray(vs, dtype=np.int64)[None, :]
+        out = np.zeros((us.size, vs.size), dtype=np.int64)
+        for w in self._pows:
+            out += (us // w + vs // w) % self.p * w
+        return out
 
     # -- public surface ---------------------------------------------------------
 
@@ -447,19 +489,18 @@ class FiniteField:
 
     def trace(self, x) -> int:
         """Trace down to the prime field, as a residue mod p."""
-        return self.trace_table[self.element(x).index]
+        return int(self.trace_table[self.element(x).index])
 
     def discrete_log(self, x) -> int:
         """The exponent e with omega^e = x, for nonzero x."""
         idx = self.element(x).index
         if idx == 0:
             raise ZeroHasNoLog("discrete log of zero is undefined")
-        return self.log[idx]
+        return int(self.log[idx])
 
     def power_residue_indices(self, k: int) -> list[int]:
         """Indices of the subgroup of nonzero k-th powers, ascending."""
-        kk = math.gcd(k, self.q - 1)
-        return sorted(self.exp[e] for e in range(0, self.q - 1, kk))
+        return np.sort(self.exp[::math.gcd(k, self.q - 1)]).tolist()
 
     def power_residues(self, k: int) -> list[FieldElement]:
         """The subgroup {x^k : x nonzero}, in ascending index order."""

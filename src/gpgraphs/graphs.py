@@ -56,7 +56,7 @@ class GPGraph:
         ui = self.field.element(u).index
         vi = self.field.element(v).index
         diff = self.field.index_sub(vi, ui)
-        return diff != 0 and self.field.log[diff] % self.k == 0
+        return diff != 0 and self.field.discrete_log(diff) % self.k == 0
 
     def symmetric_connection(self) -> tuple[int, ...]:
         """Connection set of the underlying undirected graph (k-th powers and their negatives)."""

@@ -16,7 +16,7 @@ from .families import census
 from .fields import build_field
 from .graphs import GPGraph, build_graph, component_structure, components, period
 from .numbertheory import divisors, prime_power, v2
-from .waring import waring_g, waring_w
+from .waring import _diameter
 
 CHECK_NAMES = (
     "nature",
@@ -75,17 +75,17 @@ def _check_period_law(graph: GPGraph):
         raise AssertionError(f"period {d} != closed form {expected}")
 
 
-def _check_waring_formula(graph: GPGraph):
+def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     traversed, closed_form = components(graph), component_structure(graph)
     if traversed != closed_form:
         raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
-    g = waring_g(graph.field, graph.k)
+    g = _diameter(graph, signed=False)
     if (g is not None) != (closed_form.count == 1):
         raise AssertionError("existence of g must coincide with connectedness")
     if g is not None:
-        w = waring_w(graph.field, graph.k)
+        w = _diameter(graph, signed=True)
         # reduction: w(k, q) = g(k, q) undirected, g(k/2, q) directed
-        by_formula = waring_g(graph.field, graph.k // 2) if graph.directed else g
+        by_formula = _diameter(half, signed=False) if graph.directed else g
         if w != by_formula:
             raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
         if w > g:
@@ -128,7 +128,6 @@ _GRAPH_CHECKS = (
     ("nature", _check_nature, False),
     ("trace-identities", _check_moments, False),
     ("period-law", _check_period_law, False),
-    ("waring-formula", _check_waring_formula, False),
     ("mu-directed", _check_mu_directed, True),
     ("boundary-spectrum", _check_boundary, False),
 )
@@ -159,8 +158,10 @@ def verify_field(q: int) -> list[CheckOutcome]:
             if directed_only and not graph.directed:
                 continue
             _record(outcomes[name], context, fn, graph)
+        half = graphs[k // 2] if graph.directed else None  # GP(k/2, q), for the directed reductions
+        _record(outcomes["waring-formula"], context, _check_waring_formula, graph, half)
         if graph.directed:
-            _record(outcomes["two-re"], context, _check_two_re, graph, graphs[k // 2])
+            _record(outcomes["two-re"], context, _check_two_re, graph, half)
     return [outcomes[name] for name in CHECK_NAMES]
 
 

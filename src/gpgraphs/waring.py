@@ -90,9 +90,9 @@ def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int,
         u, r = parents[v]
         sign = steps[r]
         residue = r if sign == 1 else field.index_neg(r)
-        e = field.log[residue]
+        e = field.discrete_log(residue)
         check(e % graph.k == 0, f"GP({graph.k},{field.q}): step elements are k-th powers")
-        out.append((sign, FieldElement(field, field.exp[e // graph.k])))
+        out.append((sign, FieldElement(field, int(field.exp[e // graph.k]))))
         v = u
     out.reverse()
     return out

@@ -1,5 +1,10 @@
 import itertools
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gpgraphs import (
@@ -9,9 +14,11 @@ from gpgraphs import (
     ZeroHasNoLog,
     build_field,
     canonical_modulus,
+    witness,
 )
 from gpgraphs import fields
-from gpgraphs.fields import is_irreducible
+from gpgraphs.fields import _poly_mul_mod, _poly_pow_mod, _poly_trim, is_irreducible
+from gpgraphs.numbertheory import prime_power
 
 # A concrete GF(25) model used throughout the tests: x^2 + 2x + 3,
 # so the generator a satisfies a^2 = 3a + 2.
@@ -213,3 +220,159 @@ def test_modulus_search_skips_multiples_of_x(monkeypatch):
     with pytest.raises(SizeBudgetExceeded):
         build_field(2, 40)  # the budget is checked before any modulus is searched for
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the tables against the per-element construction they replaced
+
+def _reference_tables(field):
+    """omega, exp, log, traces, negatives and Zech logs, one polynomial multiply at a time.
+
+    omega is the least index whose powers first return to 1 after q - 1
+    steps; traces are linear in the coefficients, from the Frobenius orbit
+    sums of the basis elements a^i.
+    """
+    p, m, q, modulus = field.p, field.m, field.q, field.modulus
+
+    def index(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    for omega in range(1, q):
+        step = _poly_trim(field.index_coeffs(omega))
+        exp, cur = [], (1,)
+        while True:
+            exp.append(index(cur))
+            cur = _poly_mul_mod(cur, step, modulus, p)
+            if cur == (1,):
+                break
+        if len(exp) == q - 1:
+            break
+    log = [-1] * q
+    for e, x in enumerate(exp):
+        log[x] = e
+
+    basis_traces = []
+    for i in range(m):
+        x = (0,) * i + (1,)
+        orbit = [_poly_pow_mod(x, p ** j, modulus, p) for j in range(m)]
+        total = [sum(c[t] for c in orbit if t < len(c)) % p for t in range(m)]
+        assert total[1:] == [0] * (m - 1)  # the trace lies in the prime subfield
+        basis_traces.append(total[0])
+    digits = [field.index_coeffs(x) for x in range(q)]
+    traces = [sum(c * t for c, t in zip(d, basis_traces)) % p for d in digits]
+    neg = [index([(p - c) % p for c in d]) for d in digits]
+    zech = [log[index(((d[0] + 1) % p,) + d[1:])] for d in (digits[x] for x in exp)]
+    return omega, exp, log, traces, neg, zech
+
+
+def _assert_tables_match_reference(field):
+    omega, exp, log, traces, neg, zech = _reference_tables(field)
+    assert field.omega_index == omega
+    assert field.exp.tolist() == exp
+    assert field.log.tolist() == log
+    assert field.trace_table.tolist() == traces
+    assert field.trace_of_exp.tolist() == [traces[x] for x in exp]
+    assert field._neg.tolist() == neg
+    assert field.zech.tolist() == zech
+
+
+def test_tables_match_per_element_build_for_every_q_up_to_1024():
+    for q in range(2, 1025):
+        if (pm := prime_power(q)) is not None:
+            _assert_tables_match_reference(build_field(*pm))
+
+
+@pytest.mark.parametrize("q", [2 ** 14, 3 ** 9, 139 ** 2, 65521])
+def test_tables_match_per_element_build_on_larger_fields(q):
+    _assert_tables_match_reference(build_field(*prime_power(q)))
+
+
+def test_block_products_stay_exact_beyond_float64():
+    # each product here passes 2**53, so the float64 path would round it
+    rows = np.array([[2 ** 32 - 1], [2 ** 31 + 5], [7]], dtype=np.uint32)
+    matrix = np.array([[2 ** 28 + 1]])
+    out = np.empty(3, dtype=np.int64)
+    fields._product_mod(rows, matrix[:, 0], 2 ** 31 - 1, out)
+    assert out.tolist() == [int(r) * (2 ** 28 + 1) % (2 ** 31 - 1) for r in rows[:, 0]]
+
+
+def test_index_level_results_are_python_ints():
+    field = build_field(3, 4)
+    u, v = 17, 58
+    assert type(field.omega_index) is int
+    for value in (field.discrete_log(u), field.index_mul(u, v), field.index_inv(u),
+                  field.index_pow(u, 5), field.index_neg(u), field.trace(u)):
+        assert type(value) is int
+    assert all(type(x) is int for x in field.power_residue_indices(4))
+    for signed in (False, True):
+        terms = witness(field, 4, field.element(v), signed=signed)
+        assert terms and all(type(x.index) is int for _, x in terms)
+
+
+def test_index_pow_does_not_wrap_on_large_exponents():
+    # log(u) * 10**6 passes 2**31 for these u, which an int32 product would wrap
+    field = build_field(2, 16)
+    e = 10 ** 6
+    for log_u in (1, 40000, field.q - 2):
+        u = int(field.exp[log_u])
+        expected = _poly_pow_mod(field.index_coeffs(u), e, field.modulus, field.p)
+        assert field.index_pow(u, e) == field._coeffs_index(expected)
+        assert field.index_pow(u, e) == int(field.exp[log_u * e % (field.q - 1)])
+
+
+def test_table_laws_survive_python_O(package_env):
+    # a corrupted table build must still be caught when asserts are stripped
+    script = textwrap.dedent("""
+        import sys
+
+        from gpgraphs import InvariantViolated, build_field, fields
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+
+        def expect_violation(what):
+            try:
+                build_field(5, 2)
+            except InvariantViolated as exc:
+                print(exc)
+            else:
+                sys.exit(f"{what} went unnoticed")
+
+        honest_search = fields.FiniteField._least_primitive
+        fields.FiniteField._least_primitive = lambda self: 1  # the element 1 has order 1
+        expect_violation("a non-primitive omega")
+        fields.FiniteField._least_primitive = honest_search
+
+        honest_product = fields._product_mod
+        calls = []
+
+        def drop_fourth_doubling(rows, matrix, modulus, out):
+            calls.append(len(rows))
+            if len(calls) != 4:  # the step that fills the powers omega^8 .. omega^15
+                honest_product(rows, matrix, modulus, out)
+
+        fields._product_mod = drop_fourth_doubling
+        expect_violation("a dropped doubling step")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert "every nonzero element exactly once" in lines[0]
+    assert "omega^(q-1) = 1" in lines[1]
+
+
+def test_build_field_memory(monkeypatch):
+    # tracemalloc peak of a cold GF(2^20) build, modulus search included:
+    # 36.1 MB measured (numpy 2.4, Python 3.11); the bound allows 20 % more.
+    # The per-element build it replaced peaked at 662 MB.
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    tracemalloc.start()
+    try:
+        field = build_field(2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.exp.dtype.itemsize <= 4 and field.trace_table.dtype.itemsize == 1
+    assert peak < 44 * 2 ** 20
