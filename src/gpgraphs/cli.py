@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -212,9 +213,12 @@ def _cmd_waring(args) -> int:
     print(f"q={args.q} k={args.k}: g={result.g} w={result.w}")
     if args.witness is not None:
         target = field.element(args.witness)
-        k = build_graph(field, args.k).k
-        for signed, label in ((False, "g"), (True, "w")):
-            terms = witness(field, args.k, target, signed=signed)
+        k = math.gcd(args.k, field.q - 1)
+        g_terms = witness(field, k, target, signed=False)
+        # when -1 is a k-th power the graph is undirected, and signing adds no step
+        undirected = field.discrete_log(-field.one()) % k == 0
+        w_terms = g_terms if undirected else witness(field, k, target, signed=True)
+        for label, terms in (("g", g_terms), ("w", w_terms)):
             print(f"{label}-witness for {target} (length {len(terms)}): "
                   f"{target} = {_render_witness(terms, k)}")
     return 0

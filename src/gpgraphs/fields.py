@@ -440,8 +440,8 @@ class FiniteField:
     def zech(self) -> np.ndarray:
         """Zech logarithms: zech[e] = log(1 + omega^e) for e in [0, q - 1), -1 where 1 + omega^e = 0.
 
-        Built on first use rather than in the constructor, since only graph
-        traversal reads it.
+        Built on first use rather than in the constructor, since only
+        traversal reads it: the quotient BFS and the witness BFS.
         """
         low = self.exp % self.p  # the constant coefficient, the only one that adding 1 changes
         return self.log[self.exp - low + (low + 1) % self.p]

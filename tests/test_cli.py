@@ -126,6 +126,12 @@ def test_cli_waring_with_witness(capsys):
     out = capsys.readouterr().out
     assert "g=4 w=3" in out
     assert "g-witness" in out and "w-witness" in out
+    # k = 28 reduces to gcd(28, 24) = 4, and GP(4, 25) is undirected, so its
+    # signed witness is its unsigned one
+    assert cli.main(["waring", "--q", "25", "--k", "28", "--witness", "16"]) == 0
+    _, g_line, w_line = capsys.readouterr().out.splitlines()
+    assert g_line == ("g-witness for 3a+1 (length 3): "
+                      "3a+1 = (1)^4 + (a+2)^4 + (a+2)^4") and w_line == "w" + g_line[1:]
     assert cli.main(["waring", "--q", "25", "--k", "6"]) == 0
     assert "do not exist" in capsys.readouterr().out
 

@@ -1,8 +1,14 @@
+import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from collections import deque
 
 import pytest
 
 from gpgraphs import (
+    FieldElement,
     NotPrime,
     NumberDoesNotExist,
     PreconditionViolated,
@@ -19,6 +25,8 @@ from gpgraphs import (
     waring_w,
     witness,
 )
+from gpgraphs import waring
+from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 
 F25_MODEL_MODULUS = (3, 2, 1)
@@ -209,3 +217,180 @@ def test_waring_numbers_match_sumset_oracle():
         for k in divisors(q - 1):
             assert waring_g(field, k) == _sumset_oracle(field, k, signed=False), (q, k)
             assert waring_w(field, k) == _sumset_oracle(field, k, signed=True), (q, k)
+
+
+def _reference_witness(field, k, target, signed):
+    # the vertex-level deque BFS, one index_add per arc: the parent of a vertex
+    # is the first (u, r) in FIFO order, with r in the insertion order of steps
+    graph = build_graph(field, k)
+    target_idx = field.element(target).index
+    steps = {r: 1 for r in graph.connection}
+    if signed:
+        for r in graph.connection:
+            steps.setdefault(field.index_neg(r), -1)
+    parents = {0: (-1, 0)}
+    queue = deque([0])
+    while queue and target_idx not in parents:
+        u = queue.popleft()
+        for r in steps:
+            v = field.index_add(u, r)
+            if v not in parents:
+                parents[v] = (u, r)
+                queue.append(v)
+    if target_idx not in parents:
+        name = "w" if signed else "g"
+        raise NumberDoesNotExist(f"{name}({graph.k},{field.q}) does not exist: "
+                                 f"target {target_idx} is unreachable")
+    out = []
+    v = target_idx
+    while v != 0:
+        u, r = parents[v]
+        sign = steps[r]
+        e = field.discrete_log(r if sign == 1 else field.index_neg(r))
+        out.append((sign, FieldElement(field, int(field.exp[e // graph.k]))))
+        v = u
+    out.reverse()
+    return out
+
+
+def _terms_or_message(fn, field, k, target, signed):
+    try:
+        return [(sign, x.index) for sign, x in fn(field, k, target, signed)]
+    except NumberDoesNotExist as exc:
+        return str(exc)
+
+
+def _oracle_targets(field, graph, signed):
+    # a seeded target, a vertex of the farthest class, and an unreachable one if any
+    dist, _, _ = quotient_bfs(graph, signed)
+    targets = {random.Random(field.q * 1009 + graph.k).randrange(1, field.q)}
+    targets.add(int(field.exp[int(dist[:-1].argmax())]))
+    unreached = (dist[:-1] < 0).nonzero()[0]
+    if unreached.size:
+        targets.add(int(field.exp[int(unreached[0])]))
+    return sorted(targets)
+
+
+@pytest.fixture(scope="module")
+def witness_oracle_cases():
+    cases = []
+    for q in range(2, 257):
+        if not prime_power(q):
+            continue
+        field = build_field(*prime_power(q))
+        for k in divisors(q - 1):
+            graph = build_graph(field, k)
+            for signed in (False, True):
+                for t in _oracle_targets(field, graph, signed):
+                    expected = _terms_or_message(_reference_witness, field, k, t, signed)
+                    cases.append((field, graph, t, signed, expected))
+    return cases
+
+
+# (_PYTHON_LEVEL_ARCS, _BLOCK_ARCS): the Python loop on every level, numpy on
+# every level, and the default switch between them with numpy blocks of at
+# most 16 arcs, so that a level of 256 arcs or more reaches the target after
+# several blocks, and one search hands levels from one kernel to the other
+KERNEL_MODES = {"python": (2 ** 62, 1 << 18), "numpy": (0, 1 << 18), "tiny_blocks": (256, 16)}
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+def test_witness_matches_deque_bfs_exactly(mode, witness_oracle_cases, monkeypatch):
+    monkeypatch.setattr(waring, "_PYTHON_LEVEL_ARCS", KERNEL_MODES[mode][0])
+    monkeypatch.setattr(waring, "_BLOCK_ARCS", KERNEL_MODES[mode][1])
+    assert any(isinstance(expected, str) for *_, expected in witness_oracle_cases)
+    for field, graph, t, signed, expected in witness_oracle_cases:
+        got = _terms_or_message(witness, field, graph.k, t, signed)
+        assert got == expected, (field.q, graph.k, t, signed)
+
+
+@pytest.mark.parametrize("k, expected", [
+    # GP(85, 1021) has 12 steps: level 1 has 144 arcs and runs in the Python
+    # loop, which hands the larger levels after it to numpy
+    (85, ["_python_levels", "_numpy_level", "_numpy_level", "_numpy_level",
+          "_numpy_level", "_numpy_level"]),
+    # GP(1020, 1021) is a directed cycle: every level has one arc
+    (1020, ["_python_levels"]),
+])
+def test_witness_kernel_follows_level_size(k, expected, monkeypatch):
+    calls = []
+    for name in ("_python_levels", "_numpy_level"):
+        kernel = getattr(waring, name)
+        monkeypatch.setattr(waring, name,
+                            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args))
+    field = build_field(1021, 1)
+    dist, _, _ = quotient_bfs(build_graph(field, k))
+    witness(field, k, int(field.exp[int(dist[:-1].argmax())]), signed=False)
+    assert calls == expected
+
+
+def test_undirected_graphs_have_one_witness_for_both_signs(witness_oracle_cases):
+    # the signed steps of an undirected graph are its unsigned ones, so the
+    # CLI prints its g-witness as its w-witness
+    unsigned = {(field.q, graph.k, t): expected
+                for field, graph, t, signed, expected in witness_oracle_cases if not signed}
+    compared = 0
+    for field, graph, t, signed, expected in witness_oracle_cases:
+        if signed and not graph.directed and not isinstance(expected, str):
+            assert expected == unsigned[field.q, graph.k, t]
+            compared += 1
+    assert compared > 500
+
+
+@pytest.mark.parametrize("p, m, k, bound_mb", [
+    # GP(65520, 65521) is a directed 65521-cycle: a path of 65,520 terms
+    # through the Python loop, one vertex per level. GP(17, 2^16) has 3,855
+    # steps, so level 1 expands in numpy blocks. Measured tracemalloc peaks
+    # (numpy 2.4): 10.3 MB and 6.6 MB; the bounds leave about 25 % headroom.
+    (65521, 1, 65520, 13),
+    (2, 16, 17, 8),
+])
+def test_witness_at_the_farthest_target_matches_deque_bfs_in_bounded_memory(p, m, k, bound_mb):
+    field = build_field(p, m)
+    graph = build_graph(field, k)
+    dist, _, _ = quotient_bfs(graph)
+    target = int(field.exp[int(dist[:-1].argmax())])
+    if graph.n == 1:  # the deque's only path on a cycle: target copies of 1 = 1^k
+        expected = [(1, 1)] * target
+    else:
+        expected = _terms_or_message(_reference_witness, field, k, target, False)
+    assert len(expected) == int(dist.max())
+    tracemalloc.start()
+    try:
+        terms = witness(field, k, target, signed=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(sign, x.index) for sign, x in terms] == expected
+    assert peak < bound_mb * 2 ** 20
+
+
+def test_witness_law_survives_python_O(package_env):
+    # a step that is not a k-th power must still be caught when asserts are stripped
+    script = textwrap.dedent("""
+        import sys
+
+        from gpgraphs import InvariantViolated, build_field, waring, witness
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+
+        honest_build = waring.build_graph
+
+        def corrupted_build(field, k):
+            graph = honest_build(field, k)
+            graph.connection = (1, 2, 3)  # 3 is not a square mod 7
+            return graph
+
+        waring.build_graph = corrupted_build
+        try:
+            witness(build_field(7, 1), 2, 3, signed=False)
+        except InvariantViolated as exc:
+            print(exc)
+        else:
+            sys.exit("a step that is not a k-th power went unnoticed")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert "step elements are k-th powers" in proc.stdout
