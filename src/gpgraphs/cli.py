@@ -20,7 +20,7 @@ from .graphs import build_graph, classify_structure, components, period
 from .numbertheory import divisors, prime_power
 from .spectra import spectrum, srg_parameters
 from .verify import run_verification
-from .waring import waring_result, witness
+from .waring import graph_waring, waring_result, witness
 
 ROW_FIELDS = ("q", "p", "m", "k", "n", "structure", "directed", "components",
               "nature", "mu", "srg", "period", "g", "w")
@@ -68,7 +68,7 @@ def build_report_rows(q: int) -> list[FieldReportRow]:
     for k in divisors(q - 1):
         graph = build_graph(field, k)
         report = spectrum(graph)
-        wres = waring_result(field, k)
+        wres = graph_waring(graph)
         rows.append(FieldReportRow(
             q=q, p=p, m=m, k=k, n=graph.n,
             structure=classify_structure(graph).render(),

@@ -51,6 +51,7 @@ class GPGraph:
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
+        self._traversals: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # by quotient_bfs
 
     def has_arc(self, u, v) -> bool:
         ui = self.field.element(u).index
@@ -109,12 +110,25 @@ def quotient_bfs(graph: GPGraph, signed: bool = False) -> tuple[np.ndarray, np.n
 
     Returns (dist, src, dst): dist[i] for class i < k and dist[k] = 0 for
     vertex 0, -1 where unreached; src -> dst are the distinct quotient arcs.
+    The result is kept on the graph, read-only, under `signed and directed`:
+    an undirected graph holds -1 among its k-th powers, so its signed and
+    unsigned steps are the same and share one traversal.
     """
+    key = signed and graph.directed
+    if key not in graph._traversals:
+        result = _traverse(graph, key)
+        for array in result:
+            array.setflags(write=False)
+        graph._traversals[key] = result
+    return graph._traversals[key]
+
+
+def _traverse(graph: GPGraph, signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quotient BFS itself; quotient_bfs runs it once per graph and key."""
     field, k = graph.field, graph.k
     e = np.arange(field.q - 1, dtype=np.int64)
     zech = field.zech
-    # an undirected graph contains -1 among its k-th powers, so signing adds nothing
-    shifts = [0, (field.q - 1) // 2] if signed and graph.directed else [0]
+    shifts = [0, (field.q - 1) // 2] if signed else [0]
     src = np.concatenate([(h - e) % k for h in shifts] + [np.full(len(shifts), k)])
     dst = np.concatenate([np.where(zech < 0, k, (h - e + zech) % k) for h in shifts]
                          + [np.array(shifts, dtype=np.int64) % k])

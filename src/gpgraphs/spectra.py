@@ -17,10 +17,10 @@ generates the whole Galois group of Q(zeta_p); both automorphisms shift
 the period index, so the tests compare periods, not coefficients. The
 order of the eigenvalues and their float images are computed only when
 something reads them, and the values are rendered from their nonzero
-terms. The products that the checks need, eta^2 and eta * conj(eta), are
-histograms of trace sums over pairs from one row, and eta + conj(eta) is
-the row merged with its negative, so no check multiplies dense
-coefficient vectors; CyclotomicInteger arithmetic is the tests' oracle.
+terms. eta^2 and eta * conj(eta) are histograms of trace sums over pairs
+from one row, eta + conj(eta) is the row merged with its negative, and a
+value has modulus n exactly when its row is constant, so no check
+multiplies coefficient vectors; CyclotomicInteger arithmetic is the oracle.
 The exact spectrum can be cross-checked against a dense floating-point
 eigensolver.
 """
@@ -382,17 +382,21 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     return (q, n, e, d)
 
 
-def boundary_spectrum(graph: GPGraph) -> tuple[CyclotomicInteger, ...]:
-    """Eigenvalues of maximum modulus n, decided exactly via lam * conj(lam) = n^2.
+def boundary_rows(report: SpectrumReport) -> np.ndarray:
+    """Indices of the distinct values of maximum modulus n: the rows whose traces are all equal.
 
-    They come in the order of `SpectrumReport.entries`.
+    A sum of n roots of unity has modulus n exactly when its terms are all
+    the same root, so the row of a boundary value n * zeta^t is n copies of t.
     """
+    rows = report._rows
+    return np.flatnonzero((rows == rows[:, :1]).all(axis=1))
+
+
+def boundary_spectrum(graph: GPGraph) -> tuple[CyclotomicInteger, ...]:
+    """Eigenvalues of maximum modulus n, in the order of `SpectrumReport.entries`."""
     report = spectrum(graph)
-    norms = period_products(report, -1)
-    on_boundary = np.flatnonzero((norms[:, 0] == graph.n ** 2) & ~norms[:, 1:].any(axis=1))
-    del norms  # mu x p integers: free them before the values are built
     return tuple(CyclotomicInteger.from_terms(report._p, e.terms)
-                 for e in report._entries(on_boundary))
+                 for e in report._entries(boundary_rows(report)))
 
 
 def numeric_oracle_check(graph: GPGraph, tolerance: float = 1e-8) -> bool:

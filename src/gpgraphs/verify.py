@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import spectra
-from .cyclotomic import CyclotomicInteger, render_terms, root_power
+from .cyclotomic import render_terms
 from .families import census
 from .fields import build_field
 from .graphs import GPGraph, build_graph, component_structure, components, period
@@ -79,17 +79,15 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     traversed, closed_form = components(graph), component_structure(graph)
     if traversed != closed_form:
         raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
-    g = _diameter(graph, signed=False)
+    g, w = _diameter(graph, signed=False), _diameter(graph, signed=True)
     if (g is not None) != (closed_form.count == 1):
         raise AssertionError("existence of g must coincide with connectedness")
-    if g is not None:
-        w = _diameter(graph, signed=True)
-        # reduction: w(k, q) = g(k, q) undirected, g(k/2, q) directed
-        by_formula = _diameter(half, signed=False) if graph.directed else g
-        if w != by_formula:
-            raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
-        if w > g:
-            raise AssertionError(f"w = {w} inconsistent with g = {g}")
+    # reduction: w(k, q) = g(k, q) undirected, g(k/2, q) directed; all None when disconnected
+    by_formula = _diameter(half, signed=False) if graph.directed else g
+    if w != by_formula:
+        raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
+    if g is not None and w > g:
+        raise AssertionError(f"w = {w} inconsistent with g = {g}")
 
 
 def _check_mu_directed(graph: GPGraph):
@@ -97,15 +95,14 @@ def _check_mu_directed(graph: GPGraph):
 
 
 def _check_boundary(graph: GPGraph):
-    field = graph.field
-    q, p, n = field.q, field.p, graph.n
-    found = set(spectra.boundary_spectrum(graph))
-    if graph.k == q - 1:
-        expected = {root_power(p, j) for j in range(p)}  # for p = 2, {1, -1}
-    else:
-        expected = {CyclotomicInteger.from_int(p, n)}
+    report = spectra.spectrum(graph)
+    # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
+    found = sorted(set(report._rows[spectra.boundary_rows(report), 0].tolist()))
+    q, p = graph.field.q, graph.field.p
+    expected = list(range(p)) if graph.k == q - 1 else [0]  # zeta^j (n = 1), or n itself
     if found != expected:
-        raise AssertionError(f"boundary spectrum {sorted(map(str, found))} != expected")
+        values = set(spectra.boundary_spectrum(graph))
+        raise AssertionError(f"boundary spectrum {sorted(map(str, values))} != expected")
 
 
 def _check_census(q: int):

@@ -5,8 +5,9 @@ it exists exactly when GP(k, q) is connected and then equals its diameter,
 which by vertex-transitivity is the forward eccentricity of 0. The signed
 variant w(k, q) allows minus signs on the terms and is the diameter of the
 symmetrized graph; for directed GP(k, q) it collapses to g(k/2, q). Both
-eccentricities come from one BFS over the coset classes of the k-th powers
-(graphs.quotient_bfs).
+eccentricities come from the BFS over the coset classes of the k-th powers
+that graphs.quotient_bfs keeps on the graph (a directed graph adds a signed
+one for w), so a caller holding the graph passes it to graph_waring.
 """
 
 from __future__ import annotations
@@ -48,12 +49,16 @@ def waring_w(field: FiniteField, k: int) -> int | None:
 
 
 def waring_result(field: FiniteField, k: int) -> WaringResult:
-    graph = build_graph(field, k)
+    return graph_waring(build_graph(field, k))
+
+
+def graph_waring(graph: GPGraph) -> WaringResult:
+    """g and w of one graph, from the traversals stored on it."""
     g_value = _diameter(graph, signed=False)
     if g_value is None:
         dec = component_structure(graph)
         return WaringResult(False, None, None,
-                            f"GP({graph.k},{field.q}) splits into {dec.count} components")
+                            f"GP({graph.k},{graph.field.q}) splits into {dec.count} components")
     return WaringResult(True, g_value, _diameter(graph, signed=True), None)
 
 

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from gpgraphs import graphs
 from gpgraphs import (
     bfs_distances,
     build_field,
@@ -15,8 +17,10 @@ from gpgraphs import (
     waring_g,
     waring_w,
 )
+from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
+from gpgraphs.verify import verify_field
 
 
 def test_build_examples():
@@ -142,6 +146,54 @@ def test_quotient_bfs_shape():
     assert len(src) == len(dst) == 7  # one arc out of every node
     signed, _, _ = quotient_bfs(graph, signed=True)
     assert signed.max() == 3  # the undirected 7-cycle
+
+
+def test_stored_traversal_is_shared_and_read_only():
+    field = build_field(5, 2)
+    directed, undirected = build_graph(field, 8), build_graph(field, 4)
+    stored = quotient_bfs(directed)
+    assert quotient_bfs(directed) is stored
+    assert quotient_bfs(directed, signed=True) is not stored
+    # an undirected graph's signed steps are its unsigned ones
+    assert quotient_bfs(undirected, signed=True) is quotient_bfs(undirected)
+    for array in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+
+
+def _count_traversals(monkeypatch) -> Counter:
+    """Counts runs of the BFS kernel, not reads of the stored result, by (k, signed)."""
+    runs = Counter()
+    kernel = graphs._traverse
+    monkeypatch.setattr(graphs, "_traverse",
+                        lambda graph, signed: runs.update([(graph.k, signed)]) or kernel(graph, signed))
+    return runs
+
+
+def test_verify_traverses_undirected_graphs_once_and_directed_twice(monkeypatch):
+    runs = _count_traversals(monkeypatch)
+    assert all(o.failed == 0 for o in verify_field(25))
+    field = build_field(5, 2)
+    expected = Counter()
+    for k in divisors(24):
+        expected[k, False] = 1
+        if build_graph(field, k).directed:
+            expected[k, True] = 1  # GP(8, 25) and the disconnected GP(24, 25)
+    assert runs == expected
+    assert sum(runs.values()) == 8 + 2
+
+
+def test_report_traverses_each_graph_at_most_twice(monkeypatch):
+    runs = _count_traversals(monkeypatch)
+    rows = build_report_rows(2401)
+    # w needs the signed pass only on a directed graph, and exists only when it is connected
+    expected = Counter((row.k, False) for row in rows)
+    expected.update((row.k, True) for row in rows if row.directed and row.g is not None)
+    assert runs == expected
+    directed = [row for row in rows if row.directed]
+    assert len(rows) == 36 and len(directed) == 6
+    # 343 directed Paley graphs on 7 vertices (k = 800) and 343 directed 7-cycles (k = 2400)
+    assert [row.k for row in directed if row.g is None] == [800, 2400]
 
 
 def test_symmetrize():

@@ -225,6 +225,9 @@ def test_srg_parameters():
 def test_boundary_spectrum():
     assert boundary_spectrum(build_graph(build_field(13, 1), 2)) \
         == (CyclotomicInteger.from_int(13, 6),)
+    # K(2399): its period -1 is not on the boundary, only n = 2398 is
+    assert boundary_spectrum(build_graph(build_field(2399, 1), 1)) \
+        == (CyclotomicInteger.from_int(2399, 2398),)
     found = set(boundary_spectrum(build_graph(build_field(5, 1), 4)))
     assert found == {root_power(5, j) for j in range(5)}
     found = set(boundary_spectrum(build_graph(build_field(2, 8), 255)))

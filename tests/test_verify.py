@@ -3,9 +3,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
-from gpgraphs import spectra, verify
+from gpgraphs import CyclotomicInteger, build_field, build_graph, root_power, spectra, verify
+from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
 
 
@@ -38,6 +40,13 @@ def _corrupt_rows(report):
     return dataclasses.replace(report, _rows=rows)
 
 
+def _duplicate_trace(report):
+    # GP(24, 25) has the n = 1 rows [0], ..., [4]: zeta^4 becomes a second zeta^3
+    rows = report._rows.copy()
+    rows[-1] = rows[-2]
+    return dataclasses.replace(report, _rows=rows)
+
+
 def _corrupt_multiplicity(report):
     multiplicities = report._multiplicities.copy()
     multiplicities[0] += 1
@@ -47,6 +56,8 @@ def _corrupt_multiplicity(report):
 @pytest.mark.parametrize("check, corrupted_k, corrupt, failure", [
     ("trace-identities", 6, _corrupt_multiplicity, "q=25 k=6: sum of eigenvalues is 4, not 0"),
     ("boundary-spectrum", 6, _corrupt_rows, "q=25 k=6: boundary spectrum [] != expected"),
+    ("boundary-spectrum", 24, _duplicate_trace,
+     "q=25 k=24: boundary spectrum ['1', 'z', 'z^2', 'z^3'] != expected"),
     # the half graph of the directed GP(8, 25) is GP(4, 25)
     ("two-re", 4, _corrupt_rows, "q=25 k=8: symmetrized spectrum is not twice the real parts"),
 ])
@@ -61,6 +72,64 @@ def test_corrupted_rows_fail_their_check(monkeypatch, check, corrupted_k, corrup
     outcome = next(o for o in verify_field(25) if o.name == check)
     assert outcome.failed == 1
     assert outcome.first_failure == failure
+    if check == "boundary-spectrum":  # the message is the one the CyclotomicInteger sets gave
+        graph = build_graph(build_field(5, 2), corrupted_k)
+        assert f"q=25 k={corrupted_k}: {_failure(_check_boundary_by_cyclotomic_sets, graph)}" == failure
+
+
+def _boundary_by_norms(report):
+    """The values with lam * conj(lam) = n^2, from the pair histograms of period_products."""
+    norms = spectra.period_products(report, -1)
+    on_boundary = np.flatnonzero((norms[:, 0] == report.n ** 2) & ~norms[:, 1:].any(axis=1))
+    return tuple(CyclotomicInteger.from_terms(report._p, e.terms)
+                 for e in report._entries(on_boundary))
+
+
+def _check_boundary_by_cyclotomic_sets(graph):
+    """The boundary check on sets of CyclotomicIntegers: the oracle of verify's check on rows."""
+    field = graph.field
+    found = set(_boundary_by_norms(spectra.spectrum(graph)))
+    if graph.k == field.q - 1:
+        expected = {root_power(field.p, j) for j in range(field.p)}  # for p = 2, {1, -1}
+    else:
+        expected = {CyclotomicInteger.from_int(field.p, graph.n)}
+    if found != expected:
+        raise AssertionError(f"boundary spectrum {sorted(map(str, found))} != expected")
+
+
+def _failure(check, graph):
+    try:
+        check(graph)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_boundary_on_rows_matches_cyclotomic_sets_and_norms_for_every_q_up_to_343():
+    graphs = 0
+    for q in range(2, 344):
+        if prime_power(q) is None:
+            continue
+        field = build_field(*prime_power(q))
+        for k in divisors(q - 1):
+            graph = build_graph(field, k)
+            assert spectra.boundary_spectrum(graph) == _boundary_by_norms(spectra.spectrum(graph)), (q, k)
+            assert _failure(verify._check_boundary, graph) is None, (q, k)
+            assert _failure(_check_boundary_by_cyclotomic_sets, graph) is None, (q, k)
+            graphs += 1
+    assert graphs == 729
+
+
+@pytest.mark.parametrize("q", [25, 64, 81, 337])
+def test_passing_verify_builds_no_cyclotomic_integer(monkeypatch, q):
+    built = []
+    init = CyclotomicInteger.__init__
+    monkeypatch.setattr(CyclotomicInteger, "__init__",
+                        lambda self, p, coeffs: built.append(p) or init(self, p, coeffs))
+    assert all(o.failed == 0 for o in verify_field(q))
+    assert built == []
+    spectra.boundary_spectrum(build_graph(build_field(*prime_power(q)), 1))  # the count works
+    assert built == [prime_power(q)[0]]
 
 
 def test_census_check_survives_python_O(package_env):
@@ -81,6 +150,37 @@ def test_census_check_survives_python_O(package_env):
                           env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("0 1 q=49: "), proc.stdout
+
+
+def test_boundary_check_survives_python_O(package_env):
+    # the row comparison raises explicitly, so -O keeps it
+    script = textwrap.dedent("""
+        import dataclasses
+        import sys
+
+        from gpgraphs import spectra
+        from gpgraphs.verify import verify_field
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        honest = spectra.spectrum
+
+        def corrupted(graph):
+            report = honest(graph)
+            if graph.k != 24:
+                return report
+            rows = report._rows.copy()
+            rows[-1] = rows[-2]  # zeta^4 becomes a second zeta^3
+            return dataclasses.replace(report, _rows=rows)
+
+        spectra.spectrum = corrupted
+        boundary = next(o for o in verify_field(25) if o.name == "boundary-spectrum")
+        print(boundary.passed, boundary.failed, boundary.first_failure)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("7 1 q=25 k=24: boundary spectrum "), proc.stdout
 
 
 def test_sequential_and_parallel_agree():
