@@ -44,7 +44,6 @@ from .graphs import (
     bfs_distances,
     build_graph,
     classify_structure,
-    component_structure,
     components,
     period,
     symmetrize,

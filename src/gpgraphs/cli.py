@@ -8,19 +8,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 from .cyclotomic import ValueClass, render_terms
-from .errors import GPGraphError, InvariantViolated, NotPrimePower
+from .errors import GPGraphError, InvariantViolated, NotPrimePower, SizeBudgetExceeded
 from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
-from .fields import FiniteField, build_field
+from .fields import DEFAULT_SIZE_BUDGET, FiniteField, build_field
 from .graphs import build_graph, classify_structure, components, period
 from .numbertheory import divisors, prime_power
 from .spectra import spectrum, srg_parameters
 from .verify import run_verification
-from .waring import graph_waring, waring_result, witness
+from .waring import graph_waring, witness
 
 ROW_FIELDS = ("q", "p", "m", "k", "n", "structure", "directed", "components",
               "nature", "mu", "srg", "period", "g", "w")
@@ -44,16 +43,13 @@ class FieldReportRow:
     w: int | None
 
     def to_record(self) -> dict:
-        record = {}
-        for name in ROW_FIELDS:
-            value = getattr(self, name)
-            if name == "srg" and value is not None:
-                value = list(value)
-            record[name] = value
-        return record
+        return {name: getattr(self, name) for name in ROW_FIELDS}  # json writes srg as a list
 
 
 def _field_for(q: int) -> FiniteField:
+    # before factoring: q may be too large to factor in any reasonable time
+    if q > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetExceeded(f"q = {q} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     pm = prime_power(q)
     if pm is None:
         raise NotPrimePower(f"q = {q} is not a prime power")
@@ -206,18 +202,18 @@ def _cmd_waring(args) -> int:
     field = _field_for(args.q)
     if args.witness is not None and not 0 <= args.witness < field.q:
         return _usage_error(f"--witness {args.witness} is not an element index in [0, {field.q})")
-    result = waring_result(field, args.k)
+    graph = build_graph(field, args.k)
+    result = graph_waring(graph)
     if not result.exists:
         print(f"q={args.q} k={args.k}: g and w do not exist ({result.reason_if_absent})")
         return 0
     print(f"q={args.q} k={args.k}: g={result.g} w={result.w}")
     if args.witness is not None:
         target = field.element(args.witness)
-        k = math.gcd(args.k, field.q - 1)
+        k = graph.k
         g_terms = witness(field, k, target, signed=False)
-        # when -1 is a k-th power the graph is undirected, and signing adds no step
-        undirected = field.discrete_log(-field.one()) % k == 0
-        w_terms = g_terms if undirected else witness(field, k, target, signed=True)
+        # an undirected graph holds every -r, so signing adds no step
+        w_terms = witness(field, k, target, signed=True) if graph.directed else g_terms
         for label, terms in (("g", g_terms), ("w", w_terms)):
             print(f"{label}-witness for {target} (length {len(terms)}): "
                   f"{target} = {_render_witness(terms, k)}")

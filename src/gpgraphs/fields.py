@@ -335,10 +335,13 @@ class FiniteField:
     # -- construction internals ------------------------------------------------
 
     def _least_primitive(self) -> int | None:
-        """The least index of multiplicative order q - 1, or None if there is none."""
+        """The least index of multiplicative order q - 1, or None if there is none.
+
+        For m >= 2 the indices below p form F_p, of orders dividing p - 1, so the search starts at p.
+        """
         p, q = self.p, self.q
         q1_factors = list(factorize(q - 1)) if q > 2 else []
-        for idx in range(1, q):
+        for idx in range(p if self.m > 1 else 1, q):
             cand = _poly_trim(self.index_coeffs(idx))
             if all(_poly_pow_mod(cand, (q - 1) // r, self.modulus, p) != (1,) for r in q1_factors):
                 return idx

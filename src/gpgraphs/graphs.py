@@ -1,15 +1,19 @@
 """Power-residue Cayley graphs GP(k, q) on the additive group of GF(q).
 
 The connection set is the subgroup of nonzero k-th powers, so there is an
-arc u -> v exactly when v - u is a k-th power. Adjacency stays implicit
-(a membership test through the discrete log); only the numeric eigenvalue
-oracle ever materializes a matrix.
+arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
+facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
+by the valuation rule. Components follow from the order of p modulo n,
+and period, g and w from one BFS over the k coset classes. The set is
+listed on first read, by the witness search, symmetrization and the
+numeric oracle; verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,39 +23,30 @@ from .numbertheory import divisors, multiplicative_order, v2
 
 
 class GPGraph:
-    """The graph GP(k, q): vertices GF(q), arcs u -> v iff v - u is a k-th power."""
+    """The graph GP(k, q): vertices GF(q), arcs u -> v iff v - u is a k-th power.
+
+    The constructor reads no table and builds nothing of size n.
+    """
 
     def __init__(self, field: FiniteField, k_raw: int):
         if k_raw < 1:
             raise ValueError(f"k = {k_raw} must be positive")
         q = field.q
-        k = math.gcd(k_raw, q - 1)
-        n = (q - 1) // k
-        connection = tuple(field.power_residue_indices(k))
-        label = f"GP({k},{q})"
-        check(len(connection) == n, f"{label}: the k-th powers must number (q-1)/k = {n}")
-
-        directed_by_valuation = q % 2 == 1 and v2(k) == v2(q - 1) > 0
-        minus_one = field.index_neg(1)
-        directed_by_membership = minus_one not in set(connection)
-        check(directed_by_valuation == directed_by_membership,
-              f"{label}: the valuation rule and membership of -1 must agree on directedness")
-
         self.field = field
         self.k_raw = k_raw
-        self.k = k
-        self.n = n
-        self.connection = connection
-        self.connection_set = frozenset(connection)
-        self.directed = directed_by_valuation
-
-        if self.directed:
-            neg = {field.index_neg(r) for r in connection}
-            check(not (neg & self.connection_set), f"{label}: directed connection sets are antisymmetric")
+        self.k = math.gcd(k_raw, q - 1)
+        self.n = (q - 1) // self.k
+        # -1 = omega^((q-1)/2) is a k-th power unless k takes the whole 2-part of q - 1
+        self.directed = q % 2 == 1 and v2(self.k) == v2(q - 1) > 0
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
         self._traversals: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # by quotient_bfs
+
+    @cached_property
+    def connection(self) -> tuple[int, ...]:
+        """The nonzero k-th powers as ascending indices."""
+        return tuple(self.field.power_residue_indices(self.k))
 
     def has_arc(self, u, v) -> bool:
         ui = self.field.element(u).index
@@ -162,8 +157,8 @@ class ComponentDecomposition:
     component_q: int     # p^a
 
 
-def component_structure(graph: GPGraph) -> ComponentDecomposition:
-    """Component structure from the order of p modulo n (no traversal)."""
+def components(graph: GPGraph) -> ComponentDecomposition:
+    """The component of 0 is the subfield of order p^a, a = ord of p mod n; the rest translate it."""
     if graph._components is not None:
         return graph._components
     field = graph.field
@@ -180,29 +175,12 @@ def component_structure(graph: GPGraph) -> ComponentDecomposition:
     return dec
 
 
-def components(graph: GPGraph) -> ComponentDecomposition:
-    """Connected-component structure, from the coset classes reachable from 0.
-
-    The component of 0 is the subfield of order p^a spanned by the k-th
-    powers, and every other component is a translate of it.
-    """
-    dist, _, _ = quotient_bfs(graph)
-    reached = int((dist[:-1] >= 0).sum())
-    size = 1 + graph.n * reached
-    return ComponentDecomposition(
-        a=round(math.log(size, graph.field.p)),
-        count=graph.field.q // size,
-        component_k=reached,
-        component_q=size,
-    )
-
-
 def symmetrize(graph: GPGraph) -> GPGraph:
     """The underlying undirected graph; for a directed graph this is GP(k/2, q)."""
     if not graph.directed:
         return graph
     half = build_graph(graph.field, graph.k // 2)
-    check(set(graph.symmetric_connection()) == half.connection_set,
+    check(set(graph.symmetric_connection()) == set(half.connection),
           f"GP({graph.k},{graph.field.q}): the symmetrized connection set must be that of GP(k/2, q)")
     return half
 
@@ -269,7 +247,7 @@ def classify_structure(graph: GPGraph) -> StructureLabel:
     """First matching label in a fixed precedence order (deterministic reports)."""
     field = graph.field
     q, p, m, k = field.q, field.p, field.m, graph.k
-    dec = component_structure(graph)
+    dec = components(graph)
     pa = p ** dec.a
 
     if k * (pa - 1) == q - 1:

@@ -39,7 +39,7 @@ import numpy as np
 from .cyclotomic import CyclotomicInteger, ValueClass, embed_coeffs
 from .errors import IndexOutOfRange, NotDirected, SizeBudgetExceeded, check
 from .fields import FiniteField
-from .graphs import GPGraph, build_graph, component_structure
+from .graphs import GPGraph, build_graph, components
 
 ORACLE_SIZE_LIMIT = 512
 PAIR_BLOCK = 1 << 20  # trace pairs summed at once by period_products: 8 MB of int64
@@ -264,7 +264,7 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     classes[ids] = irrational.astype(np.int64) + nonreal
     nature = Nature(int(classes.max()))
 
-    count = component_structure(graph).count
+    count = components(graph).count
     label = f"GP({k},{q})"
     check(multiplicities.sum() == q, f"{label}: eigenvalue multiplicities must sum to q")
     check(multiplicities[principal] == count,
@@ -332,9 +332,6 @@ class PaleyUnionDigraph:
     copies: int
     part: int  # vertex count p^a of each directed Paley component
 
-    def describe(self) -> str:
-        return f"{self.copies} copies of directed Paley on {self.part} vertices"
-
 
 def detect_three_ev_digraph(graph: GPGraph) -> PaleyUnionDigraph | None:
     """Detect the only directed GP-graphs with exactly three eigenvalues.
@@ -346,7 +343,7 @@ def detect_three_ev_digraph(graph: GPGraph) -> PaleyUnionDigraph | None:
     if not graph.directed:
         raise NotDirected(f"GP({graph.k},{graph.field.q}) is undirected")
     field = graph.field
-    dec = component_structure(graph)
+    dec = components(graph)
     pa = field.p ** dec.a
     found = None
     if pa % 4 == 3 and graph.k * (pa - 1) == 2 * (field.q - 1):
@@ -363,22 +360,24 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     """Strong-regularity parameters (v, r, e, d), when the graph is one.
 
     Present exactly for connected undirected graphs with three eigenvalues.
-    The common-neighbor counts are measured on one adjacent and one
-    non-adjacent pair and checked against (v-r-1)d = r(r-e-1).
+    The common-neighbor counts are measured on the Zech table, for the
+    adjacent pair (0, 1) and the pair (0, w), w = omega^l the least index
+    outside the k-th powers: omega^(jk) + omega^l = omega^(l + zech[jk - l])
+    is a k-th power when that log is a multiple of k. They are checked
+    against (v-r-1)d = r(r-e-1).
     """
-    if graph.directed or component_structure(graph).count > 1 or mu(graph) != 3:
+    if graph.directed or components(graph).count > 1 or mu(graph) != 3:
         return None
     field = graph.field
-    q, n = field.q, graph.n
-    nbrs0 = set(graph.connection)
-    v_adj = graph.connection[0]
-    nbrs_adj = {field.index_add(v_adj, r) for r in graph.connection}
-    e = len(nbrs0 & nbrs_adj)
-    w = next(i for i in range(1, q) if i not in nbrs0)
-    nbrs_non = {field.index_add(w, r) for r in graph.connection}
-    d = len(nbrs0 & nbrs_non)
+    q, k, n = field.q, graph.k, graph.n
+    powers = np.arange(0, q - 1, k)  # the logs of the k-th powers
+    z = field.zech[powers]
+    e = int(np.count_nonzero((z >= 0) & (z % k == 0)))
+    log_w = int(field.log[1 + np.argmax(field.log[1:] % k != 0)])
+    z = field.zech[(powers - log_w) % (q - 1)]
+    d = int(np.count_nonzero((z >= 0) & ((log_w + z) % k == 0)))
     check((q - n - 1) * d == n * (n - e - 1),
-          f"GP({graph.k},{q}): srg({q},{n},{e},{d}) must satisfy (v-r-1)d = r(r-e-1)")
+          f"GP({k},{q}): srg({q},{n},{e},{d}) must satisfy (v-r-1)d = r(r-e-1)")
     return (q, n, e, d)
 
 
@@ -411,9 +410,7 @@ def numeric_oracle_check(graph: GPGraph, tolerance: float = 1e-8) -> bool:
         raise SizeBudgetExceeded(f"q = {q} exceeds the dense-matrix limit {ORACLE_SIZE_LIMIT}")
     adj = np.zeros((q, q), dtype=np.float64)
     vertices = np.arange(q, dtype=np.int64)
-    for r in graph.connection:
-        heads = field.add_outer(vertices, np.array([r], dtype=np.int64)).ravel()
-        adj[vertices, heads] = 1.0
+    adj[vertices[:, None], field.add_outer(vertices, graph.connection)] = 1.0
     numeric = np.linalg.eigvals(adj)
 
     exact: list[complex] = []

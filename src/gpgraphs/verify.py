@@ -6,15 +6,17 @@ with its exact location instead of aborting the sweep.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import spectra
 from .cyclotomic import render_terms
+from .errors import SizeBudgetExceeded
 from .families import census
-from .fields import build_field
-from .graphs import GPGraph, build_graph, component_structure, components, period
+from .fields import DEFAULT_SIZE_BUDGET, build_field
+from .graphs import ComponentDecomposition, GPGraph, build_graph, components, period, quotient_bfs
 from .numbertheory import divisors, prime_power, v2
 from .waring import _diameter
 
@@ -39,11 +41,22 @@ class CheckOutcome:
 
 
 def _check_nature(graph: GPGraph):
+    """The nature against its rule, then the valuation rule against realness and the connection set."""
     report = spectra.spectrum(graph)
     arithmetic = spectra.nature_arithmetic(graph)
     if report.nature != arithmetic:
         raise AssertionError(
             f"eigenvalue nature {report.nature.render()} != arithmetic rule {arithmetic.render()}")
+    shape = "directed" if graph.directed else "undirected"
+    if (report.nature is spectra.Nature.COMPLEX) != graph.directed:
+        raise AssertionError(f"{report.nature.render()} spectrum, but the valuation rule says {shape}")
+    field, connection = graph.field, set(graph.connection)
+    if (field.index_neg(1) in connection) == graph.directed:
+        raise AssertionError(f"membership of -1 disagrees with the valuation rule ({shape})")
+    if graph.directed and connection & {field.index_neg(r) for r in connection}:
+        raise AssertionError("the directed connection set holds some r and -r")
+    if connection != set(field.exp[::graph.k].tolist()) or len(graph.connection) != graph.n:
+        raise AssertionError(f"the connection set is not the n = {graph.n} k-th powers")
 
 
 def _render(coeffs) -> str:
@@ -75,8 +88,16 @@ def _check_period_law(graph: GPGraph):
         raise AssertionError(f"period {d} != closed form {expected}")
 
 
+def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
+    """Components from the quotient BFS: the component of 0 has 1 + n * (classes reached) vertices."""
+    dist, _, _ = quotient_bfs(graph)
+    reached = int((dist[:-1] >= 0).sum())
+    size = 1 + graph.n * reached
+    return ComponentDecomposition(round(math.log(size, graph.field.p)), graph.field.q // size, reached, size)
+
+
 def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
-    traversed, closed_form = components(graph), component_structure(graph)
+    traversed, closed_form = _traversed_components(graph), components(graph)
     if traversed != closed_form:
         raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
     g, w = _diameter(graph, signed=False), _diameter(graph, signed=True)
@@ -165,9 +186,12 @@ def verify_field(q: int) -> list[CheckOutcome]:
 def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
     """Sweep all prime powers q <= max_q; results merge in q order.
 
+    A max_q above the field size budget is refused before any field is built.
     More workers than CPUs would only compete for them, so jobs is capped
     at os.cpu_count().
     """
+    if max_q > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetExceeded(f"max_q = {max_q} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     qs = [q for q in range(2, max_q + 1) if prime_power(q) is not None]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotPrime, NumberDoesNotExist, PreconditionViolated, check
 from .fields import DEFAULT_SIZE_BUDGET, FieldElement, FiniteField, build_field
-from .graphs import GPGraph, build_graph, component_structure, quotient_bfs
+from .graphs import GPGraph, build_graph, components, quotient_bfs
 from .numbertheory import is_prime
 
 
@@ -56,7 +56,7 @@ def graph_waring(graph: GPGraph) -> WaringResult:
     """g and w of one graph, from the traversals stored on it."""
     g_value = _diameter(graph, signed=False)
     if g_value is None:
-        dec = component_structure(graph)
+        dec = components(graph)
         return WaringResult(False, None, None,
                             f"GP({graph.k},{graph.field.q}) splits into {dec.count} components")
     return WaringResult(True, g_value, _diameter(graph, signed=True), None)

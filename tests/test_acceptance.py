@@ -16,7 +16,7 @@ from gpgraphs import (
     build_graph,
     canonical_modulus,
     census,
-    component_structure,
+    components,
     detect_three_ev_digraph,
     is_primitive_divisor,
     mu,
@@ -148,7 +148,7 @@ def test_criterion_02_spectrum_exactness():
             assert first.is_zero()
             expected = 0 if graph.directed else q * graph.n
             assert second == CyclotomicInteger.from_int(p, expected)
-            assert report.principal_multiplicity == component_structure(graph).count
+            assert report.principal_multiplicity == components(graph).count
             assert report.nature is nature_arithmetic(graph)
             graph_count += 1
     assert graph_count >= 250
@@ -212,7 +212,7 @@ def test_criterion_06_waring_consistency():
         field, graphs = graphs_over(q)
         p, m = field.p, field.m
         for graph in graphs:
-            connected = component_structure(graph).a == m
+            connected = components(graph).a == m
             g = waring_g(field, graph.k)
             assert (g is not None) == connected, (q, graph.k)
             if connected:
@@ -283,7 +283,7 @@ def test_criterion_10_three_eigenvalue_digraphs():
             if not graph.directed:
                 continue
             found = detect_three_ev_digraph(graph)  # checks mu >= 3 internally
-            a = component_structure(graph).a
+            a = components(graph).a
             condition = (p ** a) % 4 == 3 and graph.k * (p ** a - 1) == 2 * (q - 1)
             assert (found is not None) == condition == (mu(graph) == 3), (q, graph.k)
 

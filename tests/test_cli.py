@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gpgraphs import cli, spectra
+from gpgraphs import FiniteField, build_field, build_graph, cli, spectra
 from gpgraphs.cli import build_report_rows, parse_records, render_records, render_table
 from gpgraphs.spectra import Nature
 
@@ -126,6 +126,8 @@ def test_cli_waring_with_witness(capsys):
     out = capsys.readouterr().out
     assert "g=4 w=3" in out
     assert "g-witness" in out and "w-witness" in out
+    # GP(8, 25) is directed, so its signed witness is shorter
+    assert out.splitlines()[2] == "w-witness for 3a+1 (length 3): 3a+1 = (1)^8 - (3a+3)^8 - (3a+3)^8"
     # k = 28 reduces to gcd(28, 24) = 4, and GP(4, 25) is undirected, so its
     # signed witness is its unsigned one
     assert cli.main(["waring", "--q", "25", "--k", "28", "--witness", "16"]) == 0
@@ -151,6 +153,38 @@ def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# a 61-digit semiprime: factoring it by Pollard rho would take far longer than any timeout here
+SEMIPRIME = 1000000000000000000000000000057 * 1000000000000000000000000000099
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--q", str(SEMIPRIME)], f"error: q = {SEMIPRIME} exceeds the size budget 1048576"),
+    (["spectrum", "--q", str(SEMIPRIME), "--k", "2"],
+     f"error: q = {SEMIPRIME} exceeds the size budget 1048576"),
+    (["waring", "--q", str(SEMIPRIME), "--k", "2"],
+     f"error: q = {SEMIPRIME} exceeds the size budget 1048576"),
+    (["verify", "--max-q", "5000000"], "error: max_q = 5000000 exceeds the size budget 1048576"),
+], ids=["report", "spectrum", "waring", "verify"])
+def test_over_budget_input_is_refused_before_any_work(package_env, argv, message):
+    proc = subprocess.run([sys.executable, "-m", "gpgraphs", *argv], capture_output=True,
+                          text=True, env=package_env, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr == message + "\n"
+
+
+def test_report_and_spectrum_list_no_connection_set(monkeypatch, capsys):
+    listed = []
+    honest = FiniteField.power_residue_indices
+    monkeypatch.setattr(FiniteField, "power_residue_indices",
+                        lambda self, k: listed.append((self.q, k)) or honest(self, k))
+    for q in (729, 2399, 2401):
+        build_report_rows(q)
+    assert cli.main(["spectrum", "--q", "2401", "--k", "1"]) == 0
+    assert listed == []
+    build_graph(build_field(7, 4), 1).connection  # the count works: the set is built on first read
+    assert listed == [(2401, 1)]
 
 
 def test_cli_families(capsys):

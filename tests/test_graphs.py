@@ -10,7 +10,6 @@ from gpgraphs import (
     build_field,
     build_graph,
     classify_structure,
-    component_structure,
     components,
     period,
     symmetrize,
@@ -20,7 +19,7 @@ from gpgraphs import (
 from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
-from gpgraphs.verify import verify_field
+from gpgraphs.verify import _traversed_components, verify_field
 
 
 def test_build_examples():
@@ -61,7 +60,7 @@ def test_has_arc_matches_connection():
     field = build_field(5, 2)
     graph = build_graph(field, 8)
     for v in range(field.q):
-        assert graph.has_arc(0, v) == (v in graph.connection_set)
+        assert graph.has_arc(0, v) == (v in set(graph.connection))
     # translation invariance
     assert graph.has_arc(7, field.index_add(7, graph.connection[1]))
 
@@ -94,7 +93,7 @@ def test_components_bfs_count_small_sweep():
         for k in divisors(q - 1):
             graph = build_graph(field, k)
             dec = components(graph)
-            assert dec == component_structure(graph)
+            assert dec == _traversed_components(graph)
             assert dec.a == multiplicative_order(p, graph.n) if graph.n > 1 else dec.a == 1
             assert dec.count * dec.component_q == q
             # explicit weak-component count: one vertex-level BFS per unlabelled vertex
@@ -133,9 +132,10 @@ def test_quotient_matches_vertex_bfs_sweep():
         field = build_field(*prime_power(q))
         for k in divisors(q - 1):
             graph = build_graph(field, k)
-            quotient = (components(graph).count, period(graph),
-                        waring_g(field, k), waring_w(field, k))
+            traversed = _traversed_components(graph)
+            quotient = (traversed.count, period(graph), waring_g(field, k), waring_w(field, k))
             assert quotient == _vertex_oracle(field, graph), (q, k)
+            assert traversed == components(graph), (q, k)
 
 
 def test_quotient_bfs_shape():
@@ -289,7 +289,6 @@ def test_classification():
 
 
 def test_classification_full_sweep_is_consistent():
-    from gpgraphs import component_structure
     from gpgraphs.numbertheory import divisors, prime_power
 
     kinds = {"complete-union", "paley-union", "cycle-union", "k2-union",
@@ -305,9 +304,9 @@ def test_classification_full_sweep_is_consistent():
             assert label.kind in kinds
             assert label.render()
             if label.kind in ("complete-union", "paley-union", "generic"):
-                assert label.copies == component_structure(graph).count
+                assert label.copies == components(graph).count
             if label.kind in ("hamming", "semiprimitive"):
-                assert component_structure(graph).count == 1
+                assert components(graph).count == 1
 
 
 def test_hamming_label_requires_connectivity():

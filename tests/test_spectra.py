@@ -17,6 +17,7 @@ from gpgraphs import (
     build_field,
     build_graph,
     canonical_modulus,
+    components,
     detect_three_ev_digraph,
     gaussian_period,
     mu,
@@ -222,6 +223,36 @@ def test_srg_parameters():
     assert srg_parameters(build_graph(build_field(5, 2), 6)) is None   # disconnected
 
 
+def _srg_by_sets(graph):
+    """Common-neighbor counts on Python sets of indices: the oracle for srg_parameters' Zech counts."""
+    if graph.directed or components(graph).count > 1 or mu(graph) != 3:
+        return None
+    field = graph.field
+    q, n = field.q, graph.n
+    nbrs0 = set(graph.connection)
+    v_adj = graph.connection[0]
+    nbrs_adj = {field.index_add(v_adj, r) for r in graph.connection}
+    e = len(nbrs0 & nbrs_adj)
+    w = next(i for i in range(1, q) if i not in nbrs0)
+    nbrs_non = {field.index_add(w, r) for r in graph.connection}
+    d = len(nbrs0 & nbrs_non)
+    return (q, n, e, d)
+
+
+def test_srg_parameters_match_set_counts():
+    # every k on every prime power q < 2500, and on 3^8, 2^12 and 5^5
+    srgs = Counter()
+    for q in [q for q in range(2, 2500) if prime_power(q) is not None] + [3 ** 8, 2 ** 12, 5 ** 5]:
+        field = build_field(*prime_power(q))
+        for k in divisors(q - 1):
+            graph = build_graph(field, k)
+            expected = _srg_by_sets(graph)
+            assert srg_parameters(graph) == expected, (q, k)
+            srgs[q] += expected is not None
+    assert sum(srgs.values()) == 271
+    assert (srgs[3 ** 8], srgs[2 ** 12], srgs[5 ** 5]) == (5, 4, 1)
+
+
 def test_boundary_spectrum():
     assert boundary_spectrum(build_graph(build_field(13, 1), 2)) \
         == (CyclotomicInteger.from_int(13, 6),)
@@ -385,8 +416,8 @@ def test_spectrum_laws_survive_python_O(package_env):
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        honest = spectra.component_structure
-        spectra.component_structure = lambda graph: dataclasses.replace(
+        honest = spectra.components
+        spectra.components = lambda graph: dataclasses.replace(
             honest(graph), count=honest(graph).count + 1)
         try:
             spectra.spectrum(build_graph(build_field(5, 2), 6))

@@ -183,6 +183,115 @@ def test_boundary_check_survives_python_O(package_env):
     assert proc.stdout.startswith("7 1 q=25 k=24: boundary spectrum "), proc.stdout
 
 
+def _flip_directed(graph):
+    graph.directed = not graph.directed
+
+
+def _toggle_minus_one(graph):
+    graph.connection = tuple(sorted(set(graph.connection) ^ {graph.field.index_neg(1)}))
+
+
+def _hold_a_negative(graph):
+    # the last k-th power becomes the negative of another, so there are still n of them
+    graph.connection = graph.connection[:-1] + (graph.field.index_neg(graph.connection[1]),)
+
+
+def _swap_a_power(graph):
+    # omega^(2k) gives way to omega, which is no k-th power, so there are still n elements
+    exp = graph.field.exp
+    graph.connection = tuple(sorted(set(graph.connection) - {int(exp[2 * graph.k])} | {int(exp[1])}))
+
+
+def _repeat_a_power(graph):
+    graph.connection = graph.connection + graph.connection[1:2]
+
+
+def _corrupting_build(monkeypatch, corrupted_k, corrupt):
+    honest = verify.build_graph
+
+    def corrupted(field, k):
+        graph = honest(field, k)
+        if graph.k == corrupted_k:
+            corrupt(graph)
+        return graph
+
+    monkeypatch.setattr(verify, "build_graph", corrupted)
+
+
+# GP(4, 25) is undirected with n = 6, GP(8, 25) directed with n = 3
+@pytest.mark.parametrize("corrupted_k, corrupt, failure", [
+    (8, _flip_directed, "complex spectrum, but the valuation rule says undirected"),
+    (4, _flip_directed, "real-nonintegral spectrum, but the valuation rule says directed"),
+    (4, _toggle_minus_one, "membership of -1 disagrees with the valuation rule (undirected)"),
+    (8, _toggle_minus_one, "membership of -1 disagrees with the valuation rule (directed)"),
+    (8, _hold_a_negative, "the directed connection set holds some r and -r"),
+    (4, _swap_a_power, "the connection set is not the n = 6 k-th powers"),
+    (4, _repeat_a_power, "the connection set is not the n = 6 k-th powers"),
+])
+def test_corrupted_directedness_fails_the_nature_check(monkeypatch, corrupted_k, corrupt, failure):
+    _corrupting_build(monkeypatch, corrupted_k, corrupt)
+    nature = next(o for o in verify_field(25) if o.name == "nature")
+    assert (nature.passed, nature.failed) == (7, 1)
+    assert nature.first_failure == f"q=25 k={corrupted_k}: {failure}"
+
+
+def test_waring_check_compares_the_traversal_with_the_closed_form(monkeypatch):
+    # the traversal of GP(4, 25) loses one of its 4 classes; components(graph) stays exact
+    honest = verify.quotient_bfs
+
+    def corrupted(graph, signed=False):
+        dist, src, dst = honest(graph, signed)
+        return (np.where(np.arange(dist.size) == 0, -1, dist) if graph.k == 4 else dist), src, dst
+
+    monkeypatch.setattr(verify, "quotient_bfs", corrupted)
+    waring = next(o for o in verify_field(25) if o.name == "waring-formula")
+    assert (waring.passed, waring.failed) == (7, 1)
+    assert waring.first_failure == (
+        "q=25 k=4: traversal gives ComponentDecomposition(a=2, count=1, component_k=3, component_q=19), "
+        "order of p mod n gives ComponentDecomposition(a=2, count=1, component_k=4, component_q=25)")
+
+
+def test_nature_check_compares_with_the_arithmetic_rule_first(monkeypatch):
+    # a real spectrum on the directed GP(8, 25) breaks both comparisons; the first is reported
+    honest = spectra.spectrum
+
+    def corrupted(graph):
+        report = honest(graph)
+        return dataclasses.replace(report, nature=spectra.Nature.INTEGRAL) if graph.k == 8 else report
+
+    monkeypatch.setattr(spectra, "spectrum", corrupted)
+    nature = next(o for o in verify_field(25) if o.name == "nature")
+    assert nature.first_failure == "q=25 k=8: eigenvalue nature integral != arithmetic rule complex"
+
+
+def test_nature_check_survives_python_O(package_env):
+    # the antisymmetry comparison raises explicitly, so -O keeps it
+    script = textwrap.dedent("""
+        import sys
+
+        from gpgraphs import verify
+        from gpgraphs.verify import verify_field
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        honest = verify.build_graph
+
+        def corrupted(field, k):
+            graph = honest(field, k)
+            if graph.k == 8:  # directed: the last k-th power becomes the negative of another
+                graph.connection = graph.connection[:-1] + (field.index_neg(graph.connection[1]),)
+            return graph
+
+        verify.build_graph = corrupted
+        nature = next(o for o in verify_field(25) if o.name == "nature")
+        print(nature.passed, nature.failed, nature.first_failure)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7 1 q=25 k=8: the directed connection set holds some r and -r\n", proc.stdout
+
+
 def test_sequential_and_parallel_agree():
     seq = run_verification(27, jobs=1)
     par = run_verification(27, jobs=2)
