@@ -41,7 +41,6 @@ from .graphs import (
     ComponentDecomposition,
     GPGraph,
     StructureLabel,
-    bfs_distances,
     build_graph,
     classify_structure,
     components,

@@ -61,10 +61,12 @@ def build_report_rows(q: int) -> list[FieldReportRow]:
     field = _field_for(q)
     p, m = field.p, field.m
     rows = []
+    g_of = {}  # w of a directed GP(k, q) is g(k/2, q), from an earlier row
     for k in divisors(q - 1):
         graph = build_graph(field, k)
         report = spectrum(graph)
-        wres = graph_waring(graph)
+        wres = graph_waring(graph, g_of.get(k // 2))
+        g_of[k] = wres.g
         rows.append(FieldReportRow(
             q=q, p=p, m=m, k=k, n=graph.n,
             structure=classify_structure(graph).render(),

@@ -202,6 +202,8 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
     elif kind == CYCLOTOMIC_VALUE:
         if descriptor.d is None or descriptor.d < 2:
             raise HypothesisViolated("CyclotomicValue needs d >= 2")
+        if descriptor.d > max_q.bit_length():  # p^d >= 2^d > max_q: Phi_d(p) would go unused
+            return
         k = _cyclotomic_value(descriptor.d, p)
         pairs = ((k, descriptor.d * t) for t in _naturals())
     else:  # TOWER

@@ -4,9 +4,9 @@ The connection set is the subgroup of nonzero k-th powers, so there is an
 arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from the order of p modulo n,
-and period, g and w from one BFS over the k coset classes. The set is
-listed on first read, by the witness search, symmetrization and the
-numeric oracle; verify's nature check compares it with the rule.
+the period from its law, and g from one BFS over the k coset classes.
+The set is listed on first read, by the witness search, symmetrization
+and the numeric oracle; verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class GPGraph:
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
-        self._traversals: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # by quotient_bfs
+        self._traversal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # by quotient_bfs
 
     @cached_property
     def connection(self) -> tuple[int, ...]:
@@ -74,26 +74,6 @@ def build_graph(field: FiniteField, k_raw: int) -> GPGraph:
 # ---------------------------------------------------------------------------
 # traversal
 
-def bfs_distances(field: FiniteField, connection, root: int = 0) -> np.ndarray:
-    """BFS distances from a root over arcs u -> u + r, r in connection; -1 if unreached.
-
-    Vertex-level reference for quotient_bfs; the library itself no longer calls it.
-    """
-    q = field.q
-    conn = np.asarray(connection, dtype=np.int64)
-    dist = np.full(q, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        nbrs = np.unique(field.add_outer(frontier, conn).ravel())
-        nbrs = nbrs[dist[nbrs] < 0]
-        d += 1
-        dist[nbrs] = d
-        frontier = nbrs
-    return dist
-
-
 def quotient_bfs(graph: GPGraph, signed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BFS from vertex 0 over the coset classes of the k-th powers, on at most q + 1 arcs.
 
@@ -105,21 +85,22 @@ def quotient_bfs(graph: GPGraph, signed: bool = False) -> tuple[np.ndarray, np.n
 
     Returns (dist, src, dst): dist[i] for class i < k and dist[k] = 0 for
     vertex 0, -1 where unreached; src -> dst are the distinct quotient arcs.
-    The result is kept on the graph, read-only, under `signed and directed`:
-    an undirected graph holds -1 among its k-th powers, so its signed and
-    unsigned steps are the same and share one traversal.
+    The unsigned result is kept on the graph, read-only. The signed one,
+    verify's second method for w, is not; an undirected graph holds -1
+    among its k-th powers, so its signed steps are its unsigned ones.
     """
-    key = signed and graph.directed
-    if key not in graph._traversals:
-        result = _traverse(graph, key)
+    if signed and graph.directed:
+        return _traverse(graph, True)
+    if graph._traversal is None:
+        result = _traverse(graph, False)
         for array in result:
             array.setflags(write=False)
-        graph._traversals[key] = result
-    return graph._traversals[key]
+        graph._traversal = result
+    return graph._traversal
 
 
 def _traverse(graph: GPGraph, signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The quotient BFS itself; quotient_bfs runs it once per graph and key."""
+    """The quotient BFS itself; quotient_bfs keeps its unsigned run on the graph."""
     field, k = graph.field, graph.k
     e = np.arange(field.q - 1, dtype=np.int64)
     zech = field.zech
@@ -185,21 +166,14 @@ def symmetrize(graph: GPGraph) -> GPGraph:
     return half
 
 
-# ---------------------------------------------------------------------------
-# period (gcd of directed cycle lengths)
-
 def period(graph: GPGraph) -> int:
     """Gcd of directed cycle lengths; undirected graphs count each edge as an arc pair.
 
-    Every component is a strongly connected translate of the component of 0,
-    so this is the gcd of d(u) + 1 - d(v) over its arcs u -> v, d the
-    distance from 0. The quotient arcs carry the same values as the vertex
-    arcs they stand for. Closed form: 1 always, except GP(q-1, q), which has
-    period p for odd q and 2 for even q.
+    By the paper's period law it is 1 except for GP(q - 1, q): directed
+    p-cycles for odd q, copies of K2 for even q.
     """
-    dist, src, dst = quotient_bfs(graph)
-    reached = dist[src] >= 0
-    return int(np.gcd.reduce(np.abs(dist[src[reached]] + 1 - dist[dst[reached]])))
+    field = graph.field
+    return field.p if graph.k == field.q - 1 else 1
 
 
 # ---------------------------------------------------------------------------

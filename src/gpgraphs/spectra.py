@@ -192,10 +192,10 @@ def _value_sum(rows: np.ndarray, multiplicities: np.ndarray, p: int) -> np.ndarr
     return total - total[-1]
 
 
-def period_products(report: SpectrumReport, sign: int) -> np.ndarray:
-    """eta^2 (sign 1) or eta * conj(eta) (sign -1) for each distinct value, as canonical rows.
+def period_products(report: SpectrumReport) -> np.ndarray:
+    """eta^2 for each distinct value, as canonical rows.
 
-    Row r is the histogram of (t + sign * u) mod p over all pairs of traces
+    Row r is the histogram of (t + u) mod p over all pairs of traces
     t, u in period row r, less its last entry. That takes n^2 steps per row
     when n <= p; wider rows (most graphs over p = 2) convolve their two
     length-p trace histograms instead, in p^2 steps. The pairs are counted
@@ -211,7 +211,7 @@ def period_products(report: SpectrumReport, sign: int) -> np.ndarray:
     if n <= p:
         step = max(1, PAIR_BLOCK // rows.size)
         for start in range(0, n, step):
-            pairs = rows[:, start:start + step, None] + sign * rows[:, None, :]
+            pairs = rows[:, start:start + step, None] + rows[:, None, :]
             pairs %= p
             pairs += offsets[:, :, None]
             np.add.at(products.reshape(-1), pairs, 1)
@@ -219,8 +219,8 @@ def period_products(report: SpectrumReport, sign: int) -> np.ndarray:
         counts = np.zeros_like(products)
         np.add.at(counts.reshape(-1), rows + offsets, 1)
         x = np.arange(p)
-        for t in range(p):  # the pairs (t, u) with t + sign * u = x
-            products += counts[:, t, None] * counts[:, sign * (x - t) % p]
+        for t in range(p):  # the pairs (t, u) with t + u = x
+            products += counts[:, t, None] * counts[:, (x - t) % p]
     products -= products[:, -1:].copy()
     return products
 
@@ -229,7 +229,7 @@ def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
     """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical."""
     multiplicities = report._multiplicities
     return (_value_sum(report._rows, multiplicities, report._p),
-            multiplicities @ period_products(report, 1))
+            multiplicities @ period_products(report))
 
 
 def spectrum(graph: GPGraph) -> SpectrumReport:

@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import spectra
 from .cyclotomic import render_terms
 from .errors import SizeBudgetExceeded
@@ -18,7 +20,7 @@ from .families import census
 from .fields import DEFAULT_SIZE_BUDGET, build_field
 from .graphs import ComponentDecomposition, GPGraph, build_graph, components, period, quotient_bfs
 from .numbertheory import divisors, prime_power, v2
-from .waring import _diameter
+from .waring import _diameter, graph_waring
 
 CHECK_NAMES = (
     "nature",
@@ -77,15 +79,21 @@ def _check_two_re(graph: GPGraph, half: GPGraph):
         raise AssertionError("symmetrized spectrum is not twice the real parts")
 
 
+def _traversed_period(graph: GPGraph) -> int:
+    """The gcd of d(u) + 1 - d(v) over the quotient arcs u -> v, d the distance from 0.
+
+    Every component is a strongly connected translate of the component of 0,
+    and a quotient arc carries the value of the vertex arcs it stands for.
+    """
+    dist, src, dst = quotient_bfs(graph)
+    reached = dist[src] >= 0
+    return int(np.gcd.reduce(np.abs(dist[src[reached]] + 1 - dist[dst[reached]])))
+
+
 def _check_period_law(graph: GPGraph):
-    d = period(graph)
-    q, p = graph.field.q, graph.field.p
-    if graph.directed:
-        expected = p if graph.k == q - 1 else 1
-    else:
-        expected = 2 if (p == 2 and graph.k == q - 1) else 1
-    if d != expected:
-        raise AssertionError(f"period {d} != closed form {expected}")
+    traversed, closed_form = _traversed_period(graph), period(graph)
+    if traversed != closed_form:
+        raise AssertionError(f"period {traversed} by traversal != closed form {closed_form}")
 
 
 def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
@@ -100,11 +108,13 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     traversed, closed_form = _traversed_components(graph), components(graph)
     if traversed != closed_form:
         raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
-    g, w = _diameter(graph, signed=False), _diameter(graph, signed=True)
+    # the library's w is the reduction: g(k, q) undirected, g(k/2, q) directed
+    result = graph_waring(graph, _diameter(half) if graph.directed else None)
+    g, by_formula = result.g, result.w
+    dist, _, _ = quotient_bfs(graph, signed=True)  # the symmetrized graph, traversed
+    w = None if (dist < 0).any() else int(dist.max())
     if (g is not None) != (closed_form.count == 1):
         raise AssertionError("existence of g must coincide with connectedness")
-    # reduction: w(k, q) = g(k, q) undirected, g(k/2, q) directed; all None when disconnected
-    by_formula = _diameter(half, signed=False) if graph.directed else g
     if w != by_formula:
         raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
     if g is not None and w > g:

@@ -2,12 +2,11 @@
 
 g(k, q) is the least s with every field element a sum of s k-th powers;
 it exists exactly when GP(k, q) is connected and then equals its diameter,
-which by vertex-transitivity is the forward eccentricity of 0. The signed
-variant w(k, q) allows minus signs on the terms and is the diameter of the
-symmetrized graph; for directed GP(k, q) it collapses to g(k/2, q). Both
-eccentricities come from the BFS over the coset classes of the k-th powers
-that graphs.quotient_bfs keeps on the graph (a directed graph adds a signed
-one for w), so a caller holding the graph passes it to graph_waring.
+which by vertex-transitivity is the forward eccentricity of 0 in the BFS
+over the coset classes that graphs.quotient_bfs keeps on the graph. The
+signed variant w(k, q) allows minus signs on the terms and is the
+diameter of the symmetrized graph, so by the paper's reduction it is g
+for undirected GP(k, q) and g(k/2, q) for directed GP(k, q).
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ class WaringResult:
     reason_if_absent: str | None
 
 
-def _diameter(graph: GPGraph, signed: bool) -> int | None:
-    """Largest distance from 0, over steps +r (and -r if signed); None if some vertex is unreached."""
-    dist, _, _ = quotient_bfs(graph, signed)
+def _diameter(graph: GPGraph) -> int | None:
+    """Largest distance from 0; None if some vertex is unreached."""
+    dist, _, _ = quotient_bfs(graph)
     if (dist < 0).any():
         return None
     return int(dist.max())
@@ -40,26 +39,31 @@ def _diameter(graph: GPGraph, signed: bool) -> int | None:
 
 def waring_g(field: FiniteField, k: int) -> int | None:
     """g(k, q), or None when GP(k, q) is disconnected."""
-    return _diameter(build_graph(field, k), signed=False)
+    return _diameter(build_graph(field, k))
 
 
 def waring_w(field: FiniteField, k: int) -> int | None:
-    """w(k, q), or None when absent: the diameter of the symmetrized graph."""
-    return _diameter(build_graph(field, k), signed=True)
+    """w(k, q), or None when absent."""
+    return waring_result(field, k).w
 
 
 def waring_result(field: FiniteField, k: int) -> WaringResult:
     return graph_waring(build_graph(field, k))
 
 
-def graph_waring(graph: GPGraph) -> WaringResult:
-    """g and w of one graph, from the traversals stored on it."""
-    g_value = _diameter(graph, signed=False)
+def graph_waring(graph: GPGraph, half_g: int | None = None) -> WaringResult:
+    """g and w of one graph; a directed graph's w = g(k/2, q) is half_g, or traversed here if None.
+
+    GP(k/2, q) contains GP(k, q), so g(k/2, q) exists whenever w is read.
+    """
+    g_value = _diameter(graph)
     if g_value is None:
         dec = components(graph)
         return WaringResult(False, None, None,
                             f"GP({graph.k},{graph.field.q}) splits into {dec.count} components")
-    return WaringResult(True, g_value, _diameter(graph, signed=True), None)
+    if graph.directed and half_g is None:
+        half_g = _diameter(build_graph(graph.field, graph.k // 2))
+    return WaringResult(True, g_value, half_g if graph.directed else g_value, None)
 
 
 # A level with fewer arcs than this runs as a Python loop: per level, numpy's

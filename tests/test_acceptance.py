@@ -11,7 +11,6 @@ from pathlib import Path
 from gpgraphs import (
     CyclotomicInteger,
     Nature,
-    bfs_distances,
     build_field,
     build_graph,
     canonical_modulus,
@@ -33,6 +32,8 @@ from gpgraphs import (
 )
 from gpgraphs.cli import build_report_rows, parse_records, render_records, render_table
 from gpgraphs.numbertheory import divisors, prime_power, v2
+from gpgraphs.verify import _traversed_period
+from oracles import bfs_distances
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,7 +198,7 @@ def test_criterion_05_period_law():
             if not graph.directed:
                 continue
             expected = field.p if graph.k == q - 1 else 1
-            assert period(graph) == expected, (q, graph.k)
+            assert period(graph) == expected == _traversed_period(graph), (q, graph.k)
     # the smallest directed quadratic-residue graph carries cycles of length 3, 4, 6, 7
     graph = build_graph(build_field(7, 1), 2)
     cycles = [(0, 4, 6), (0, 4, 5, 6), (0, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6)]

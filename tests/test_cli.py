@@ -199,6 +199,14 @@ def test_cli_families(capsys):
     assert "gcd" in capsys.readouterr().err
 
 
+def test_cyclotomic_family_beyond_max_q_prints_nothing_at_once(package_env):
+    # 3^1000000 > 10^6: Phi_1000000(3) took 19 s to compute and was never used
+    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "families", "--kind", "CyclotomicValue",
+                           "--p", "3", "--d", "1000000"], capture_output=True, text=True,
+                          env=package_env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["report"])  # missing --q

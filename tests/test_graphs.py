@@ -4,9 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gpgraphs import graphs
+from gpgraphs import cli, graphs
 from gpgraphs import (
-    bfs_distances,
     build_field,
     build_graph,
     classify_structure,
@@ -19,7 +18,8 @@ from gpgraphs import (
 from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
-from gpgraphs.verify import _traversed_components, verify_field
+from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
+from oracles import bfs_distances
 
 
 def test_build_examples():
@@ -133,9 +133,14 @@ def test_quotient_matches_vertex_bfs_sweep():
         for k in divisors(q - 1):
             graph = build_graph(field, k)
             traversed = _traversed_components(graph)
+            oracle = _vertex_oracle(field, graph)
             quotient = (traversed.count, period(graph), waring_g(field, k), waring_w(field, k))
-            assert quotient == _vertex_oracle(field, graph), (q, k)
+            assert quotient == oracle, (q, k)
             assert traversed == components(graph), (q, k)
+            # verify's second methods: the period off the arcs, w off the signed steps
+            signed, _, _ = quotient_bfs(graph, signed=True)
+            signed_w = None if (signed < 0).any() else int(signed.max())
+            assert (_traversed_period(graph), signed_w) == (oracle[1], oracle[3]), (q, k)
 
 
 def test_quotient_bfs_shape():
@@ -183,17 +188,28 @@ def test_verify_traverses_undirected_graphs_once_and_directed_twice(monkeypatch)
     assert sum(runs.values()) == 8 + 2
 
 
-def test_report_traverses_each_graph_at_most_twice(monkeypatch):
+def test_report_traverses_each_graph_once_and_never_signed(monkeypatch):
     runs = _count_traversals(monkeypatch)
     rows = build_report_rows(2401)
-    # w needs the signed pass only on a directed graph, and exists only when it is connected
-    expected = Counter((row.k, False) for row in rows)
-    expected.update((row.k, True) for row in rows if row.directed and row.g is not None)
-    assert runs == expected
+    # w of a directed graph is the g of its row k/2
+    assert runs == Counter((row.k, False) for row in rows)
     directed = [row for row in rows if row.directed]
     assert len(rows) == 36 and len(directed) == 6
     # 343 directed Paley graphs on 7 vertices (k = 800) and 343 directed 7-cycles (k = 2400)
     assert [row.k for row in directed if row.g is None] == [800, 2400]
+    runs.clear()
+    rows = build_report_rows(2399)  # prime, 2398 = 2 * 11 * 109
+    assert runs == Counter((row.k, False) for row in rows)
+    # every directed graph is connected, and its w is the g of row k/2
+    assert [(row.k, row.w) for row in rows if row.directed] == [(2, 1), (22, 2), (218, 4), (2398, 1199)]
+
+
+def test_waring_command_runs_no_signed_traversal(monkeypatch, capsys):
+    runs = _count_traversals(monkeypatch)
+    assert cli.main(["waring", "--q", "25", "--k", "8"]) == 0
+    assert capsys.readouterr().out == "q=25 k=8: g=4 w=3\n"
+    # w of the directed GP(8, 25) is g(4, 25)
+    assert runs == Counter([(8, False), (4, False)])
 
 
 def test_symmetrize():
@@ -261,7 +277,7 @@ def test_period_matches_closed_walk_oracle():
                 power = np.clip(power @ adj, 0, 1)  # boolean reachability product
                 if np.trace(power) > 0:
                     lengths.append(length)
-            assert math.gcd(*lengths) == period(graph), (q, k)
+            assert math.gcd(*lengths) == period(graph) == _traversed_period(graph), (q, k)
 
 
 def test_classification():

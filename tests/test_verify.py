@@ -78,11 +78,10 @@ def test_corrupted_rows_fail_their_check(monkeypatch, check, corrupted_k, corrup
 
 
 def _boundary_by_norms(report):
-    """The values with lam * conj(lam) = n^2, from the pair histograms of period_products."""
-    norms = spectra.period_products(report, -1)
-    on_boundary = np.flatnonzero((norms[:, 0] == report.n ** 2) & ~norms[:, 1:].any(axis=1))
-    return tuple(CyclotomicInteger.from_terms(report._p, e.terms)
-                 for e in report._entries(on_boundary))
+    """The values with lam * conj(lam) = n^2, by CyclotomicInteger arithmetic, in entry order."""
+    n_squared = CyclotomicInteger.from_int(report._p, report.n ** 2)
+    values = (CyclotomicInteger.from_terms(report._p, e.terms) for e in report.entries)
+    return tuple(value for value in values if value * value.conjugate() == n_squared)
 
 
 def _check_boundary_by_cyclotomic_sets(graph):
@@ -249,6 +248,29 @@ def test_waring_check_compares_the_traversal_with_the_closed_form(monkeypatch):
     assert waring.first_failure == (
         "q=25 k=4: traversal gives ComponentDecomposition(a=2, count=1, component_k=3, component_q=19), "
         "order of p mod n gives ComponentDecomposition(a=2, count=1, component_k=4, component_q=25)")
+
+
+def test_period_law_compares_the_traversal_with_the_closed_form(monkeypatch):
+    # a closed form that gives the directed GP(8, 25) period 2; the traversal still finds 1
+    honest = verify.period
+    monkeypatch.setattr(verify, "period", lambda graph: 2 if graph.k == 8 else honest(graph))
+    law = next(o for o in verify_field(25) if o.name == "period-law")
+    assert (law.passed, law.failed) == (7, 1)
+    assert law.first_failure == "q=25 k=8: period 1 by traversal != closed form 2"
+
+
+def test_waring_check_compares_the_signed_traversal_with_the_reduction(monkeypatch):
+    # a reduction that gives the directed GP(8, 25) w = g(8, 25) = 4; its signed traversal gives 3
+    honest = verify.graph_waring
+
+    def corrupted(graph, half_g=None):
+        result = honest(graph, half_g)
+        return dataclasses.replace(result, w=result.g) if graph.k == 8 else result
+
+    monkeypatch.setattr(verify, "graph_waring", corrupted)
+    waring = next(o for o in verify_field(25) if o.name == "waring-formula")
+    assert (waring.passed, waring.failed) == (7, 1)
+    assert waring.first_failure == "q=25 k=8: w = 3 by diameter != 4 by reduction to g"
 
 
 def test_nature_check_compares_with_the_arithmetic_rule_first(monkeypatch):

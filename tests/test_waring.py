@@ -12,7 +12,6 @@ from gpgraphs import (
     NotPrime,
     NumberDoesNotExist,
     PreconditionViolated,
-    bfs_distances,
     build_field,
     build_graph,
     components,
@@ -28,6 +27,7 @@ from gpgraphs import (
 from gpgraphs import waring
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
+from oracles import bfs_distances
 
 F25_MODEL_MODULUS = (3, 2, 1)
 
