@@ -526,6 +526,8 @@ class FiniteField:
         return f"FiniteField(GF({self.p}^{self.m}), modulus={self.modulus_str()})"
 
 
+# least recently used first; the fields' q add up to at most DEFAULT_SIZE_BUDGET,
+# except that the newest field stays even when it alone is larger
 _FIELD_CACHE: dict[tuple, FiniteField] = {}
 
 
@@ -534,15 +536,19 @@ def build_field(p: int, m: int, modulus: Iterable[int] | None = None,
     """Construct (or fetch the cached) GF(p^m).
 
     With modulus=None the canonical modulus is used, so the same (p, m)
-    always yields the identical field. An explicit modulus must be a monic
-    irreducible degree-m coefficient sequence, constant term first.
+    yields the identical field while it stays cached, and an equal one
+    after it is evicted. An explicit modulus must be a monic irreducible
+    degree-m coefficient sequence, constant term first.
     """
     _check_field_size(p, m, size_budget)  # before searching for a modulus
     key_modulus = None if modulus is None else tuple(int(c) for c in modulus)
     key = (p, m, key_modulus)
-    field = _FIELD_CACHE.get(key)
+    field = _FIELD_CACHE.pop(key, None)
     if field is None:
         actual = canonical_modulus(p, m) if key_modulus is None else key_modulus
         field = FiniteField(p, m, actual, size_budget=size_budget)
-        _FIELD_CACHE[key] = field
+        cached = field.q + sum(f.q for f in _FIELD_CACHE.values())
+        while _FIELD_CACHE and cached > DEFAULT_SIZE_BUDGET:
+            cached -= _FIELD_CACHE.pop(next(iter(_FIELD_CACHE))).q
+    _FIELD_CACHE[key] = field  # now the most recently used
     return field

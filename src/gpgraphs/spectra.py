@@ -17,10 +17,10 @@ generates the whole Galois group of Q(zeta_p); both automorphisms shift
 the period index, so the tests compare periods, not coefficients. The
 order of the eigenvalues and their float images are computed only when
 something reads them, and the values are rendered from their nonzero
-terms. eta^2 and eta * conj(eta) are histograms of trace sums over pairs
-from one row, eta + conj(eta) is the row merged with its negative, and a
-value has modulus n exactly when its row is constant, so no check
-multiplies coefficient vectors; CyclotomicInteger arithmetic is the oracle.
+terms. eta^2 is the histogram of trace sums over pairs from one row,
+eta + conj(eta) is the row merged with its negative, and a value has
+modulus n exactly when its row is constant, so no check multiplies
+coefficient vectors; CyclotomicInteger arithmetic is the oracle.
 The exact spectrum can be cross-checked against a dense floating-point
 eigensolver.
 """
@@ -42,7 +42,10 @@ from .fields import FiniteField
 from .graphs import GPGraph, build_graph, components
 
 ORACLE_SIZE_LIMIT = 512
-PAIR_BLOCK = 1 << 20  # trace pairs summed at once by period_products: 8 MB of int64
+PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp
+# rows with n^2 > KRONECKER_RATIO * p are squared by Kronecker substitution: one
+# row took about as long either way at n^2 / p near 16 for p = 257 and 47 for p = 3001
+KRONECKER_RATIO = 32
 
 
 class Nature(IntEnum):
@@ -172,6 +175,21 @@ def _period_rows(field: FiniteField, k: int, n: int) -> np.ndarray:
     return rows
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row that orders the rows as their bytes compare.
+
+    A row of at most 8 bytes is its bytes read as one big-endian uint64;
+    a wider row is a void scalar over its bytes. np.unique(axis=0) spends
+    more promoting dtypes than sorting either key.
+    """
+    width = rows.strides[0]
+    if width > 8:
+        return rows.view(np.dtype((np.void, width))).ravel()
+    padded = np.zeros((len(rows), 8), dtype=np.uint8)
+    padded[:, 8 - width:] = rows.view(np.uint8).reshape(len(rows), width)
+    return padded.view(">u8").ravel().astype(np.uint64)
+
+
 def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     """Which periods are fixed by zeta -> zeta^a, for a = omega^shift in F_p*.
 
@@ -179,57 +197,99 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     automorphism maps eta_i to eta_(i + shift mod k), so eta_i is fixed
     exactly when that period has the same value.
     """
-    return ids == np.roll(ids, -shift)
+    k = len(ids)
+    shift %= k
+    fixed = np.empty(k, dtype=bool)
+    np.equal(ids[:k - shift], ids[shift:], out=fixed[:k - shift])
+    np.equal(ids[k - shift:], ids[:shift], out=fixed[k - shift:])
+    return fixed
+
+
+def _by_multiplicity(rows: np.ndarray, multiplicities: np.ndarray):
+    """(mult, the rows of multiplicity mult) for each distinct multiplicity."""
+    for mult in np.unique(multiplicities).tolist():
+        yield mult, rows[multiplicities == mult]
 
 
 def _value_sum(rows: np.ndarray, multiplicities: np.ndarray, p: int) -> np.ndarray:
-    """The sum of mult * eta over the rows, as a canonical coefficient vector.
-
-    The float sums are exact: the largest is q * n < 2^53.
-    """
-    total = np.bincount(rows.ravel(), weights=np.repeat(multiplicities, rows.shape[1]),
-                        minlength=p).astype(np.int64)
+    """The sum of mult * eta over the rows, as a canonical coefficient vector, in exact integers."""
+    total = np.zeros(p, dtype=np.int64)
+    for mult, group in _by_multiplicity(rows, multiplicities):
+        total += mult * np.bincount(group.ravel(), minlength=p)
     return total - total[-1]
 
 
-def period_products(report: SpectrumReport) -> np.ndarray:
-    """eta^2 for each distinct value, as canonical rows.
+def _pair_sums(rows: np.ndarray, p: int) -> np.ndarray:
+    """The histogram of t + u over all pairs of traces t, u within each row, summed over the rows.
 
-    Row r is the histogram of (t + u) mod p over all pairs of traces
-    t, u in period row r, less its last entry. That takes n^2 steps per row
-    when n <= p; wider rows (most graphs over p = 2) convolve their two
-    length-p trace histograms instead, in p^2 steps. The pairs are counted
-    in blocks of about PAIR_BLOCK, so beyond the mu x p result the
-    temporaries stay small. An entry is at most n^2 and the multiplicities
-    sum to q, so int64 holds every sum of mult * row while q * n^2 < 2^63.
+    The 2p bins are not yet folded mod p. The pairs are formed in blocks of
+    at most PAIR_BLOCK, so the temporaries stay small whatever the row count.
     """
-    p, q, n = report._p, report.q, report.n
-    check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
-    rows = report._rows.astype(np.int64)
-    offsets = np.arange(len(rows))[:, None] * p
-    products = np.zeros((len(rows), p), dtype=np.int64)
-    if n <= p:
-        step = max(1, PAIR_BLOCK // rows.size)
-        for start in range(0, n, step):
-            pairs = rows[:, start:start + step, None] + rows[:, None, :]
-            pairs %= p
-            pairs += offsets[:, :, None]
-            np.add.at(products.reshape(-1), pairs, 1)
+    n = rows.shape[1]
+    per_block = max(1, PAIR_BLOCK // (n * n))  # rows
+    step = max(1, min(n, PAIR_BLOCK // n))  # left-hand traces of one row
+    total = np.zeros(2 * p, dtype=np.int64)
+    for start in range(0, len(rows), per_block):
+        block = rows[start:start + per_block]
+        for left in range(0, n, step):
+            pairs = np.add(block[:, left:left + step, None], block[:, None, :], dtype=np.intp)
+            total += np.bincount(pairs.ravel(), minlength=2 * p)
+    return total
+
+
+def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
+    """The histogram of t + u over all pairs of traces t, u in one row, as `_pair_sums` gives it.
+
+    That histogram is the square of the row's trace histogram h as a
+    polynomial. Packed into fixed-width slots of one Python int, h squares
+    as that int (Kronecker substitution). A coefficient of the square is
+    at most max(h) * n <= n^2, which its slot holds, so no slot carries
+    into the next.
+    """
+    counts = np.bincount(row, minlength=p)
+    width = ((int(counts.max()) * len(row)).bit_length() + 7) // 8  # bytes per slot, at most 8
+    slots = counts.astype("<u8").view(np.uint8).reshape(p, 8)
+    packed = int.from_bytes(slots[:, :width].tobytes(), "little")
+    square = np.zeros((2 * p, 8), dtype=np.uint8)
+    square[:, :width] = np.frombuffer((packed * packed).to_bytes(2 * p * width, "little"),
+                                      dtype=np.uint8).reshape(2 * p, width)
+    return square.view("<u8").ravel().astype(np.int64)
+
+
+def square_histogram(rows: np.ndarray, p: int) -> np.ndarray:
+    """eta^2 summed over the period rows, as a length-p histogram; one row gives its own eta^2.
+
+    Entry x counts the pairs of traces t, u within a row with t + u = x mod p,
+    so less its last entry it is the canonical eta^2. Rows of n traces are
+    counted by pairs, in n^2 steps each, while n^2 <= KRONECKER_RATIO * p;
+    wider rows are squared one at a time by `_kronecker_square`, whose cost
+    grows with p alone.
+    """
+    n = rows.shape[1]
+    if n * n <= KRONECKER_RATIO * p:
+        total = _pair_sums(rows, p)
     else:
-        counts = np.zeros_like(products)
-        np.add.at(counts.reshape(-1), rows + offsets, 1)
-        x = np.arange(p)
-        for t in range(p):  # the pairs (t, u) with t + u = x
-            products += counts[:, t, None] * counts[:, (x - t) % p]
-    products -= products[:, -1:].copy()
-    return products
+        total = np.zeros(2 * p, dtype=np.int64)
+        for row in rows:
+            total += _kronecker_square(row, p)
+    return total[:p] + total[p:]
 
 
 def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical."""
-    multiplicities = report._multiplicities
-    return (_value_sum(report._rows, multiplicities, report._p),
-            multiplicities @ period_products(report))
+    """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
+
+    Both are exact int64 vectors of length p. The rows of one multiplicity
+    are squared together by `square_histogram` and weighted once. An entry
+    of the second sum is at most q * n^2, so int64 holds it while that
+    bound is below 2^63.
+    """
+    p, q, n = report._p, report.q, report.n
+    check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
+    rows, multiplicities = report._rows, report._multiplicities
+    second = np.zeros(p, dtype=np.int64)
+    for mult, group in _by_multiplicity(rows, multiplicities):
+        second += mult * square_histogram(group, p)
+    return _value_sum(rows, multiplicities, p), second - second[-1]
 
 
 def spectrum(graph: GPGraph) -> SpectrumReport:
@@ -248,9 +308,7 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     field = graph.field
     p, q, k, n = field.p, field.q, graph.k, graph.n
     rows = _period_rows(field, k, n)
-    # np.unique(axis=0) spends more promoting dtypes than sorting the row bytes
-    _, firsts, inverse = np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
-                                   return_index=True, return_inverse=True)
+    _, firsts, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     values = rows[firsts]
     multiplicities = np.bincount(inverse) * n
     principal = inverse[0]

@@ -376,3 +376,21 @@ def test_build_field_memory(monkeypatch):
         tracemalloc.stop()
     assert field.exp.dtype.itemsize <= 4 and field.trace_table.dtype.itemsize == 1
     assert peak < 44 * 2 ** 20
+
+
+def test_field_cache_evicts_the_least_recently_used_field(monkeypatch):
+    # 2^19 + 5^8 + 7^6 = 1,032,562 elements fit the 2^20 budget; 3^11 more do not
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    binary, quintic = build_field(2, 19), build_field(5, 8)
+    assert build_field(2, 19) is binary  # a hit makes 2^19 the most recently used
+    septic = build_field(7, 6)
+    ternary = build_field(3, 11)
+    assert list(fields._FIELD_CACHE) == [(2, 19, None), (7, 6, None), (3, 11, None)]
+    assert sum(f.q for f in fields._FIELD_CACHE.values()) <= fields.DEFAULT_SIZE_BUDGET
+    assert all(build_field(*pm) is field for pm, field in (((2, 19), binary), ((7, 6), septic),
+                                                          ((3, 11), ternary)))
+    rebuilt = build_field(5, 8)  # evicted: an equal field, not the same object
+    assert rebuilt is not quintic and np.array_equal(rebuilt.exp, quintic.exp)
+    assert rebuilt.modulus == quintic.modulus
+    assert build_field(5, 8) is rebuilt
+    assert (2, 19, None) not in fields._FIELD_CACHE  # least recently used when 5^8 came back

@@ -31,7 +31,7 @@ from gpgraphs import (
     verify_2re,
 )
 from gpgraphs.numbertheory import divisors, is_prime, prime_power
-from gpgraphs.spectra import doubled_rows, period_products
+from gpgraphs.spectra import doubled_rows, moments, square_histogram
 
 
 def as_multiset(report):
@@ -331,10 +331,22 @@ def test_spectrum_matches_per_character_and_period_oracles():
     assert disconnected >= 60  # the sweep exercises disconnected extension fields (68 graphs)
 
 
+def _canonical(histogram):
+    return tuple((histogram - histogram[-1]).tolist())
+
+
+def _check_row_squares(report, p):
+    """Each row squared by pairs and by Kronecker substitution: the two methods agree."""
+    for row in report._rows:
+        by_pairs = spectra._pair_sums(row[None], p)
+        assert np.array_equal(by_pairs, spectra._kronecker_square(row, p)), (report.q, report.k)
+
+
 def test_row_products_match_cyclotomic_products(monkeypatch):
-    # eta^2 and eta + conj(eta) from the period rows, against
-    # CyclotomicInteger arithmetic on every gaussian_period (with n once);
-    # with blocks of 4096 pairs, the rows of the larger fields take several steps
+    # eta^2 (one row at a time, and weighted into the second moment) and
+    # eta + conj(eta) from the period rows, against CyclotomicInteger
+    # arithmetic on every gaussian_period (with n once); with blocks of 4096
+    # pairs, the rows of the larger fields take several steps
     monkeypatch.setattr(spectra, "PAIR_BLOCK", 4096)
     branches = Counter()
     for q in ORACLE_QS[:-3]:  # q <= 343
@@ -343,18 +355,58 @@ def test_row_products_match_cyclotomic_products(monkeypatch):
         for k in divisors(q - 1):
             report = spectrum(build_graph(field, k))
             expected = (Counter(), Counter())
+            second = np.zeros(p, dtype=np.int64)
             for value, mult in period_spectrum(field, k).items():
-                for counts, image in zip(expected, (value * value, value + value.conjugate())):
+                square = value * value
+                for counts, image in zip(expected, (square, value + value.conjugate())):
                     counts[image.coeffs] += mult
+                second += mult * np.array(square.coeffs)
             sums = np.array([np.bincount(row, minlength=p) for row in doubled_rows(report)])
-            by_rows = (period_products(report), sums - sums[:, -1:])
+            by_rows = ([_canonical(square_histogram(row[None], p)) for row in report._rows],
+                       map(tuple, (sums - sums[:, -1:]).tolist()))
             for counts, rows in zip(expected, by_rows):
                 found = Counter()
-                for row, mult in zip(map(tuple, rows.tolist()), report._multiplicities.tolist()):
+                for row, mult in zip(rows, report._multiplicities.tolist()):
                     found[row] += mult
                 assert found == counts, (q, k)
-            branches["pairs" if report.n <= p else "convolution"] += 1
-    assert branches == Counter(pairs=649, convolution=80)
+            assert np.array_equal(moments(report)[1], second), (q, k)
+            _check_row_squares(report, p)
+            branches["pairs" if report.n ** 2 <= spectra.KRONECKER_RATIO * p else "kronecker"] += 1
+    assert branches == Counter(pairs=574, kronecker=155)
+
+
+def test_row_squares_at_p_4093_match_cyclotomic_products():
+    # GP(12, 4093) squares its rows by pairs, GP(11, 4093) and GP(1, 4093)
+    # by Kronecker substitution; the rows whose canonical value has a few
+    # hundred terms keep the CyclotomicInteger product quick
+    field = build_field(4093, 1)
+    branches = Counter()
+    for k in (1, 11, 12):
+        report = spectrum(build_graph(field, k))
+        checked = 0
+        for row in report._rows:
+            value = CyclotomicInteger(4093, np.bincount(row, minlength=4093).tolist())
+            if sum(map(bool, value.coeffs)) > 400:
+                continue
+            assert _canonical(square_histogram(row[None], 4093)) == (value * value).coeffs, k
+            checked += 1
+        assert checked >= min(k, 5), k
+        _check_row_squares(report, 4093)
+        branches["pairs" if report.n ** 2 <= spectra.KRONECKER_RATIO * 4093 else "kronecker"] += 1
+    assert branches == Counter(pairs=1, kronecker=2)
+
+
+def test_second_moment_memory_is_linear_in_p():
+    # the mu x p matrix of eta^2 rows took 134 MB here; the moments are length-p vectors
+    graph = build_graph(build_field(4093, 1), 4092)
+    tracemalloc.start()
+    try:
+        first, second = moments(spectrum(graph))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not first.any() and second[0] == 0 and not second[1:].any()  # directed: sum of squares 0
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_prime_fields_have_k_plus_one_eigenvalues():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import subprocess
 import sys
@@ -75,6 +76,74 @@ def test_corrupted_rows_fail_their_check(monkeypatch, check, corrupted_k, corrup
     if check == "boundary-spectrum":  # the message is the one the CyclotomicInteger sets gave
         graph = build_graph(build_field(5, 2), corrupted_k)
         assert f"q=25 k={corrupted_k}: {_failure(_check_boundary_by_cyclotomic_sets, graph)}" == failure
+
+
+def _trade_a_trace(report):
+    # two rows of one multiplicity trade a trace: sum of mult * eta stays, sum of mult * eta^2 does not
+    rows = report._rows.copy()
+    multiplicities = report._multiplicities
+    i, j = np.flatnonzero(multiplicities == multiplicities[-1])[:2]
+    rows[[i, j], [0, -1]] = rows[[j, i], [-1, 0]]
+    return dataclasses.replace(report, _rows=rows)
+
+
+TRADED_TRACE_FAILURES = [
+    (25, 4, "pairs", "q=25 k=4: sum of squared eigenvalues is 138 - 36*z + 48*z^2, expected 150"),
+    (49, 3, "kronecker", "q=49 k=3: sum of squared eigenvalues is 1008 + 96*z + 128*z^3 + 256*z^4 "
+                         "+ 192*z^5, expected 784"),
+]
+
+
+@pytest.mark.parametrize("q, corrupted_k, branch, failure", TRADED_TRACE_FAILURES)
+def test_a_traded_trace_fails_the_second_moment(monkeypatch, q, corrupted_k, branch, failure):
+    honest = spectra.spectrum
+    report = honest(build_graph(build_field(*prime_power(q)), corrupted_k))
+    assert (report.n ** 2 <= spectra.KRONECKER_RATIO * report._p) == (branch == "pairs")
+    assert not spectra.moments(_trade_a_trace(report))[0].any()
+
+    def corrupted(graph):
+        report = honest(graph)
+        return _trade_a_trace(report) if graph.k == corrupted_k else report
+
+    monkeypatch.setattr(spectra, "spectrum", corrupted)
+    outcome = next(o for o in verify_field(q) if o.name == "trace-identities")
+    assert (outcome.failed, outcome.first_failure) == (1, failure)
+
+
+def test_second_moment_check_survives_python_O(package_env):
+    # the moment comparison raises explicitly, so -O keeps it in both branches
+    script = textwrap.dedent("""
+        import dataclasses
+        import sys
+
+        import numpy as np
+
+        from gpgraphs import spectra
+        from gpgraphs.verify import verify_field
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        honest = spectra.spectrum
+
+        for q, corrupted_k in ((25, 4), (49, 3)):
+            def corrupted(graph):
+                report = honest(graph)
+                if graph.k != corrupted_k:
+                    return report
+                rows = report._rows.copy()
+                multiplicities = report._multiplicities
+                i, j = np.flatnonzero(multiplicities == multiplicities[-1])[:2]
+                rows[[i, j], [0, -1]] = rows[[j, i], [-1, 0]]
+                return dataclasses.replace(report, _rows=rows)
+
+            spectra.spectrum = corrupted
+            moments = next(o for o in verify_field(q) if o.name == "trace-identities")
+            print(moments.failed, moments.first_failure)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"1 {failure}\n" for *_, failure in TRADED_TRACE_FAILURES), proc.stdout
 
 
 def _boundary_by_norms(report):
@@ -338,7 +407,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     capped = run_verification(9, jobs=10_000)
     assert sizes == [3]
