@@ -178,16 +178,18 @@ def _period_rows(field: FiniteField, k: int, n: int) -> np.ndarray:
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row that orders the rows as their bytes compare.
 
-    A row of at most 8 bytes is its bytes read as one big-endian uint64;
-    a wider row is a void scalar over its bytes. np.unique(axis=0) spends
-    more promoting dtypes than sorting either key.
+    A row of at most 8 bytes is its bytes read as one big-endian unsigned
+    integer of 1, 2, 4 or 8 bytes; a wider row is a void scalar over its
+    bytes. np.unique(axis=0) spends more promoting dtypes than sorting
+    either key.
     """
     width = rows.strides[0]
     if width > 8:
         return rows.view(np.dtype((np.void, width))).ravel()
-    padded = np.zeros((len(rows), 8), dtype=np.uint8)
-    padded[:, 8 - width:] = rows.view(np.uint8).reshape(len(rows), width)
-    return padded.view(">u8").ravel().astype(np.uint64)
+    size = 1 << (width - 1).bit_length()
+    padded = np.zeros((len(rows), size), dtype=np.uint8)
+    padded[:, size - width:] = rows.view(np.uint8).reshape(len(rows), width)
+    return padded.view(f">u{size}").ravel().astype(f"u{size}", copy=False)
 
 
 def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
@@ -207,7 +209,7 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
 
 def _by_multiplicity(rows: np.ndarray, multiplicities: np.ndarray):
     """(mult, the rows of multiplicity mult) for each distinct multiplicity."""
-    for mult in np.unique(multiplicities).tolist():
+    for mult in set(multiplicities.tolist()):
         yield mult, rows[multiplicities == mult]
 
 
@@ -279,17 +281,18 @@ def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
     """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
 
     Both are exact int64 vectors of length p. The rows of one multiplicity
-    are squared together by `square_histogram` and weighted once. An entry
+    are counted and squared together, by `square_histogram`, and weighted
+    once. An entry
     of the second sum is at most q * n^2, so int64 holds it while that
     bound is below 2^63.
     """
     p, q, n = report._p, report.q, report.n
     check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
-    rows, multiplicities = report._rows, report._multiplicities
-    second = np.zeros(p, dtype=np.int64)
-    for mult, group in _by_multiplicity(rows, multiplicities):
+    first, second = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    for mult, group in _by_multiplicity(report._rows, report._multiplicities):
+        first += mult * np.bincount(group.ravel(), minlength=p)
         second += mult * square_histogram(group, p)
-    return _value_sum(rows, multiplicities, p), second - second[-1]
+    return first - first[-1], second - second[-1]
 
 
 def spectrum(graph: GPGraph) -> SpectrumReport:
