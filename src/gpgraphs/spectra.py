@@ -209,7 +209,7 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
 
 def _by_multiplicity(rows: np.ndarray, multiplicities: np.ndarray):
     """(mult, the rows of multiplicity mult) for each distinct multiplicity."""
-    for mult in set(multiplicities.tolist()):
+    for mult in np.unique(multiplicities).tolist():
         yield mult, rows[multiplicities == mult]
 
 
@@ -282,9 +282,8 @@ def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
 
     Both are exact int64 vectors of length p. The rows of one multiplicity
     are counted and squared together, by `square_histogram`, and weighted
-    once. An entry
-    of the second sum is at most q * n^2, so int64 holds it while that
-    bound is below 2^63.
+    once. An entry of the second sum is at most q * n^2, so int64 holds it
+    while that bound is below 2^63.
     """
     p, q, n = report._p, report.q, report.n
     check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
