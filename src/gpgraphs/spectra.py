@@ -207,41 +207,48 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     return fixed
 
 
-def _by_multiplicity(rows: np.ndarray, multiplicities: np.ndarray):
-    """(mult, the rows of multiplicity mult) for each distinct multiplicity.
+def _groups(multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct multiplicities, ascending, and the index among them of each row's.
 
     The distinct values come from a sort: np.unique without indices would
     import numpy.ma, which costs a one-command process about 20 ms.
     """
     ordered = np.sort(multiplicities)
-    for mult in ordered[np.append(True, ordered[1:] != ordered[:-1])].tolist():
-        yield mult, rows[multiplicities == mult]
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return distinct, np.searchsorted(distinct, multiplicities)
 
 
-def _value_sum(rows: np.ndarray, multiplicities: np.ndarray, p: int) -> np.ndarray:
-    """The sum of mult * eta over the rows, as a canonical coefficient vector, in exact integers."""
-    total = np.zeros(p, dtype=np.int64)
-    for mult, group in _by_multiplicity(rows, multiplicities):
-        total += mult * np.bincount(group.ravel(), minlength=p)
+def _value_sum(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+    """The sum of mult * eta over the rows, as a canonical coefficient vector, in exact integers.
+
+    One bincount holds a trace histogram per multiplicity group (see
+    `_groups`), side by side, and the distinct multiplicities weight them
+    in one int64 product.
+    """
+    distinct, group = groups
+    counts = np.bincount((rows + group[:, None] * p).ravel(), minlength=len(distinct) * p)
+    total = distinct @ counts.reshape(-1, p)
     return total - total[-1]
 
 
-def _pair_sums(rows: np.ndarray, p: int) -> np.ndarray:
-    """The histogram of t + u over all pairs of traces t, u within each row, summed over the rows.
+def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, groups: int) -> np.ndarray:
+    """The histogram of t + u over all pairs of traces t, u within each row, one per group.
 
-    The 2p bins are not yet folded mod p. The pairs are formed in blocks of
-    at most PAIR_BLOCK, so the temporaries stay small whatever the row count.
+    Row r counts into group[r]; each group's 2p bins sum over its rows and
+    are not yet folded mod p. The pairs are formed in blocks of at most
+    PAIR_BLOCK, so the temporaries stay small whatever the row count.
     """
     n = rows.shape[1]
     per_block = max(1, PAIR_BLOCK // (n * n))  # rows
     step = max(1, min(n, PAIR_BLOCK // n))  # left-hand traces of one row
-    total = np.zeros(2 * p, dtype=np.int64)
+    total = np.zeros(groups * 2 * p, dtype=np.int64)
     for start in range(0, len(rows), per_block):
         block = rows[start:start + per_block]
+        right = block + group[start:start + per_block, None] * (2 * p)  # intp, offset by group
         for left in range(0, n, step):
-            pairs = np.add(block[:, left:left + step, None], block[:, None, :], dtype=np.intp)
-            total += np.bincount(pairs.ravel(), minlength=2 * p)
-    return total
+            pairs = block[:, left:left + step, None] + right[:, None, :]
+            total += np.bincount(pairs.ravel(), minlength=groups * 2 * p)
+    return total.reshape(groups, 2 * p)
 
 
 def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
@@ -263,40 +270,45 @@ def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
     return square.view("<u8").ravel().astype(np.int64)
 
 
-def square_histogram(rows: np.ndarray, p: int) -> np.ndarray:
-    """eta^2 summed over the period rows, as a length-p histogram; one row gives its own eta^2.
+def _weighted_squares(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+    """The sum of mult * eta^2 over the rows, as a length-p histogram folded mod p.
 
-    Entry x counts the pairs of traces t, u within a row with t + u = x mod p,
-    so less its last entry it is the canonical eta^2. Rows of n traces are
-    counted by pairs, in n^2 steps each, while n^2 <= KRONECKER_RATIO * p;
-    wider rows are squared one at a time by `_kronecker_square`, whose cost
-    grows with p alone.
+    Rows of n traces are counted by pairs, in n^2 steps each, while
+    n^2 <= KRONECKER_RATIO * p, one histogram per multiplicity group,
+    weighted in one int64 product. Wider rows are squared one at a time by
+    `_kronecker_square`, whose cost grows with p alone, and weighted each.
     """
+    distinct, group = groups
     n = rows.shape[1]
     if n * n <= KRONECKER_RATIO * p:
-        total = _pair_sums(rows, p)
+        total = distinct @ _pair_sums(rows, p, group, len(distinct))
     else:
         total = np.zeros(2 * p, dtype=np.int64)
-        for row in rows:
-            total += _kronecker_square(row, p)
+        for row, mult in zip(rows, distinct[group].tolist()):
+            total += mult * _kronecker_square(row, p)
     return total[:p] + total[p:]
+
+
+def square_histogram(row: np.ndarray, p: int) -> np.ndarray:
+    """eta^2 of one period row, as a length-p histogram: less its last entry, the canonical eta^2.
+
+    Entry x counts the pairs of traces t, u in the row with t + u = x mod p.
+    """
+    return _weighted_squares(row[None], (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.intp)), p)
 
 
 def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
     """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
 
-    Both are exact int64 vectors of length p. The rows of one multiplicity
-    are counted and squared together, by `square_histogram`, and weighted
-    once. An entry of the second sum is at most q * n^2, so int64 holds it
-    while that bound is below 2^63.
+    Both are exact int64 vectors of length p; no mu x p array is built. An
+    entry of the second sum is at most q * n^2, so int64 holds it while
+    that bound is below 2^63.
     """
     p, q, n = report._p, report.q, report.n
     check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
-    first, second = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
-    for mult, group in _by_multiplicity(report._rows, report._multiplicities):
-        first += mult * np.bincount(group.ravel(), minlength=p)
-        second += mult * square_histogram(group, p)
-    return first - first[-1], second - second[-1]
+    groups = _groups(report._multiplicities)
+    second = _weighted_squares(report._rows, groups, p)
+    return _value_sum(report._rows, groups, p), second - second[-1]
 
 
 def spectrum(graph: GPGraph) -> SpectrumReport:
@@ -335,7 +347,7 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     check(multiplicities[principal] == count,
           f"{label}: principal multiplicity {multiplicities[principal]} "
           f"must equal the component count {count}")
-    check(not _value_sum(values, multiplicities, p).any(),
+    check(not _value_sum(values, _groups(multiplicities), p).any(),
           f"{label}: a loop-free adjacency matrix has trace zero")
     check(nature == nature_arithmetic(graph),
           f"{label}: eigenvalue nature {nature.render()} must match the arithmetic rule")
