@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +205,6 @@ def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
     qs = [q for q in range(2, max_q + 1) if prime_power(q) is not None]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
-        # imported here: concurrent.futures.process loads multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_q = list(pool.map(verify_field, qs))
     else:

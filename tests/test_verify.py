@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import subprocess
 import sys
@@ -407,7 +406,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     capped = run_verification(9, jobs=10_000)
     assert sizes == [3]
