@@ -208,7 +208,7 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
 
 
 def _groups(multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct multiplicities, ascending, and the index among them of each row's.
+    """The distinct multiplicities, ascending, and for each row the index of its own among them.
 
     The distinct values come from a sort: np.unique without indices would
     import numpy.ma, which costs a one-command process about 20 ms.
@@ -231,24 +231,24 @@ def _value_sum(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) 
     return total - total[-1]
 
 
-def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, groups: int) -> np.ndarray:
+def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, count: int) -> np.ndarray:
     """The histogram of t + u over all pairs of traces t, u within each row, one per group.
 
-    Row r counts into group[r]; each group's 2p bins sum over its rows and
+    Row r counts into group[r] < count; each group's 2p bins sum over its rows and
     are not yet folded mod p. The pairs are formed in blocks of at most
     PAIR_BLOCK, so the temporaries stay small whatever the row count.
     """
     n = rows.shape[1]
     per_block = max(1, PAIR_BLOCK // (n * n))  # rows
     step = max(1, min(n, PAIR_BLOCK // n))  # left-hand traces of one row
-    total = np.zeros(groups * 2 * p, dtype=np.int64)
+    total = np.zeros(count * 2 * p, dtype=np.int64)
     for start in range(0, len(rows), per_block):
         block = rows[start:start + per_block]
-        right = block + group[start:start + per_block, None] * (2 * p)  # intp, offset by group
+        right = block + group[start:start + per_block, None] * (2 * p)  # int64, in its group's bins
         for left in range(0, n, step):
             pairs = block[:, left:left + step, None] + right[:, None, :]
-            total += np.bincount(pairs.ravel(), minlength=groups * 2 * p)
-    return total.reshape(groups, 2 * p)
+            total += np.bincount(pairs.ravel(), minlength=count * 2 * p)
+    return total.reshape(count, 2 * p)
 
 
 def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
