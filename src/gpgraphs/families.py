@@ -197,6 +197,8 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
             raise HypothesisViolated(f"k = {k} must be odd")
         if math.gcd(k, p * (p - 1)) != 1:
             raise HypothesisViolated(f"gcd({k}, p(p-1)) = {math.gcd(k, p * (p - 1))} != 1")
+        if k >= max_q:  # k divides every emitted q - 1, so factoring k would go unused
+            return
         phi = _totient(k)
         pairs = ((k, phi * t) for t in _naturals())
     elif kind == CYCLOTOMIC_VALUE:
@@ -210,12 +212,17 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         k = _require_k(descriptor)
         if descriptor.d is None or descriptor.d < 1:
             raise HypothesisViolated("Tower needs d >= 1 (the base field is GF(p^d))")
-        base_q = p ** descriptor.d
-        if (base_q - 1) % k != 0:
-            raise HypothesisViolated(f"base k = {k} does not divide q - 1 = {base_q - 1}")
-        if nature_for(p, descriptor.d, k) is not Nature.INTEGRAL:
-            raise HypothesisViolated(f"tower base GP({k},{base_q}) is not integral")
-        pairs = ((k * (base_q ** a - 1) // (base_q - 1), descriptor.d * a) for a in _naturals())
+        d = descriptor.d
+        # past max_q's bit length p^d >= 2^d > max_q, so p^d is not built
+        base_q = p ** d if d <= max_q.bit_length() else None
+        if pow(p, d, k) != 1 % k:
+            raise HypothesisViolated(
+                f"base k = {k} does not divide q - 1 = {base_q - 1 if base_q else f'{p}^{d} - 1'}")
+        if nature_for(p, d, k) is not Nature.INTEGRAL:
+            raise HypothesisViolated(f"tower base GP({k},{base_q or f'{p}^{d}'}) is not integral")
+        if base_q is None:
+            return
+        pairs = ((k * (base_q ** a - 1) // (base_q - 1), d * a) for a in _naturals())
 
     for k_out, m_out in pairs:
         q_out = p ** m_out

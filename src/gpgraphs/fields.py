@@ -443,8 +443,9 @@ class FiniteField:
     def zech(self) -> np.ndarray:
         """Zech logarithms: zech[e] = log(1 + omega^e) for e in [0, q - 1), -1 where 1 + omega^e = 0.
 
-        Built on first use rather than in the constructor, since only
-        traversal reads it: the quotient BFS and the witness BFS.
+        Built on first use rather than in the constructor. graphs.log_bfs,
+        the one BFS kernel, steps by it (mod k for the quotient, mod q - 1
+        for a witness), as do verify's period gcd and the srg count.
         """
         low = self.exp % self.p  # the constant coefficient, the only one that adding 1 changes
         return self.log[self.exp - low + (low + 1) % self.p]

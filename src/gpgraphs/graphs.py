@@ -5,6 +5,7 @@ arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from the order of p modulo n,
 the period from its law, and g from one BFS over the k coset classes.
+That BFS and the witness search are one kernel, log_bfs, on discrete logs.
 The set is listed on first read, by the witness search, symmetrization
 and the numeric oracle; verify's nature check compares it with the rule.
 """
@@ -41,7 +42,7 @@ class GPGraph:
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
-        self._traversal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # by quotient_bfs
+        self._traversal: np.ndarray | None = None  # by quotient_bfs
 
     @cached_property
     def connection(self) -> tuple[int, ...]:
@@ -74,58 +75,122 @@ def build_graph(field: FiniteField, k_raw: int) -> GPGraph:
 # ---------------------------------------------------------------------------
 # traversal
 
-def quotient_bfs(graph: GPGraph, signed: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BFS from vertex 0 over the coset classes of the k-th powers, on at most q + 1 arcs.
+# A level with fewer arcs than this runs as a Python loop: per level, numpy's
+# call overhead exceeds the loop's cost, and a directed cycle has q levels.
+_PYTHON_LEVEL_ARCS = 256
+# The largest block of arcs one numpy step expands, which bounds its memory.
+_BLOCK_ARCS = 1 << 18
 
-    Multiplying by a k-th power is an automorphism that fixes 0, so the
-    distance from 0 is constant on each class i = log(x) mod k. A step
-    x -> x + r with e = log(r / x) lands in class i + zech[e], or on 0 where
-    zech[e] = -1, and e runs over the residues of -i mod k. A signed step
-    x -> x - r shifts e by h = (q - 1) / 2, the log of -1.
 
-    Returns (dist, src, dst): dist[i] for class i < k and dist[k] = 0 for
-    vertex 0, -1 where unreached; src -> dst are the distinct quotient arcs.
-    The unsigned result is kept on the graph, read-only. The signed one,
+def log_bfs(zech: np.ndarray, steps: np.ndarray, modulus: int,
+            goal: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FIFO BFS from 0 over the nonzero elements as logs mod modulus, a divisor of q - 1.
+
+    Step j adds omega^b, b = steps[j]: omega^a + omega^b = omega^(a + zech[b - a]),
+    or the root 0 where zech is -1. Level 1 is the first occurrence of each
+    b mod modulus; a later vertex takes as parent the first (a, j), a over
+    the level before in discovery order. It stops once goal is reached.
+    Returns (dist, parent, step) per vertex: -1 where unreached, parent -1 on level 1.
+    """
+    dist, parent, step = (np.full(modulus, -1, dtype=np.int32) for _ in range(3))
+    first = _first_arrivals(steps % modulus, step).nonzero()[0]
+    frontier = steps[first] % modulus
+    dist[frontier], step[frontier] = 1, first
+    while frontier.size and (goal is None or dist[goal] < 0):
+        if frontier.size * steps.size < _PYTHON_LEVEL_ARCS:
+            frontier = _python_levels(frontier.tolist(), steps.tolist(), memoryview(zech),
+                                      *map(memoryview, (dist, parent, step)), modulus, goal)
+        else:
+            frontier = _numpy_level(frontier, steps, zech, dist, parent, step, modulus, goal)
+    return dist, parent, step
+
+
+def _python_levels(level: list[int], steps: list[int], zech, dist, parent, step,
+                   modulus: int, goal: int | None) -> np.ndarray:
+    """Expand levels of under _PYTHON_LEVEL_ARCS arcs one arc at a time; returns the next level."""
+    numbered_steps = list(enumerate(steps))
+    while level and len(level) * len(steps) < _PYTHON_LEVEL_ARCS:
+        d = dist[level[0]] + 1
+        found = []
+        for a in level:
+            for j, b in numbered_steps:
+                z = zech[b - a]  # a negative index wraps, which takes b - a mod q - 1
+                if z >= 0:
+                    v = (a + z) % modulus
+                    if dist[v] < 0:
+                        dist[v], parent[v], step[v] = d, a, j
+                        found.append(v)
+            if goal is not None and dist[goal] >= 0:
+                return np.empty(0, dtype=np.int64)
+        level = found
+    return np.array(level, dtype=np.int64)
+
+
+def _numpy_level(frontier: np.ndarray, steps: np.ndarray, zech: np.ndarray, dist: np.ndarray,
+                 parent: np.ndarray, step: np.ndarray, modulus: int, goal: int | None) -> np.ndarray:
+    """Expand one level in row blocks of up to _BLOCK_ARCS arcs; returns the next level.
+
+    Row-major order is the FIFO order. With a goal the blocks double from
+    one row, and the level stops after the block that reaches it.
+    """
+    found = []
+    d = int(dist[frontier[0]]) + 1
+    most = max(1, _BLOCK_ARCS // steps.size)
+    rows = most if goal is None else 1
+    i = 0
+    while i < frontier.size and (goal is None or dist[goal] < 0):
+        block = frontier[i:i + rows, None]
+        z = zech[steps - block]  # a negative index wraps, which takes b - a mod q - 1
+        v = block + z
+        v %= modulus
+        # where z = -1 the sum is 0, and v, though in range, is masked out
+        hit = ((z >= 0) & (dist[v] < 0)).ravel().nonzero()[0]
+        new = v.ravel()[hit]
+        first = _first_arrivals(new, step)
+        hit, new = hit[first], new[first]
+        row, j = np.divmod(hit, steps.size)
+        dist[new], parent[new], step[new] = d, block[row, 0], j
+        found.append(new)
+        i += rows
+        rows = min(2 * rows, most)
+    return np.concatenate(found)
+
+
+def _first_arrivals(new: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each vertex in new, all unreached.
+
+    The first arc to a vertex has the largest rank; step, -1 on unreached
+    vertices, holds the ranks until the caller sets it.
+    """
+    rank = np.arange(new.size, 0, -1, dtype=step.dtype)
+    np.maximum.at(step, new, rank)
+    return step[new] == rank
+
+
+def quotient_bfs(graph: GPGraph, signed: bool = False) -> np.ndarray:
+    """Distances from vertex 0 to the k classes log(x) mod k, -1 where unreached.
+
+    Multiplying by a k-th power is an automorphism fixing 0, so this is
+    log_bfs mod k over the k-th powers; signed, over their negatives too.
+    The unsigned run is kept on the graph, read-only. The signed one,
     verify's second method for w, is not; an undirected graph holds -1
     among its k-th powers, so its signed steps are its unsigned ones.
     """
     if signed and graph.directed:
         return _traverse(graph, True)
     if graph._traversal is None:
-        result = _traverse(graph, False)
-        for array in result:
-            array.setflags(write=False)
-        graph._traversal = result
+        graph._traversal = _traverse(graph, False)
+        graph._traversal.setflags(write=False)
     return graph._traversal
 
 
-def _traverse(graph: GPGraph, signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The quotient BFS itself; quotient_bfs keeps its unsigned run on the graph."""
-    field, k = graph.field, graph.k
-    e = np.arange(field.q - 1, dtype=np.int64)
-    zech = field.zech
-    shifts = [0, (field.q - 1) // 2] if signed else [0]
-    src = np.concatenate([(h - e) % k for h in shifts] + [np.full(len(shifts), k)])
-    dst = np.concatenate([np.where(zech < 0, k, (h - e + zech) % k) for h in shifts]
-                         + [np.array(shifts, dtype=np.int64) % k])
-    nodes = k + 1
-    keys = np.sort(src * nodes + dst)  # np.unique's hashing is slower here than sorting
-    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], nodes)
-
-    # each arc is scanned once; a level-synchronous numpy BFS would pay
-    # per level, and a directed cycle of length p has p levels
-    bounds = np.searchsorted(src, np.arange(nodes + 1)).tolist()
-    heads = dst.tolist()
-    dist = [-1] * nodes
-    dist[k] = 0
-    queue = [k]
-    for u in queue:
-        step = dist[u] + 1
-        for v in heads[bounds[u]:bounds[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = step
-                queue.append(v)
-    return np.array(dist, dtype=np.int64), src, dst
+def _traverse(graph: GPGraph, signed: bool) -> np.ndarray:
+    """One run of the quotient BFS; quotient_bfs keeps its unsigned run on the graph."""
+    q1 = graph.field.q - 1
+    steps = np.arange(0, q1, graph.k)
+    if signed:
+        steps = np.concatenate([steps, (steps + q1 // 2) % q1])
+    return log_bfs(graph.field.zech, steps, graph.k)[0]
 
 
 @dataclass(frozen=True)

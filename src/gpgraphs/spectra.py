@@ -139,12 +139,14 @@ class SpectrumReport:
 
 
 def nature_for(p: int, m: int, k: int) -> Nature:
-    """Arithmetic nature of GP(k, p^m) from divisibility alone."""
-    q = p ** m
-    k = math.gcd(k, q - 1)
-    if p == 2 or ((q - 1) // (p - 1)) % k == 0:
+    """Arithmetic nature of GP(k, p^m) from divisibility alone, never building p^m.
+
+    For c = p - 1 or 2 dividing q - 1, (q - 1)/c mod k is ((q - 1) mod ck)/c.
+    """
+    k = math.gcd(k, pow(p, m, k) - 1)  # gcd(k, q - 1)
+    if p == 2 or (pow(p, m, k * (p - 1)) - 1) // (p - 1) % k == 0:
         return Nature.INTEGRAL
-    if ((q - 1) // 2) % k == 0:
+    if (pow(p, m, 2 * k) - 1) // 2 % k == 0:
         return Nature.REAL_NONINTEGRAL
     return Nature.COMPLEX
 

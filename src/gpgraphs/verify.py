@@ -80,14 +80,19 @@ def _check_two_re(graph: GPGraph, half: GPGraph):
 
 
 def _traversed_period(graph: GPGraph) -> int:
-    """The gcd of d(u) + 1 - d(v) over the quotient arcs u -> v, d the distance from 0.
+    """The gcd of d(u) + 1 - d(v) over the arcs u -> v of the quotient, d the distance from 0.
 
     Every component is a strongly connected translate of the component of 0,
     and a quotient arc carries the value of the vertex arcs it stands for.
+    The q - 1 arcs x -> x + r, e = log(r / x), run from class -e mod k to
+    class zech[e] - e mod k, or to vertex 0 where zech[e] = -1.
     """
-    dist, src, dst = quotient_bfs(graph)
-    reached = dist[src] >= 0
-    return int(np.gcd.reduce(np.abs(dist[src[reached]] + 1 - dist[dst[reached]])))
+    dist, k, zech = quotient_bfs(graph), graph.k, graph.field.zech
+    e = np.arange(zech.size)
+    src = dist[-e % k]
+    dst = np.where(zech < 0, 0, dist[(zech - e) % k])
+    reached = src >= 0
+    return int(np.gcd.reduce(np.abs(src[reached] + 1 - dst[reached])))
 
 
 def _check_period_law(graph: GPGraph):
@@ -98,8 +103,7 @@ def _check_period_law(graph: GPGraph):
 
 def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
     """Components from the quotient BFS: the component of 0 has 1 + n * (classes reached) vertices."""
-    dist, _, _ = quotient_bfs(graph)
-    reached = int((dist[:-1] >= 0).sum())
+    reached = int((quotient_bfs(graph) >= 0).sum())
     size = 1 + graph.n * reached
     return ComponentDecomposition(round(math.log(size, graph.field.p)), graph.field.q // size, reached, size)
 
@@ -111,7 +115,7 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     # the library's w is the reduction: g(k, q) undirected, g(k/2, q) directed
     result = graph_waring(graph, _diameter(half) if graph.directed else None)
     g, by_formula = result.g, result.w
-    dist, _, _ = quotient_bfs(graph, signed=True)  # the symmetrized graph, traversed
+    dist = quotient_bfs(graph, signed=True)  # the symmetrized graph, traversed
     w = None if (dist < 0).any() else int(dist.max())
     if (g is not None) != (closed_form.count == 1):
         raise AssertionError("existence of g must coincide with connectedness")

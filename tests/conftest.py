@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import gpgraphs
+from gpgraphs import graphs
 
 
 @pytest.fixture
@@ -12,3 +13,20 @@ def package_env():
     src = str(Path(gpgraphs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+# (_PYTHON_LEVEL_ARCS, _BLOCK_ARCS) of graphs.log_bfs: the Python loop on every
+# level, numpy on every level, and the default switch between them with numpy
+# blocks of at most 16 arcs, so that a level of 256 arcs or more reaches the
+# target after several blocks, and one search hands levels from one kernel
+# to the other
+KERNEL_MODES = {"python": (2 ** 62, 1 << 18), "numpy": (0, 1 << 18), "tiny_blocks": (256, 16)}
+
+
+@pytest.fixture(params=list(KERNEL_MODES))
+def kernel_mode(request, monkeypatch):
+    """Runs a test once in each mode of the BFS kernel."""
+    python_arcs, block_arcs = KERNEL_MODES[request.param]
+    monkeypatch.setattr(graphs, "_PYTHON_LEVEL_ARCS", python_arcs)
+    monkeypatch.setattr(graphs, "_BLOCK_ARCS", block_arcs)
+    return request.param

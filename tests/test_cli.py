@@ -207,6 +207,28 @@ def test_cyclotomic_family_beyond_max_q_prints_nothing_at_once(package_env):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
+def test_totient_family_with_k_beyond_max_q_prints_nothing_at_once(package_env):
+    # k divides every emitted q - 1, so q > k > max_q: factoring k took over 30 s and went unused
+    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "families", "--kind", "TotientPower",
+                           "--p", "5", "--k", "10000000000000431000000000002257"],
+                          capture_output=True, text=True, env=package_env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("k, d, code, err", [
+    # 3^100000000 > 10^6: building it took over 20 s, and nothing was emitted
+    ("1", "100000000", 0, ""),
+    # the hypotheses are still checked, in arithmetic mod k
+    ("7", "100000001", 2, "error: base k = 7 does not divide q - 1 = 3^100000001 - 1\n"),
+    ("2", "100000001", 2, "error: tower base GP(2,3^100000001) is not integral\n"),
+])
+def test_tower_family_with_d_beyond_max_q_returns_at_once(package_env, k, d, code, err):
+    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "families", "--kind", "Tower",
+                           "--p", "3", "--k", k, "--d", d], capture_output=True, text=True,
+                          env=package_env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["report"])  # missing --q

@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -138,18 +139,17 @@ def test_quotient_matches_vertex_bfs_sweep():
             assert quotient == oracle, (q, k)
             assert traversed == components(graph), (q, k)
             # verify's second methods: the period off the arcs, w off the signed steps
-            signed, _, _ = quotient_bfs(graph, signed=True)
+            signed = quotient_bfs(graph, signed=True)
             signed_w = None if (signed < 0).any() else int(signed.max())
             assert (_traversed_period(graph), signed_w) == (oracle[1], oracle[3]), (q, k)
 
 
 def test_quotient_bfs_shape():
     graph = build_graph(build_field(7, 1), 6)  # directed 7-cycle 0 -> 1 -> ... -> 6 -> 0
-    dist, src, dst = quotient_bfs(graph)
-    assert dist.shape == (7,) and dist[6] == 0  # six singleton classes, then vertex 0
-    assert sorted(dist) == list(range(7))
-    assert len(src) == len(dst) == 7  # one arc out of every node
-    signed, _, _ = quotient_bfs(graph, signed=True)
+    dist = quotient_bfs(graph)
+    assert dist.shape == (6,)  # six singleton classes; vertex 0 has no slot
+    assert sorted(dist) == list(range(1, 7))
+    signed = quotient_bfs(graph, signed=True)
     assert signed.max() == 3  # the undirected 7-cycle
 
 
@@ -161,9 +161,81 @@ def test_stored_traversal_is_shared_and_read_only():
     assert quotient_bfs(directed, signed=True) is not stored
     # an undirected graph's signed steps are its unsigned ones
     assert quotient_bfs(undirected, signed=True) is quotient_bfs(undirected)
-    for array in stored:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 7
+
+
+def _quotient_steps(field, graph, signed):
+    """The steps of the quotient BFS: the logs of the k-th powers, then their negatives if signed."""
+    steps = np.arange(0, field.q - 1, graph.k)
+    return np.concatenate([steps, (steps + (field.q - 1) // 2) % (field.q - 1)]) if signed else steps
+
+
+def _reference_log_bfs(zech, steps, modulus):
+    """(dist, parent, step) of a FIFO deque BFS over the logs mod modulus."""
+    dist, parent, step = [-1] * modulus, [-1] * modulus, [-1] * modulus
+    queue = deque()
+    for j, b in enumerate(steps):
+        if dist[b % modulus] < 0:
+            dist[b % modulus], step[b % modulus] = 1, j
+            queue.append(b % modulus)
+    while queue:
+        a = queue.popleft()
+        for j, b in enumerate(steps):
+            z = zech[(b - a) % len(zech)]
+            if z >= 0 and dist[(a + z) % modulus] < 0:
+                v = (a + z) % modulus
+                dist[v], parent[v], step[v] = dist[a] + 1, a, j
+                queue.append(v)
+    return dist, parent, step
+
+
+@pytest.fixture(scope="module")
+def quotient_oracle_cases():
+    # every k on every q <= 343, unsigned and, where directed, signed: the
+    # class distances read off the vertex-level BFS, and the deque's FIFO parents
+    cases = []
+    for q in range(2, 344):
+        if not prime_power(q):
+            continue
+        field = build_field(*prime_power(q))
+        zech = field.zech.tolist()
+        for k in divisors(q - 1):
+            graph = build_graph(field, k)
+            for signed in (False, True) if graph.directed else (False,):
+                vertex = bfs_distances(field, graph.symmetric_connection() if signed else graph.connection)
+                steps = _quotient_steps(field, graph, signed)
+                reference = _reference_log_bfs(zech, steps.tolist(), graph.k)
+                cases.append((field, graph, signed, vertex[field.exp[:graph.k]], steps, reference))
+    return cases
+
+
+def test_quotient_traversal_matches_vertex_bfs_in_every_kernel_mode(kernel_mode, quotient_oracle_cases):
+    for field, graph, signed, by_vertex, steps, reference in quotient_oracle_cases:
+        dist = graphs._traverse(graph, signed)
+        assert dist.tolist() == by_vertex.tolist(), (field.q, graph.k, signed)
+        # one row's sums repeat mod k, so each block must keep the first of each class
+        got = graphs.log_bfs(field.zech, steps, graph.k)
+        assert [a.tolist() for a in got] == list(reference), (field.q, graph.k, signed)
+
+
+def test_quotient_traversal_memory_over_every_k_of_gf_2_16():
+    # measured tracemalloc peak (numpy 2.4): 1.6 MB, at k = 1, where one row
+    # of 65,535 arcs expands in numpy; the bound leaves about 25 % headroom.
+    # The sorted-arc traversal this kernel replaced peaked at 8.0 MB here
+    field = build_field(2, 16)
+    field.zech  # built once per field, before the traversals are measured
+    peaks = []
+    for k in divisors(field.q - 1):
+        graph = build_graph(field, k)
+        tracemalloc.start()
+        try:
+            quotient_bfs(graph)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 16  # 65535 = 3 * 5 * 17 * 257
+    assert max(peaks) < 2.0 * 2 ** 20
 
 
 def _count_traversals(monkeypatch) -> Counter:

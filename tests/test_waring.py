@@ -24,7 +24,7 @@ from gpgraphs import (
     waring_w,
     witness,
 )
-from gpgraphs import waring
+from gpgraphs import graphs
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 from oracles import bfs_distances
@@ -262,10 +262,10 @@ def _terms_or_message(fn, field, k, target, signed):
 
 def _oracle_targets(field, graph, signed):
     # a seeded target, a vertex of the farthest class, and an unreachable one if any
-    dist, _, _ = quotient_bfs(graph, signed)
+    dist = quotient_bfs(graph, signed)
     targets = {random.Random(field.q * 1009 + graph.k).randrange(1, field.q)}
-    targets.add(int(field.exp[int(dist[:-1].argmax())]))
-    unreached = (dist[:-1] < 0).nonzero()[0]
+    targets.add(int(field.exp[int(dist.argmax())]))
+    unreached = (dist < 0).nonzero()[0]
     if unreached.size:
         targets.add(int(field.exp[int(unreached[0])]))
     return sorted(targets)
@@ -287,17 +287,7 @@ def witness_oracle_cases():
     return cases
 
 
-# (_PYTHON_LEVEL_ARCS, _BLOCK_ARCS): the Python loop on every level, numpy on
-# every level, and the default switch between them with numpy blocks of at
-# most 16 arcs, so that a level of 256 arcs or more reaches the target after
-# several blocks, and one search hands levels from one kernel to the other
-KERNEL_MODES = {"python": (2 ** 62, 1 << 18), "numpy": (0, 1 << 18), "tiny_blocks": (256, 16)}
-
-
-@pytest.mark.parametrize("mode", KERNEL_MODES)
-def test_witness_matches_deque_bfs_exactly(mode, witness_oracle_cases, monkeypatch):
-    monkeypatch.setattr(waring, "_PYTHON_LEVEL_ARCS", KERNEL_MODES[mode][0])
-    monkeypatch.setattr(waring, "_BLOCK_ARCS", KERNEL_MODES[mode][1])
+def test_witness_matches_deque_bfs_exactly(kernel_mode, witness_oracle_cases):
     assert any(isinstance(expected, str) for *_, expected in witness_oracle_cases)
     for field, graph, t, signed, expected in witness_oracle_cases:
         got = _terms_or_message(witness, field, graph.k, t, signed)
@@ -313,14 +303,14 @@ def test_witness_matches_deque_bfs_exactly(mode, witness_oracle_cases, monkeypat
     (1020, ["_python_levels"]),
 ])
 def test_witness_kernel_follows_level_size(k, expected, monkeypatch):
-    calls = []
-    for name in ("_python_levels", "_numpy_level"):
-        kernel = getattr(waring, name)
-        monkeypatch.setattr(waring, name,
-                            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args))
     field = build_field(1021, 1)
-    dist, _, _ = quotient_bfs(build_graph(field, k))
-    witness(field, k, int(field.exp[int(dist[:-1].argmax())]), signed=False)
+    target = int(field.exp[int(quotient_bfs(build_graph(field, k)).argmax())])
+    calls = []  # of the witness search only, not of the traversal that chose its target
+    for name in ("_python_levels", "_numpy_level"):
+        kernel = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name,
+                            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args))
+    witness(field, k, target, signed=False)
     assert calls == expected
 
 
@@ -341,15 +331,16 @@ def test_undirected_graphs_have_one_witness_for_both_signs(witness_oracle_cases)
     # GP(65520, 65521) is a directed 65521-cycle: a path of 65,520 terms
     # through the Python loop, one vertex per level. GP(17, 2^16) has 3,855
     # steps, so level 1 expands in numpy blocks. Measured tracemalloc peaks
-    # (numpy 2.4): 10.3 MB and 6.6 MB; the bounds leave about 25 % headroom.
+    # (numpy 2.4): 11.1 MB and 5.9 MB; the bounds were set with about 25 %
+    # headroom over the 10.3 MB and 6.6 MB of an earlier kernel.
     (65521, 1, 65520, 13),
     (2, 16, 17, 8),
 ])
 def test_witness_at_the_farthest_target_matches_deque_bfs_in_bounded_memory(p, m, k, bound_mb):
     field = build_field(p, m)
     graph = build_graph(field, k)
-    dist, _, _ = quotient_bfs(graph)
-    target = int(field.exp[int(dist[:-1].argmax())])
+    dist = quotient_bfs(graph)
+    target = int(field.exp[int(dist.argmax())])
     if graph.n == 1:  # the deque's only path on a cycle: target copies of 1 = 1^k
         expected = [(1, 1)] * target
     else:
