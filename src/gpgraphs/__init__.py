@@ -4,19 +4,16 @@ Exact spectra as cyclotomic integers, nature classification, digraph
 periods, integral-family enumeration and Waring numbers via BFS diameters.
 """
 
-from .cyclotomic import CyclotomicInteger, ValueClass, quadratic_gauss_sum, root_power, zeta
+from .cyclotomic import CyclotomicInteger, ValueClass
 from .errors import (
     DivisionByZero,
     GPGraphError,
     HypothesisViolated,
-    IndexOutOfRange,
     InvariantViolated,
-    MixedRootOrders,
     NotDirected,
     NotPrime,
     NotPrimePower,
     NumberDoesNotExist,
-    PreconditionViolated,
     SizeBudgetExceeded,
     ZeroHasNoLog,
 )
@@ -27,7 +24,6 @@ from .families import (
     census,
     cyclotomic_poly,
     enumerate_family,
-    integrality_reasons,
 )
 from .fields import (
     DEFAULT_SIZE_BUDGET,
@@ -45,7 +41,6 @@ from .graphs import (
     classify_structure,
     components,
     period,
-    symmetrize,
 )
 from .spectra import (
     Eigenvalue,
@@ -54,24 +49,11 @@ from .spectra import (
     SpectrumReport,
     boundary_spectrum,
     detect_three_ev_digraph,
-    gaussian_period,
-    mu,
-    nature_arithmetic,
     nature_for,
-    numeric_oracle_check,
     spectrum,
     srg_parameters,
-    verify_2re,
 )
 from .verify import CheckOutcome, run_verification, verify_field
-from .waring import (
-    WaringResult,
-    is_primitive_divisor,
-    verify_reduction,
-    waring_g,
-    waring_result,
-    waring_w,
-    witness,
-)
+from .waring import WaringResult, waring_result, witness
 
 __version__ = "0.1.0"

@@ -107,18 +107,6 @@ def render_records(rows: list[FieldReportRow]) -> str:
     return "".join(json.dumps(row.to_record()) + "\n" for row in rows)
 
 
-def parse_records(text: str) -> list[FieldReportRow]:
-    """Inverse of render_records (used to check that records round-trip)."""
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        record["srg"] = tuple(record["srg"]) if record["srg"] is not None else None
-        rows.append(FieldReportRow(**record))
-    return rows
-
-
 def _format_numeric(z: complex, value_class: ValueClass) -> str:
     re = 0.0 if z.real == 0 else z.real
     im = 0.0 if z.imag == 0 else z.imag

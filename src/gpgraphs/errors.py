@@ -25,14 +25,6 @@ class ZeroHasNoLog(GPGraphError):
     """Discrete logarithm of the zero element was requested."""
 
 
-class MixedRootOrders(GPGraphError):
-    """Arithmetic between cyclotomic integers over different root orders."""
-
-
-class IndexOutOfRange(GPGraphError):
-    """A coset or period index lies outside its valid range."""
-
-
 class NotDirected(GPGraphError):
     """An operation that requires a directed graph received an undirected one."""
 
@@ -43,10 +35,6 @@ class NumberDoesNotExist(GPGraphError):
 
 class HypothesisViolated(GPGraphError):
     """A family descriptor violates the hypotheses of its family."""
-
-
-class PreconditionViolated(GPGraphError):
-    """A stated precondition of an operation does not hold."""
 
 
 class InvariantViolated(GPGraphError):

@@ -57,37 +57,6 @@ def census(q: int) -> FieldCensus:
 
 
 # ---------------------------------------------------------------------------
-# integrality criteria
-
-def integrality_reasons(p: int, m: int, k: int) -> list[str]:
-    """All satisfied integrality criteria for GP(k, p^m).
-
-    MasterDivisibility is the exact criterion k | (q-1)/(p-1); the others
-    are sufficient conditions, so whenever any of them holds the master
-    criterion is checked to hold as well.
-    """
-    q = p ** m
-    if (q - 1) % k != 0:
-        raise ValueError(f"k = {k} does not divide q - 1 = {q - 1}")
-    reasons: list[str] = []
-    if math.gcd(k, p - 1) == 1:
-        reasons.append("CoprimePMinus1")
-    if p % k == 1 % k and m % k == 0:
-        reasons.append("BPlusCongruence")
-    if (p + 1) % k == 0 and m % 2 == 0:
-        reasons.append("CMinusCongruence")
-    for d in divisors(m):
-        if d > 1 and _cyclotomic_value(d, p) % k == 0:
-            reasons.append(f"CyclotomicDivisor({d})")
-    master = ((q - 1) // (p - 1)) % k == 0
-    if master:
-        reasons.append("MasterDivisibility")
-    check(master or not reasons,
-          f"GP({k},{q}): every sufficient criterion must imply the master divisibility")
-    return reasons
-
-
-# ---------------------------------------------------------------------------
 # cyclotomic polynomials over Z (dense integer coefficients, constant first)
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,7 +166,9 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
             raise HypothesisViolated(f"k = {k} must be odd")
         if math.gcd(k, p * (p - 1)) != 1:
             raise HypothesisViolated(f"gcd({k}, p(p-1)) = {math.gcd(k, p * (p - 1))} != 1")
-        if k >= max_q:  # k divides every emitted q - 1, so factoring k would go unused
+        # past this bound phi(k) >= sqrt(k/2) > log2(max_q), so p^phi(k) > max_q and
+        # nothing is emitted; factoring k, which Pollard rho can stall on, would go unused
+        if k > 2 * max_q.bit_length() ** 2:
             return
         phi = _totient(k)
         pairs = ((k, phi * t) for t in _naturals())

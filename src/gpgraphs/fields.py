@@ -135,9 +135,24 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
             yield candidate
 
 
-def canonical_modulus(p: int, m: int, skip: int = 0) -> tuple[int, ...]:
-    """The canonical (lexicographically least) modulus, or a later one with skip > 0."""
-    return next(itertools.islice(irreducible_polynomials(p, m), skip, None))
+def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The canonical modulus: the lexicographically least monic irreducible polynomial."""
+    return next(irreducible_polynomials(p, m))
+
+
+def _poly_str(coeffs: tuple[int, ...], var: str) -> str:
+    """Nonzero terms c*var^i of the coefficients (constant first), highest degree first, joined by "+"."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            terms.append(power if c == 1 else f"{c}{power}")
+    return "+".join(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +221,6 @@ class FieldElement:
         """Coefficients of the representative polynomial, constant term first."""
         return self.field.index_coeffs(self.index)
 
-    def trace(self) -> int:
-        return self.field.trace(self)
-
     def is_zero(self) -> bool:
         return self.index == 0
 
@@ -269,34 +281,21 @@ class FieldElement:
         return hash((id(self.field), self.index))
 
     def __str__(self):
-        coeffs = self.coeffs
-        if self.field.m == 1:
-            return str(coeffs[0])
-        terms = []
-        for i in range(self.field.m - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if i == 1 else f"a^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
+        return _poly_str(self.coeffs, "a")
 
     def __repr__(self):
         return f"FieldElement({self}, GF({self.field.p}^{self.field.m}))"
 
 
-def _check_field_size(p: int, m: int, size_budget: int) -> int:
-    """q = p^m, after checking that p is prime, m >= 1 and q is within the size budget."""
+def _check_field_size(p: int, m: int) -> int:
+    """q = p^m, after checking that p is prime, m >= 1 and q is within DEFAULT_SIZE_BUDGET."""
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree m = {m} must be positive")
     q = p ** m
-    if q > size_budget:
-        raise SizeBudgetExceeded(f"q = {p}^{m} = {q} exceeds the size budget {size_budget}")
+    if q > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetExceeded(f"q = {p}^{m} = {q} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     return q
 
 
@@ -304,17 +303,17 @@ class FiniteField:
     """GF(p^m) with a fixed modulus, primitive element and full log table.
 
     The tables are flat numpy arrays: exp[e] is the index of omega^e for
-    e in [0, q - 1), log inverts it (log[0] = -1), trace_table[x] is Tr(x)
-    and trace_of_exp[e] is Tr(omega^e). Index-level methods return Python
-    ints, so that exponent products never wrap in a fixed-width dtype.
+    e in [0, q - 1), log inverts it (log[0] = -1) and trace_of_exp[e] is
+    Tr(omega^e). Index-level methods return Python ints, so that exponent
+    products never wrap in a fixed-width dtype.
 
     Instances are immutable once constructed and safe to share. Use
     build_field() rather than calling this constructor directly; it
     validates arguments and caches the result.
     """
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...], size_budget: int = DEFAULT_SIZE_BUDGET):
-        q = _check_field_size(p, m, size_budget)
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        q = _check_field_size(p, m)
         modulus = tuple(int(c) % p for c in modulus)
         if m == 1:
             if modulus != (0, 1):
@@ -384,8 +383,6 @@ class FiniteField:
             basis_traces.append(acc)
         self.trace_of_exp = np.empty(q - 1, dtype=np.min_scalar_type(p - 1))
         _product_mod(digits, np.array(basis_traces), p, self.trace_of_exp)
-        self.trace_table = np.zeros(q, dtype=self.trace_of_exp.dtype)
-        self.trace_table[exp] = self.trace_of_exp
 
     # -- index-level arithmetic --------------------------------------------------
 
@@ -450,15 +447,6 @@ class FiniteField:
         low = self.exp % self.p  # the constant coefficient, the only one that adding 1 changes
         return self.log[self.exp - low + (low + 1) % self.p]
 
-    def add_outer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Pairwise sums us[i] + vs[j] as a (len(us), len(vs)) index array."""
-        us = np.asarray(us, dtype=np.int64)[:, None]
-        vs = np.asarray(vs, dtype=np.int64)[None, :]
-        out = np.zeros((us.size, vs.size), dtype=np.int64)
-        for w in self._pows:
-            out += (us // w + vs // w) % self.p * w
-        return out
-
     # -- public surface ---------------------------------------------------------
 
     def element(self, value) -> FieldElement:
@@ -491,10 +479,6 @@ class FiniteField:
     def elements(self) -> Iterator[FieldElement]:
         return (FieldElement(self, i) for i in range(self.q))
 
-    def trace(self, x) -> int:
-        """Trace down to the prime field, as a residue mod p."""
-        return int(self.trace_table[self.element(x).index])
-
     def discrete_log(self, x) -> int:
         """The exponent e with omega^e = x, for nonzero x."""
         idx = self.element(x).index
@@ -506,22 +490,8 @@ class FiniteField:
         """Indices of the subgroup of nonzero k-th powers, ascending."""
         return np.sort(self.exp[::math.gcd(k, self.q - 1)]).tolist()
 
-    def power_residues(self, k: int) -> list[FieldElement]:
-        """The subgroup {x^k : x nonzero}, in ascending index order."""
-        return [FieldElement(self, i) for i in self.power_residue_indices(k)]
-
     def modulus_str(self) -> str:
-        terms = []
-        for i in range(self.m, -1, -1):
-            c = self.modulus[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
+        return _poly_str(self.modulus, "x")
 
     def __repr__(self):
         return f"FiniteField(GF({self.p}^{self.m}), modulus={self.modulus_str()})"
@@ -532,8 +502,7 @@ class FiniteField:
 _FIELD_CACHE: dict[tuple, FiniteField] = {}
 
 
-def build_field(p: int, m: int, modulus: Iterable[int] | None = None,
-                size_budget: int = DEFAULT_SIZE_BUDGET) -> FiniteField:
+def build_field(p: int, m: int, modulus: Iterable[int] | None = None) -> FiniteField:
     """Construct (or fetch the cached) GF(p^m).
 
     With modulus=None the canonical modulus is used, so the same (p, m)
@@ -541,13 +510,13 @@ def build_field(p: int, m: int, modulus: Iterable[int] | None = None,
     after it is evicted. An explicit modulus must be a monic irreducible
     degree-m coefficient sequence, constant term first.
     """
-    _check_field_size(p, m, size_budget)  # before searching for a modulus
+    _check_field_size(p, m)  # before searching for a modulus
     key_modulus = None if modulus is None else tuple(int(c) for c in modulus)
     key = (p, m, key_modulus)
     field = _FIELD_CACHE.pop(key, None)
     if field is None:
         actual = canonical_modulus(p, m) if key_modulus is None else key_modulus
-        field = FiniteField(p, m, actual, size_budget=size_budget)
+        field = FiniteField(p, m, actual)
         cached = field.q + sum(f.q for f in _FIELD_CACHE.values())
         while _FIELD_CACHE and cached > DEFAULT_SIZE_BUDGET:
             cached -= _FIELD_CACHE.pop(next(iter(_FIELD_CACHE))).q

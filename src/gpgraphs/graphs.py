@@ -6,8 +6,8 @@ facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from the order of p modulo n,
 the period from its law, and g from one BFS over the k coset classes.
 That BFS and the witness search are one kernel, log_bfs, on discrete logs.
-The set is listed on first read, by the witness search, symmetrization
-and the numeric oracle; verify's nature check compares it with the rule.
+The set is listed on first read, by the witness search; verify's nature
+check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ class GPGraph:
     The constructor reads no table and builds nothing of size n.
     """
 
-    def __init__(self, field: FiniteField, k_raw: int):
-        if k_raw < 1:
-            raise ValueError(f"k = {k_raw} must be positive")
+    def __init__(self, field: FiniteField, k: int):
+        if k < 1:
+            raise ValueError(f"k = {k} must be positive")
         q = field.q
         self.field = field
-        self.k_raw = k_raw
-        self.k = math.gcd(k_raw, q - 1)
+        self.k = math.gcd(k, q - 1)
         self.n = (q - 1) // self.k
         # -1 = omega^((q-1)/2) is a k-th power unless k takes the whole 2-part of q - 1
         self.directed = q % 2 == 1 and v2(self.k) == v2(q - 1) > 0
@@ -49,27 +48,13 @@ class GPGraph:
         """The nonzero k-th powers as ascending indices."""
         return tuple(self.field.power_residue_indices(self.k))
 
-    def has_arc(self, u, v) -> bool:
-        ui = self.field.element(u).index
-        vi = self.field.element(v).index
-        diff = self.field.index_sub(vi, ui)
-        return diff != 0 and self.field.discrete_log(diff) % self.k == 0
-
-    def symmetric_connection(self) -> tuple[int, ...]:
-        """Connection set of the underlying undirected graph (k-th powers and their negatives)."""
-        if not self.directed:
-            return self.connection
-        sym = set(self.connection)
-        sym.update(self.field.index_neg(r) for r in self.connection)
-        return tuple(sorted(sym))
-
     def __repr__(self):
         shape = "directed" if self.directed else "undirected"
         return f"GPGraph(k={self.k}, q={self.field.q}, n={self.n}, {shape})"
 
 
-def build_graph(field: FiniteField, k_raw: int) -> GPGraph:
-    return GPGraph(field, k_raw)
+def build_graph(field: FiniteField, k: int) -> GPGraph:
+    return GPGraph(field, k)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +204,6 @@ def components(graph: GPGraph) -> ComponentDecomposition:
     )
     graph._components = dec
     return dec
-
-
-def symmetrize(graph: GPGraph) -> GPGraph:
-    """The underlying undirected graph; for a directed graph this is GP(k/2, q)."""
-    if not graph.directed:
-        return graph
-    half = build_graph(graph.field, graph.k // 2)
-    check(set(graph.symmetric_connection()) == set(half.connection),
-          f"GP({graph.k},{graph.field.q}): the symmetrized connection set must be that of GP(k/2, q)")
-    return half
 
 
 def period(graph: GPGraph) -> int:

@@ -20,9 +20,8 @@ something reads them, and the values are rendered from their nonzero
 terms. eta^2 is the histogram of trace sums over pairs from one row,
 eta + conj(eta) is the row merged with its negative, and a value has
 modulus n exactly when its row is constant, so no check multiplies
-coefficient vectors; CyclotomicInteger arithmetic is the oracle.
-The exact spectrum can be cross-checked against a dense floating-point
-eigensolver.
+coefficient vectors. Cyclotomic arithmetic and a dense floating-point
+eigensolver, the tests' oracles for these rows, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger, ValueClass, embed_coeffs
-from .errors import IndexOutOfRange, NotDirected, SizeBudgetExceeded, check
+from .errors import NotDirected, check
 from .fields import FiniteField
-from .graphs import GPGraph, build_graph, components
+from .graphs import GPGraph, components
 
-ORACLE_SIZE_LIMIT = 512
 PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp
 # rows with n^2 > KRONECKER_RATIO * p are squared by Kronecker substitution: one
 # row took about as long either way at n^2 / p near 16 for p = 257 and 47 for p = 3001
@@ -149,19 +147,6 @@ def nature_for(p: int, m: int, k: int) -> Nature:
     if (pow(p, m, 2 * k) - 1) // 2 % k == 0:
         return Nature.REAL_NONINTEGRAL
     return Nature.COMPLEX
-
-
-def nature_arithmetic(graph: GPGraph) -> Nature:
-    return nature_for(graph.field.p, graph.field.m, graph.k)
-
-
-def gaussian_period(field: FiniteField, k: int, i: int) -> CyclotomicInteger:
-    """The period sum over the coset omega^i * <omega^k>, exactly in Z[zeta_p]."""
-    if (field.q - 1) % k != 0:
-        raise ValueError(f"k = {k} does not divide q - 1 = {field.q - 1}")
-    if not 0 <= i < k:
-        raise IndexOutOfRange(f"coset index {i} outside [0, {k})")
-    return CyclotomicInteger(field.p, np.bincount(field.trace_of_exp[i::k], minlength=field.p).tolist())
 
 
 def _period_rows(field: FiniteField, k: int, n: int) -> np.ndarray:
@@ -291,14 +276,6 @@ def _weighted_squares(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p
     return total[:p] + total[p:]
 
 
-def square_histogram(row: np.ndarray, p: int) -> np.ndarray:
-    """eta^2 of one period row, as a length-p histogram: less its last entry, the canonical eta^2.
-
-    Entry x counts the pairs of traces t, u in the row with t + u = x mod p.
-    """
-    return _weighted_squares(row[None], (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.intp)), p)
-
-
 def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
     """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
 
@@ -351,7 +328,7 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
           f"must equal the component count {count}")
     check(not _value_sum(values, _groups(multiplicities), p).any(),
           f"{label}: a loop-free adjacency matrix has trace zero")
-    check(nature == nature_arithmetic(graph),
+    check(nature == nature_for(p, field.m, k),
           f"{label}: eigenvalue nature {nature.render()} must match the arithmetic rule")
 
     report = SpectrumReport(
@@ -366,11 +343,6 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     )
     graph._spectrum = report
     return report
-
-
-def mu(graph: GPGraph) -> int:
-    """Number of distinct eigenvalues."""
-    return spectrum(graph).mu
 
 
 def doubled_rows(report: SpectrumReport) -> np.ndarray:
@@ -396,14 +368,6 @@ def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
                                         half._multiplicities.tolist())))
 
 
-def verify_2re(field: FiniteField, k: int) -> bool:
-    """Check that the symmetrized spectrum is {lam + conj(lam)} of the directed one."""
-    graph = build_graph(field, k)
-    if not graph.directed:
-        raise NotDirected(f"GP({graph.k},{field.q}) is undirected")
-    return two_re_holds(spectrum(graph), spectrum(build_graph(field, graph.k // 2)))
-
-
 @dataclass(frozen=True)
 class PaleyUnionDigraph:
     """A directed graph that is a disjoint union of directed Paley graphs."""
@@ -427,7 +391,7 @@ def detect_three_ev_digraph(graph: GPGraph) -> PaleyUnionDigraph | None:
     found = None
     if pa % 4 == 3 and graph.k * (pa - 1) == 2 * (field.q - 1):
         found = PaleyUnionDigraph(copies=dec.count, part=pa)
-    m = mu(graph)
+    m = spectrum(graph).mu
     label = f"GP({graph.k},{field.q})"
     check(m >= 3, f"{label}: a directed GP-graph has at least three eigenvalues, not {m}")
     check((found is not None) == (m == 3),
@@ -445,7 +409,7 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     is a k-th power when that log is a multiple of k. They are checked
     against (v-r-1)d = r(r-e-1).
     """
-    if graph.directed or components(graph).count > 1 or mu(graph) != 3:
+    if graph.directed or components(graph).count > 1 or spectrum(graph).mu != 3:
         return None
     field = graph.field
     q, k, n = field.q, graph.k, graph.n
@@ -475,30 +439,3 @@ def boundary_spectrum(graph: GPGraph) -> tuple[CyclotomicInteger, ...]:
     report = spectrum(graph)
     return tuple(CyclotomicInteger.from_terms(report._p, e.terms)
                  for e in report._entries(boundary_rows(report)))
-
-
-def numeric_oracle_check(graph: GPGraph, tolerance: float = 1e-8) -> bool:
-    """Compare the exact spectrum against a dense floating-point eigensolver.
-
-    Both eigenvalue lists are sorted by (real, imaginary) and paired off;
-    the check passes when every pair is within the tolerance.
-    """
-    field = graph.field
-    q = field.q
-    if q > ORACLE_SIZE_LIMIT:
-        raise SizeBudgetExceeded(f"q = {q} exceeds the dense-matrix limit {ORACLE_SIZE_LIMIT}")
-    adj = np.zeros((q, q), dtype=np.float64)
-    vertices = np.arange(q, dtype=np.int64)
-    adj[vertices[:, None], field.add_outer(vertices, graph.connection)] = 1.0
-    numeric = np.linalg.eigvals(adj)
-
-    exact: list[complex] = []
-    for entry in spectrum(graph).entries:
-        exact.extend([entry.numeric] * entry.multiplicity)
-
-    def key(z):
-        return (round(z.real, 6), round(z.imag, 6), z.real, z.imag)
-
-    exact.sort(key=key)
-    numeric = sorted((complex(z) for z in numeric), key=key)
-    return all(abs(a - b) <= tolerance for a, b in zip(exact, numeric))

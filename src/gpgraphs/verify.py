@@ -45,7 +45,7 @@ class CheckOutcome:
 def _check_nature(graph: GPGraph):
     """The nature against its rule, then the valuation rule against realness and the connection set."""
     report = spectra.spectrum(graph)
-    arithmetic = spectra.nature_arithmetic(graph)
+    arithmetic = spectra.nature_for(graph.field.p, graph.field.m, graph.k)
     if report.nature != arithmetic:
         raise AssertionError(
             f"eigenvalue nature {report.nature.render()} != arithmetic rule {arithmetic.render()}")
@@ -125,10 +125,6 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
         raise AssertionError(f"w = {w} inconsistent with g = {g}")
 
 
-def _check_mu_directed(graph: GPGraph):
-    spectra.detect_three_ev_digraph(graph)  # checks mu >= 3 and the 3-eigenvalue law
-
-
 def _check_boundary(graph: GPGraph):
     report = spectra.spectrum(graph)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
@@ -160,7 +156,7 @@ _GRAPH_CHECKS = (
     ("nature", _check_nature, False),
     ("trace-identities", _check_moments, False),
     ("period-law", _check_period_law, False),
-    ("mu-directed", _check_mu_directed, True),
+    ("mu-directed", spectra.detect_three_ev_digraph, True),  # checks mu >= 3 and the 3-eigenvalue law
     ("boundary-spectrum", _check_boundary, False),
 )
 

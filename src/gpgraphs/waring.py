@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPrime, NumberDoesNotExist, PreconditionViolated, check
-from .fields import DEFAULT_SIZE_BUDGET, FieldElement, FiniteField, build_field
+from .errors import NumberDoesNotExist, check
+from .fields import FieldElement, FiniteField
 from .graphs import GPGraph, build_graph, components, log_bfs, quotient_bfs
-from .numbertheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,8 @@ def _diameter(graph: GPGraph) -> int | None:
     return int(dist.max())
 
 
-def waring_g(field: FiniteField, k: int) -> int | None:
-    """g(k, q), or None when GP(k, q) is disconnected."""
-    return _diameter(build_graph(field, k))
-
-
-def waring_w(field: FiniteField, k: int) -> int | None:
-    """w(k, q), or None when absent."""
-    return waring_result(field, k).w
-
-
 def waring_result(field: FiniteField, k: int) -> WaringResult:
+    """g(k, q) and w(k, q) of GP(k, q), or why they do not exist."""
     return graph_waring(build_graph(field, k))
 
 
@@ -104,35 +94,3 @@ def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int,
     check((e % graph.k == 0).all(), f"GP({graph.k},{field.q}): step elements are k-th powers")
     roots = field.exp[e // graph.k]
     return [(sign, FieldElement(field, x)) for sign, x in zip(signs.tolist(), roots.tolist())]
-
-
-def is_primitive_divisor(c: int, p: int, a: int) -> bool:
-    """c divides p^a - 1 but no earlier p^t - 1."""
-    if c < 1 or (p ** a - 1) % c != 0:
-        return False
-    return all((p ** t - 1) % c != 0 for t in range(1, a))
-
-
-def verify_reduction(p: int, a: int, b: int, c: int,
-                     size_budget: int = DEFAULT_SIZE_BUDGET) -> bool:
-    """Check w((p^(ab)-1)/(bc), p^(ab)) = b * w((p^a-1)/c, p^a) by two BFS runs.
-
-    Requires the primitive-divisor preconditions c | p^a - 1 (and no earlier
-    p^t - 1) and bc | p^(ab) - 1 (likewise), which also guarantee both
-    numbers exist.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
-    if not is_primitive_divisor(c, p, a):
-        raise PreconditionViolated(
-            f"c = {c} is not a primitive divisor of {p}^{a} - 1 = {p ** a - 1}")
-    if not is_primitive_divisor(b * c, p, a * b):
-        raise PreconditionViolated(
-            f"bc = {b * c} is not a primitive divisor of {p}^{a * b} - 1 = {p ** (a * b) - 1}")
-    big = build_field(p, a * b, size_budget=size_budget)
-    small = build_field(p, a, size_budget=size_budget)
-    lhs = waring_w(big, (p ** (a * b) - 1) // (b * c))
-    rhs = waring_w(small, (p ** a - 1) // c)
-    check(lhs is not None and rhs is not None,
-          f"w must exist on both sides for (p, a, b, c) = ({p}, {a}, {b}, {c})")
-    return lhs == b * rhs

@@ -1,6 +1,59 @@
-"""Vertex-level reference methods that the tests compare the library with."""
+"""Reference methods that the tests compare the library with.
+
+Vertex-level traversal and adjacency on element indices, ring arithmetic
+in Z[zeta_p], Gaussian periods one coset at a time, a dense
+floating-point eigensolver, and the paper's results that the CLI does not
+serve: the weak-Waring reduction and the sufficient integrality criteria.
+"""
+
+import itertools
+import json
+import math
+from functools import lru_cache
 
 import numpy as np
+
+from gpgraphs import (
+    CyclotomicInteger,
+    NotDirected,
+    NotPrime,
+    SizeBudgetExceeded,
+    build_field,
+    build_graph,
+    irreducible_polynomials,
+    spectrum,
+    waring_result,
+)
+from gpgraphs.cli import FieldReportRow
+from gpgraphs.errors import check
+from gpgraphs.families import _cyclotomic_value
+from gpgraphs.numbertheory import divisors, is_prime
+from gpgraphs.spectra import _weighted_squares, two_re_holds
+
+ORACLE_SIZE_LIMIT = 512
+
+
+def second_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The modulus after the canonical one, second in the order of irreducible_polynomials."""
+    return next(itertools.islice(irreducible_polynomials(p, m), 1, None))
+
+
+def add_outer(field, us, vs) -> np.ndarray:
+    """Pairwise sums us[i] + vs[j] as a (len(us), len(vs)) index array."""
+    us = np.asarray(us, dtype=np.int64)[:, None]
+    vs = np.asarray(vs, dtype=np.int64)[None, :]
+    out = np.zeros((us.size, vs.size), dtype=np.int64)
+    for i in range(field.m):
+        w = field.p ** i
+        out += (us // w + vs // w) % field.p * w
+    return out
+
+
+def trace_table(field) -> np.ndarray:
+    """Tr(x) for every index x: trace_of_exp[log[x]], and Tr(0) = 0."""
+    table = np.zeros(field.q, dtype=np.int64)
+    table[1:] = field.trace_of_exp[field.log[1:]]
+    return table
 
 
 def bfs_distances(field, connection, root: int = 0) -> np.ndarray:
@@ -12,9 +65,243 @@ def bfs_distances(field, connection, root: int = 0) -> np.ndarray:
     frontier = np.array([root], dtype=np.int64)
     d = 0
     while frontier.size:
-        nbrs = np.unique(field.add_outer(frontier, conn).ravel())
+        nbrs = np.unique(add_outer(field, frontier, conn).ravel())
         nbrs = nbrs[dist[nbrs] < 0]
         d += 1
         dist[nbrs] = d
         frontier = nbrs
     return dist
+
+
+def has_arc(graph, u, v) -> bool:
+    """Whether v - u is a nonzero k-th power, by its discrete log."""
+    field = graph.field
+    diff = field.index_sub(field.element(v).index, field.element(u).index)
+    return diff != 0 and field.discrete_log(diff) % graph.k == 0
+
+
+def symmetric_connection(graph) -> tuple[int, ...]:
+    """Connection set of the underlying undirected graph (k-th powers and their negatives)."""
+    if not graph.directed:
+        return graph.connection
+    sym = set(graph.connection)
+    sym.update(graph.field.index_neg(r) for r in graph.connection)
+    return tuple(sorted(sym))
+
+
+def symmetrize(graph):
+    """The underlying undirected graph; for a directed graph this is GP(k/2, q)."""
+    if not graph.directed:
+        return graph
+    half = build_graph(graph.field, graph.k // 2)
+    check(set(symmetric_connection(graph)) == set(half.connection),
+          f"GP({graph.k},{graph.field.q}): the symmetrized connection set must be that of GP(k/2, q)")
+    return half
+
+
+def parse_records(text: str) -> list[FieldReportRow]:
+    """Inverse of cli.render_records."""
+    rows = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        record["srg"] = tuple(record["srg"]) if record["srg"] is not None else None
+        rows.append(FieldReportRow(**record))
+    return rows
+
+
+class Cyclotomic(CyclotomicInteger):
+    """A CyclotomicInteger with ring arithmetic, in which an int acts as a rational value.
+
+    It compares and hashes as the library's values do, so the two mix in
+    sets, dicts and equality tests.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, value: CyclotomicInteger) -> "Cyclotomic":
+        return cls(value.p, value.coeffs)
+
+    @classmethod
+    def from_int(cls, p: int, value: int) -> "Cyclotomic":
+        coeffs = [0] * p
+        coeffs[0] = value
+        return cls(p, coeffs)
+
+    @classmethod
+    def zero(cls, p: int) -> "Cyclotomic":
+        return cls.from_int(p, 0)
+
+    def _operand(self, other) -> CyclotomicInteger:
+        """other, an int or a value of the same root order, as a value."""
+        if isinstance(other, int):
+            return Cyclotomic.from_int(self.p, other)
+        if self.p != other.p:
+            raise ValueError(f"cannot combine Z[zeta_{self.p}] with Z[zeta_{other.p}]")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return Cyclotomic(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return Cyclotomic(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return Cyclotomic(self.p, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Cyclotomic(self.p, [other * a for a in self.coeffs])
+        other = self._operand(other)
+        p = self.p
+        out = [0] * p
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in nonzero:
+                    out[(i + j) % p] += a * b
+        return Cyclotomic(p, out)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def rational_value(self) -> int:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        return self.coeffs[0]
+
+
+def root_power(p: int, j: int) -> Cyclotomic:
+    """zeta_p^j in canonical form; j is reduced modulo p."""
+    if not is_prime(p):
+        raise ValueError(f"root order p = {p} must be prime")
+    coeffs = [0] * p
+    coeffs[j % p] = 1
+    return Cyclotomic(p, coeffs)
+
+
+@lru_cache(maxsize=None)
+def quadratic_gauss_sum(p: int) -> Cyclotomic:
+    """The sum of legendre(x) * zeta^x over x in F_p*, for odd prime p.
+
+    Its square is p when p = 1 (mod 4) and -p when p = 3 (mod 4), which
+    gives exact sqrt(p) and i*sqrt(p) representatives inside Z[zeta_p].
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} must be an odd prime")
+    coeffs = [0] * p
+    for x in range(1, p):
+        coeffs[x] = 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+    return Cyclotomic(p, coeffs)
+
+
+def gaussian_period(field, k: int, i: int) -> Cyclotomic:
+    """The period sum over the coset omega^i * <omega^k>, exactly in Z[zeta_p]."""
+    if (field.q - 1) % k != 0:
+        raise ValueError(f"k = {k} does not divide q - 1 = {field.q - 1}")
+    if not 0 <= i < k:
+        raise ValueError(f"coset index {i} outside [0, {k})")
+    return Cyclotomic(field.p, np.bincount(field.trace_of_exp[i::k], minlength=field.p).tolist())
+
+
+def square_histogram(row: np.ndarray, p: int) -> np.ndarray:
+    """eta^2 of one period row, as a length-p histogram: less its last entry, the canonical eta^2.
+
+    Entry x counts the pairs of traces t, u in the row with t + u = x mod p.
+    """
+    return _weighted_squares(row[None], (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.intp)), p)
+
+
+def verify_2re(field, k: int) -> bool:
+    """Check that the symmetrized spectrum is {lam + conj(lam)} of the directed one."""
+    graph = build_graph(field, k)
+    if not graph.directed:
+        raise NotDirected(f"GP({graph.k},{field.q}) is undirected")
+    return two_re_holds(spectrum(graph), spectrum(build_graph(field, graph.k // 2)))
+
+
+def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:
+    """Compare the exact spectrum against a dense floating-point eigensolver.
+
+    Both eigenvalue lists are sorted by (real, imaginary) and paired off;
+    the check passes when every pair is within the tolerance.
+    """
+    field = graph.field
+    q = field.q
+    if q > ORACLE_SIZE_LIMIT:
+        raise SizeBudgetExceeded(f"q = {q} exceeds the dense-matrix limit {ORACLE_SIZE_LIMIT}")
+    adj = np.zeros((q, q), dtype=np.float64)
+    vertices = np.arange(q, dtype=np.int64)
+    adj[vertices[:, None], add_outer(field, vertices, graph.connection)] = 1.0
+    numeric = np.linalg.eigvals(adj)
+
+    exact: list[complex] = []
+    for entry in spectrum(graph).entries:
+        exact.extend([entry.numeric] * entry.multiplicity)
+
+    def key(z):
+        return (round(z.real, 6), round(z.imag, 6), z.real, z.imag)
+
+    exact.sort(key=key)
+    numeric = sorted((complex(z) for z in numeric), key=key)
+    return all(abs(a - b) <= tolerance for a, b in zip(exact, numeric))
+
+
+def integrality_reasons(p: int, m: int, k: int) -> list[str]:
+    """All satisfied integrality criteria for GP(k, p^m).
+
+    MasterDivisibility is the exact criterion k | (q-1)/(p-1); the others
+    are sufficient conditions, so whenever any of them holds the master
+    criterion is checked to hold as well.
+    """
+    q = p ** m
+    if (q - 1) % k != 0:
+        raise ValueError(f"k = {k} does not divide q - 1 = {q - 1}")
+    reasons: list[str] = []
+    if math.gcd(k, p - 1) == 1:
+        reasons.append("CoprimePMinus1")
+    if p % k == 1 % k and m % k == 0:
+        reasons.append("BPlusCongruence")
+    if (p + 1) % k == 0 and m % 2 == 0:
+        reasons.append("CMinusCongruence")
+    for d in divisors(m):
+        if d > 1 and _cyclotomic_value(d, p) % k == 0:
+            reasons.append(f"CyclotomicDivisor({d})")
+    master = ((q - 1) // (p - 1)) % k == 0
+    if master:
+        reasons.append("MasterDivisibility")
+    check(master or not reasons,
+          f"GP({k},{q}): every sufficient criterion must imply the master divisibility")
+    return reasons
+
+
+def is_primitive_divisor(c: int, p: int, a: int) -> bool:
+    """c divides p^a - 1 but no earlier p^t - 1."""
+    if c < 1 or (p ** a - 1) % c != 0:
+        return False
+    return all((p ** t - 1) % c != 0 for t in range(1, a))
+
+
+def verify_reduction(p: int, a: int, b: int, c: int) -> bool:
+    """Check w((p^(ab)-1)/(bc), p^(ab)) = b * w((p^a-1)/c, p^a) by two BFS runs.
+
+    Requires the primitive-divisor preconditions c | p^a - 1 (and no earlier
+    p^t - 1) and bc | p^(ab) - 1 (likewise), which also guarantee both
+    numbers exist.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if not is_primitive_divisor(c, p, a):
+        raise ValueError(f"c = {c} is not a primitive divisor of {p}^{a} - 1 = {p ** a - 1}")
+    if not is_primitive_divisor(b * c, p, a * b):
+        raise ValueError(
+            f"bc = {b * c} is not a primitive divisor of {p}^{a * b} - 1 = {p ** (a * b) - 1}")
+    lhs = waring_result(build_field(p, a * b), (p ** (a * b) - 1) // (b * c)).w
+    rhs = waring_result(build_field(p, a), (p ** a - 1) // c).w
+    check(lhs is not None and rhs is not None,
+          f"w must exist on both sides for (p, a, b, c) = ({p}, {a}, {b}, {c})")
+    return lhs == b * rhs

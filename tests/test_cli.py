@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from gpgraphs import FiniteField, build_field, build_graph, cli, spectra
-from gpgraphs.cli import build_report_rows, parse_records, render_records, render_table
+from gpgraphs.cli import build_report_rows, render_records, render_table
 from gpgraphs.spectra import Nature
+from oracles import parse_records
 
 
 def test_report_rows_are_sorted_by_k():
@@ -64,7 +65,7 @@ def test_cli_verify_passes(capsys):
 
 def test_cli_verify_reports_corrupted_nature_rule(monkeypatch, capsys):
     # sabotage the arithmetic nature rule; the sweep must fail and name (k, q)
-    monkeypatch.setattr(spectra, "nature_arithmetic", lambda graph: Nature.INTEGRAL)
+    monkeypatch.setattr(spectra, "nature_for", lambda p, m, k: Nature.INTEGRAL)
     assert cli.main(["verify", "--max-q", "49"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -72,7 +73,7 @@ def test_cli_verify_reports_corrupted_nature_rule(monkeypatch, capsys):
 
 
 def test_cli_violated_law_exits_1_with_one_line(monkeypatch, capsys):
-    monkeypatch.setattr(spectra, "nature_arithmetic", lambda graph: Nature.INTEGRAL)
+    monkeypatch.setattr(spectra, "nature_for", lambda p, m, k: Nature.INTEGRAL)
     assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gpgraphs import (
@@ -8,11 +10,11 @@ from gpgraphs import (
     census,
     cyclotomic_poly,
     enumerate_family,
-    integrality_reasons,
     nature_for,
 )
 from gpgraphs.families import _cyclotomic_value, _poly_mul
 from gpgraphs.numbertheory import divisors, prime_power
+from oracles import integrality_reasons
 
 
 def test_census_values():
@@ -94,6 +96,12 @@ def test_enumerators():
     # composite k: the totient is multiplicative, so k = 7 * 11 lifts at phi = 60
     got = list(enumerate_family(FamilyDescriptor("TotientPower", p=2, k=77), 2 ** 60))
     assert got == [(77, 2 ** 60)]
+    # k is an odd semiprime with two 63-bit factors, on which Pollard rho stalls
+    # (over 20 s); phi(k) > log2(max_q), so nothing is emitted and k is not factored
+    start = time.perf_counter()
+    k = 42535295865121361738670918221525633983
+    assert list(enumerate_family(FamilyDescriptor("TotientPower", p=2, k=k), 10 ** 41)) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerator_hypotheses():

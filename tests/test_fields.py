@@ -14,11 +14,13 @@ from gpgraphs import (
     ZeroHasNoLog,
     build_field,
     canonical_modulus,
+    irreducible_polynomials,
     witness,
 )
 from gpgraphs import fields
 from gpgraphs.fields import _poly_mul_mod, _poly_pow_mod, _poly_trim, is_irreducible
 from gpgraphs.numbertheory import prime_power
+from oracles import add_outer, trace_table
 
 # A concrete GF(25) model used throughout the tests: x^2 + 2x + 3,
 # so the generator a satisfies a^2 = 3a + 2.
@@ -40,12 +42,15 @@ def test_composite_characteristic_rejected():
         build_field(4, 2)
 
 
-def test_size_budget():
+def test_size_budget(monkeypatch):
     with pytest.raises(SizeBudgetExceeded):
         build_field(2, 21)  # 2^21 is past the default budget
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 8)
     with pytest.raises(SizeBudgetExceeded):
-        build_field(3, 2, size_budget=8)
-    assert build_field(3, 2, size_budget=9).q == 9
+        build_field(3, 2)
+    monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 9)
+    assert build_field(3, 2).q == 9
 
 
 def test_canonical_field_is_deterministic():
@@ -96,22 +101,19 @@ def test_pow_edge_cases():
 
 def test_trace_examples():
     field = build_field(5, 2, modulus=F25_MODEL_MODULUS)
-    assert field.trace(field.one()) == 2  # m * 1 mod p
-    assert field.trace(field.zero()) == 0
+    traces = trace_table(field)
+    assert traces[field.one().index] == 2  # m * 1 mod p
+    assert traces[field.zero().index] == 0
     # independent oracle for trace(a): a + a^5 by explicit Frobenius powering
     a = field.element((0, 1))
     frob = a * a * a * a * a
     assert frob == field.element((3, 4))  # a^5 = 4a + 3
     assert (a + frob).coeffs == (3, 0)
-    assert field.trace(a) == 3
+    assert traces[a.index] == 3
 
 
 def test_trace_additive_and_frobenius_exhaustive():
     # all element pairs of every field with q <= 343, vectorized
-    import numpy as np
-
-    from gpgraphs.numbertheory import prime_power
-
     for q in range(2, 344):
         pm = prime_power(q)
         if pm is None:
@@ -119,15 +121,16 @@ def test_trace_additive_and_frobenius_exhaustive():
         p, _ = pm
         field = build_field(*pm)
         everyone = np.arange(q, dtype=np.int64)
-        sums = field.add_outer(everyone, everyone)
-        tr = np.asarray(field.trace_table, dtype=np.int64)
+        sums = add_outer(field, everyone, everyone)
+        tr = trace_table(field)
         assert (tr[sums] == (tr[:, None] + tr[None, :]) % p).all()
         frob = np.asarray([field.index_pow(u, p) for u in range(q)], dtype=np.int64)
-        assert (frob[sums] == field.add_outer(frob, frob)).all()
+        assert (frob[sums] == add_outer(field, frob, frob)).all()
 
 
 def test_trace_lands_in_prime_subfield():
     field = build_field(3, 4)
+    traces = trace_table(field)
     for x in field.elements():
         acc = field.zero()
         y = x
@@ -135,18 +138,18 @@ def test_trace_lands_in_prime_subfield():
             acc = acc + y
             y = y ** field.p
         assert acc.index < field.p  # prime-subfield elements are exactly the small indices
-        assert acc.index == field.trace(x)
+        assert acc.index == traces[x.index]
 
 
 def test_power_residues_model_fourth_powers():
     field = build_field(5, 2, modulus=F25_MODEL_MODULUS)
-    fourth = {str(x) for x in field.power_residues(4)}
+    fourth = {str(field.element(i)) for i in field.power_residue_indices(4)}
     assert fourth == {"1", "4", "a+3", "a+4", "4a+1", "4a+2"}
 
 
 def test_power_residues_whole_group_and_reduction():
     field = build_field(5, 2)
-    assert len(field.power_residues(1)) == 24
+    assert len(field.power_residue_indices(1)) == 24
     assert field.power_residue_indices(28) == field.power_residue_indices(4)
 
 
@@ -203,7 +206,8 @@ def test_is_irreducible_known_cases():
                                   (5, 3), (7, 2), (11, 2)])
 def test_canonical_modulus_matches_search_over_every_candidate(p, m):
     every = [c + (1,) for c in itertools.product(range(p), repeat=m) if is_irreducible(c + (1,), p)]
-    assert [canonical_modulus(p, m, skip) for skip in (0, 1)] == every[:2]
+    assert list(itertools.islice(irreducible_polynomials(p, m), 2)) == every[:2]
+    assert canonical_modulus(p, m) == every[0]
 
 
 def test_modulus_search_skips_multiples_of_x(monkeypatch):
@@ -270,7 +274,6 @@ def _assert_tables_match_reference(field):
     assert field.omega_index == omega
     assert field.exp.tolist() == exp
     assert field.log.tolist() == log
-    assert field.trace_table.tolist() == traces
     assert field.trace_of_exp.tolist() == [traces[x] for x in exp]
     assert field._neg.tolist() == neg
     assert field.zech.tolist() == zech
@@ -301,7 +304,7 @@ def test_index_level_results_are_python_ints():
     u, v = 17, 58
     assert type(field.omega_index) is int
     for value in (field.discrete_log(u), field.index_mul(u, v), field.index_inv(u),
-                  field.index_pow(u, 5), field.index_neg(u), field.trace(u)):
+                  field.index_pow(u, 5), field.index_neg(u)):
         assert type(value) is int
     assert all(type(x) is int for x in field.power_residue_indices(4))
     for signed in (False, True):
@@ -374,7 +377,7 @@ def test_build_field_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert field.exp.dtype.itemsize <= 4 and field.trace_table.dtype.itemsize == 1
+    assert field.exp.dtype.itemsize <= 4 and field.trace_of_exp.dtype.itemsize == 1
     assert peak < 44 * 2 ** 20
 
 

@@ -12,15 +12,13 @@ from gpgraphs import (
     classify_structure,
     components,
     period,
-    symmetrize,
-    waring_g,
-    waring_w,
+    waring_result,
 )
 from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
-from oracles import bfs_distances
+from oracles import add_outer, bfs_distances, has_arc, symmetric_connection, symmetrize
 
 
 def test_build_examples():
@@ -41,8 +39,6 @@ def test_k_is_reduced():
 
 
 def test_degrees_are_n_everywhere():
-    from gpgraphs.numbertheory import divisors, prime_power
-
     for q in range(2, 344):
         pm = prime_power(q)
         if pm is None:
@@ -51,7 +47,7 @@ def test_degrees_are_n_everywhere():
         vertices = np.arange(q, dtype=np.int64)
         for k in divisors(q - 1):
             graph = build_graph(field, k)
-            heads = field.add_outer(vertices, np.asarray(graph.connection, dtype=np.int64))
+            heads = add_outer(field, vertices, np.asarray(graph.connection, dtype=np.int64))
             assert heads.shape == (q, graph.n)  # out-degree n by construction
             in_degrees = np.bincount(heads.ravel(), minlength=q)
             assert (in_degrees == graph.n).all()
@@ -61,9 +57,9 @@ def test_has_arc_matches_connection():
     field = build_field(5, 2)
     graph = build_graph(field, 8)
     for v in range(field.q):
-        assert graph.has_arc(0, v) == (v in set(graph.connection))
+        assert has_arc(graph, 0, v) == (v in set(graph.connection))
     # translation invariance
-    assert graph.has_arc(7, field.index_add(7, graph.connection[1]))
+    assert has_arc(graph, 7, field.index_add(7, graph.connection[1]))
 
 
 def test_distance_profile_is_vertex_independent():
@@ -102,7 +98,7 @@ def test_components_bfs_count_small_sweep():
             bfs_count = 0
             for start in range(q):
                 if not labelled[start]:
-                    labelled |= bfs_distances(field, graph.symmetric_connection(), start) >= 0
+                    labelled |= bfs_distances(field, symmetric_connection(graph), start) >= 0
                     bfs_count += 1
             assert dec.count == bfs_count, (q, k)
 
@@ -114,12 +110,12 @@ def _vertex_oracle(field, graph):
     conn = np.asarray(graph.connection, dtype=np.int64)
     cycle_gcd = 0
     for chunk in np.array_split(reached, max(1, reached.size * graph.n // 50_000)):
-        heads = field.add_outer(chunk, conn)
+        heads = add_outer(field, chunk, conn)
         cycle_gcd = math.gcd(cycle_gcd, int(np.gcd.reduce(
             np.abs(dist[chunk][:, None] + 1 - dist[heads]).ravel())))
     g = int(dist.max()) if reached.size == field.q else None
     if graph.directed:
-        signed = bfs_distances(field, graph.symmetric_connection())
+        signed = bfs_distances(field, symmetric_connection(graph))
         w = None if (signed < 0).any() else int(signed.max())
     else:
         w = g
@@ -135,7 +131,8 @@ def test_quotient_matches_vertex_bfs_sweep():
             graph = build_graph(field, k)
             traversed = _traversed_components(graph)
             oracle = _vertex_oracle(field, graph)
-            quotient = (traversed.count, period(graph), waring_g(field, k), waring_w(field, k))
+            wres = waring_result(field, k)
+            quotient = (traversed.count, period(graph), wres.g, wres.w)
             assert quotient == oracle, (q, k)
             assert traversed == components(graph), (q, k)
             # verify's second methods: the period off the arcs, w off the signed steps
@@ -203,7 +200,7 @@ def quotient_oracle_cases():
         for k in divisors(q - 1):
             graph = build_graph(field, k)
             for signed in (False, True) if graph.directed else (False,):
-                vertex = bfs_distances(field, graph.symmetric_connection() if signed else graph.connection)
+                vertex = bfs_distances(field, symmetric_connection(graph) if signed else graph.connection)
                 steps = _quotient_steps(field, graph, signed)
                 reference = _reference_log_bfs(zech, steps.tolist(), graph.k)
                 cases.append((field, graph, signed, vertex[field.exp[:graph.k]], steps, reference))
@@ -294,8 +291,6 @@ def test_symmetrize():
     assert symmetrize(g2) is g2  # 13 = 1 mod 4, already undirected
     # symmetrizing the full directed cycle graph gives the half-power graph
     for q in (5, 7, 27):
-        from gpgraphs.numbertheory import prime_power
-
         field = build_field(*prime_power(q))
         assert symmetrize(build_graph(field, q - 1)).k == (q - 1) // 2
 
@@ -305,7 +300,7 @@ def test_symmetric_connection_equals_half_power_residues():
     for k in (2, 22, 242):
         graph = build_graph(field, k)
         assert graph.directed
-        assert set(graph.symmetric_connection()) == set(field.power_residue_indices(k // 2))
+        assert set(symmetric_connection(graph)) == set(field.power_residue_indices(k // 2))
 
 
 def test_period_of_directed_paley_7():
@@ -315,7 +310,7 @@ def test_period_of_directed_paley_7():
     cycles = [(0, 4, 6), (0, 4, 5, 6), (0, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6)]
     for cycle in cycles:
         for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            assert graph.has_arc(u, v)
+            assert has_arc(graph, u, v)
     assert math.gcd(*[len(c) for c in cycles]) == 1
     assert period(graph) == 1
 
@@ -332,17 +327,15 @@ def test_period_examples():
 def test_period_matches_closed_walk_oracle():
     # independent oracle: gcd of all closed-walk lengths, read off adjacency
     # powers (every closed walk decomposes into directed cycles and back)
-    from gpgraphs.numbertheory import divisors, prime_power
-
     for q in (3, 5, 7, 9, 11, 13, 25, 27):
         field = build_field(*prime_power(q))
         vertices = np.arange(q, dtype=np.int64)
         for k in divisors(q - 1):
             graph = build_graph(field, k)
-            conn = np.asarray(graph.symmetric_connection() if not graph.directed
+            conn = np.asarray(symmetric_connection(graph) if not graph.directed
                               else graph.connection, dtype=np.int64)
             adj = np.zeros((q, q), dtype=np.int64)
-            adj[vertices[:, None], field.add_outer(vertices, conn)] = 1
+            adj[vertices[:, None], add_outer(field, vertices, conn)] = 1
             power = np.eye(q, dtype=np.int64)
             lengths = []
             for length in range(1, 2 * q + 1):
@@ -377,8 +370,6 @@ def test_classification():
 
 
 def test_classification_full_sweep_is_consistent():
-    from gpgraphs.numbertheory import divisors, prime_power
-
     kinds = {"complete-union", "paley-union", "cycle-union", "k2-union",
              "hamming", "semiprimitive", "generic"}
     for q in range(2, 344):

@@ -6,9 +6,10 @@ import textwrap
 import numpy as np
 import pytest
 
-from gpgraphs import CyclotomicInteger, build_field, build_graph, root_power, spectra, verify
+from gpgraphs import CyclotomicInteger, build_field, build_graph, spectra, verify
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
+from oracles import Cyclotomic, root_power
 
 
 def test_verify_field_single():
@@ -146,9 +147,9 @@ def test_second_moment_check_survives_python_O(package_env):
 
 
 def _boundary_by_norms(report):
-    """The values with lam * conj(lam) = n^2, by CyclotomicInteger arithmetic, in entry order."""
-    n_squared = CyclotomicInteger.from_int(report._p, report.n ** 2)
-    values = (CyclotomicInteger.from_terms(report._p, e.terms) for e in report.entries)
+    """The values with lam * conj(lam) = n^2, by Cyclotomic arithmetic, in entry order."""
+    n_squared = Cyclotomic.from_int(report._p, report.n ** 2)
+    values = (Cyclotomic.from_terms(report._p, e.terms) for e in report.entries)
     return tuple(value for value in values if value * value.conjugate() == n_squared)
 
 
@@ -159,7 +160,7 @@ def _check_boundary_by_cyclotomic_sets(graph):
     if graph.k == field.q - 1:
         expected = {root_power(field.p, j) for j in range(field.p)}  # for p = 2, {1, -1}
     else:
-        expected = {CyclotomicInteger.from_int(field.p, graph.n)}
+        expected = {Cyclotomic.from_int(field.p, graph.n)}
     if found != expected:
         raise AssertionError(f"boundary spectrum {sorted(map(str, found))} != expected")
 

@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,47 +12,42 @@ from gpgraphs import (
     FieldElement,
     NotPrime,
     NumberDoesNotExist,
-    PreconditionViolated,
     build_field,
     build_graph,
     components,
-    is_primitive_divisor,
     srg_parameters,
-    symmetrize,
-    verify_reduction,
-    waring_g,
     waring_result,
-    waring_w,
     witness,
 )
 from gpgraphs import graphs
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
-from oracles import bfs_distances
+from oracles import bfs_distances, is_primitive_divisor, symmetrize, verify_reduction
 
 F25_MODEL_MODULUS = (3, 2, 1)
 
 
 def test_g_values():
     field = build_field(5, 2)
-    assert waring_g(field, 4) == 3
-    assert waring_g(field, 8) == 4
-    assert waring_g(build_field(2, 8), 15) == 3
-    assert waring_g(build_field(7, 2), 12) == 6
+    assert waring_result(field, 4).g == 3
+    assert waring_result(field, 8).g == 4
+    assert waring_result(build_field(2, 8), 15).g == 3
+    assert waring_result(build_field(7, 2), 12).g == 6
 
 
 def test_w_values():
-    assert waring_w(build_field(5, 2), 8) == 3
-    assert waring_w(build_field(5, 1), 4) == 2
-    assert waring_g(build_field(5, 1), 4) == 4  # the signed number can be smaller
-    assert waring_w(build_field(3, 1), 2) == 1  # 2 = -1 in GF(3)
+    assert waring_result(build_field(5, 2), 8).w == 3
+    assert waring_result(build_field(5, 1), 4).w == 2
+    assert waring_result(build_field(5, 1), 4).g == 4  # the signed number can be smaller
+    assert waring_result(build_field(3, 1), 2).w == 1  # 2 = -1 in GF(3)
     field = build_field(3, 4)
-    assert (waring_g(field, 8), waring_g(field, 16), waring_w(field, 16)) == (3, 4, 3)
+    assert (waring_result(field, 8).g, waring_result(field, 16).g, waring_result(field, 16).w) \
+        == (3, 4, 3)
 
 
 def test_absent_when_disconnected():
     field = build_field(5, 2)
-    assert waring_g(field, 6) is None and waring_w(field, 6) is None
+    assert waring_result(field, 6).g is None and waring_result(field, 6).w is None
     result = waring_result(field, 6)
     assert not result.exists and "5 components" in result.reason_if_absent
     for k in (17, 51, 85, 255):
@@ -63,25 +59,25 @@ def test_existence_iff_connected_sweep():
         field = build_field(*prime_power(q))
         for k in divisors(q - 1):
             connected = components(build_graph(field, k)).count == 1
-            assert (waring_g(field, k) is not None) == connected
+            assert (waring_result(field, k).g is not None) == connected
 
 
 def test_g_of_first_power_and_binary_equality():
     for q in (3, 4, 25, 32, 81):
-        assert waring_g(build_field(*prime_power(q)), 1) == 1
+        assert waring_result(build_field(*prime_power(q)), 1).g == 1
     for m in (2, 3, 4, 5, 6):
         field = build_field(2, m)
         for k in divisors(2 ** m - 1):
-            g = waring_g(field, k)
+            g = waring_result(field, k).g
             if g is not None:
-                assert waring_w(field, k) == g
+                assert waring_result(field, k).w == g
 
 
 def test_strongly_regular_graphs_have_diameter_two():
     for q, k in ((81, 4), (81, 5), (256, 3), (256, 5), (25, 2), (49, 4)):
         field = build_field(*prime_power(q))
         assert srg_parameters(build_graph(field, k)) is not None
-        assert waring_g(field, k) == 2
+        assert waring_result(field, k).g == 2
 
 
 def test_directed_eccentricity_equals_diameter_small():
@@ -132,8 +128,8 @@ def test_witness_lengths_cover_the_diameters():
     field = build_field(5, 2)
     g_lengths = [len(witness(field, 8, t, signed=False)) for t in range(field.q)]
     w_lengths = [len(witness(field, 8, t, signed=True)) for t in range(field.q)]
-    assert max(g_lengths) == waring_g(field, 8) == 4
-    assert max(w_lengths) == waring_w(field, 8) == 3
+    assert max(g_lengths) == waring_result(field, 8).g == 4
+    assert max(w_lengths) == waring_result(field, 8).w == 3
 
 
 def test_witness_unreachable_target():
@@ -160,9 +156,9 @@ def test_reduction_formula_examples():
 
 
 def test_reduction_formula_preconditions():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ValueError, match=re.escape("c = 4 is not a primitive divisor of 5^2 - 1 = 24")):
         verify_reduction(5, 2, 2, 4)      # 4 divides 5 - 1 already
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ValueError, match=re.escape("bc = 12 is not a primitive divisor of 5^3 - 1 = 124")):
         verify_reduction(5, 1, 3, 4)      # bc = 12 divides no new level: 12 | 5^3-1=124? no
     with pytest.raises(NotPrime):
         verify_reduction(6, 1, 2, 5)
@@ -174,14 +170,14 @@ def test_w_agrees_between_diameter_and_reduction_sweep():
     for q in (9, 25, 27, 49):
         field = build_field(*prime_power(q))
         for k in divisors(q - 1):
-            g = waring_g(field, k)
+            g = waring_result(field, k).g
             if g is not None:
-                w = waring_w(field, k)
+                w = waring_result(field, k).w
                 assert w <= g
                 graph = build_graph(field, k)
                 dist = bfs_distances(field, symmetrize(graph).connection)
                 assert w == int(dist.max())
-                assert w == (waring_g(field, graph.k // 2) if graph.directed else g), (q, k)
+                assert w == (waring_result(field, graph.k // 2).g if graph.directed else g), (q, k)
 
 
 def test_waring_result_memory_is_linear_in_q():
@@ -215,8 +211,8 @@ def test_waring_numbers_match_sumset_oracle():
     for q in (3, 5, 7, 9, 13, 16, 25, 27):
         field = build_field(*prime_power(q))
         for k in divisors(q - 1):
-            assert waring_g(field, k) == _sumset_oracle(field, k, signed=False), (q, k)
-            assert waring_w(field, k) == _sumset_oracle(field, k, signed=True), (q, k)
+            assert waring_result(field, k).g == _sumset_oracle(field, k, signed=False), (q, k)
+            assert waring_result(field, k).w == _sumset_oracle(field, k, signed=True), (q, k)
 
 
 def _reference_witness(field, k, target, signed):
