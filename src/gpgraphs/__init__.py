@@ -22,7 +22,6 @@ from .families import (
     FamilyDescriptor,
     FieldCensus,
     census,
-    cyclotomic_poly,
     enumerate_family,
 )
 from .fields import (
@@ -31,6 +30,7 @@ from .fields import (
     FiniteField,
     build_field,
     canonical_modulus,
+    field_of_order,
     irreducible_polynomials,
 )
 from .graphs import (

@@ -1,6 +1,9 @@
 """Command-line surface: per-field reports, verification sweeps, families,
 exact spectra and Waring numbers.
 
+A command gets its field from fields.field_of_order, which refuses a q
+past the size budget before factoring it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -12,11 +15,11 @@ import sys
 from dataclasses import dataclass
 
 from .cyclotomic import ValueClass, render_terms
-from .errors import GPGraphError, InvariantViolated, NotPrimePower, SizeBudgetExceeded
+from .errors import GPGraphError, InvariantViolated
 from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
-from .fields import DEFAULT_SIZE_BUDGET, FiniteField, build_field
+from .fields import field_of_order
 from .graphs import build_graph, classify_structure, components, period
-from .numbertheory import divisors, prime_power
+from .numbertheory import divisors
 from .spectra import spectrum, srg_parameters
 from .verify import run_verification
 from .waring import graph_waring, witness
@@ -46,19 +49,9 @@ class FieldReportRow:
         return {name: getattr(self, name) for name in ROW_FIELDS}  # json writes srg as a list
 
 
-def _field_for(q: int) -> FiniteField:
-    # before factoring: q may be too large to factor in any reasonable time
-    if q > DEFAULT_SIZE_BUDGET:
-        raise SizeBudgetExceeded(f"q = {q} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
-    pm = prime_power(q)
-    if pm is None:
-        raise NotPrimePower(f"q = {q} is not a prime power")
-    return build_field(*pm)
-
-
 def build_report_rows(q: int) -> list[FieldReportRow]:
     """One row per divisor k of q - 1, ascending."""
-    field = _field_for(q)
+    field = field_of_order(q)
     p, m = field.p, field.m
     rows = []
     g_of = {}  # w of a directed GP(k, q) is g(k/2, q), from an earlier row
@@ -164,7 +157,7 @@ def _cmd_families(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.k < 1:
         return _usage_error(f"--k {args.k} must be positive")
-    field = _field_for(args.q)
+    field = field_of_order(args.q)
     report = spectrum(build_graph(field, args.k))
     print(f"q={report.q} k={report.k} n={report.n} nature={report.nature.render()} "
           f"mu={report.mu} components={report.principal_multiplicity}")
@@ -189,7 +182,7 @@ def _render_witness(terms, k: int) -> str:
 def _cmd_waring(args) -> int:
     if args.k < 1:
         return _usage_error(f"--k {args.k} must be positive")
-    field = _field_for(args.q)
+    field = field_of_order(args.q)
     if args.witness is not None and not 0 <= args.witness < field.q:
         return _usage_error(f"--witness {args.witness} is not an element index in [0, {field.q})")
     graph = build_graph(field, args.k)

@@ -9,13 +9,13 @@ integral graph over GF(q) to one over every GF(q^a).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import HypothesisViolated, NotPrimePower, check
-from .numbertheory import divisors, factorize, is_prime, prime_power
+from .numbertheory import factorize, is_prime, prime_power
 from .spectra import Nature, nature_for
 
 
@@ -56,50 +56,19 @@ def census(q: int) -> FieldCensus:
     return FieldCensus(q, sigma, n_complex, n_real, n_integral, n_real_nonintegral)
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials over Z (dense integer coefficients, constant first)
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact division of integer polynomials with monic divisor."""
-    check(den[-1] == 1, "the divisor polynomial must be monic")
-    work = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, dc in enumerate(den):
-                work[i + j] -= c * dc
-    check(not any(work), "the polynomial division must be exact")
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, constant term first."""
-    if d < 1:
-        raise ValueError(f"d = {d} must be positive")
-    num = tuple([-1] + [0] * (d - 1) + [1])  # x^d - 1
-    den = (1,)
-    for dd in divisors(d):
-        if dd < d:
-            den = _poly_mul(den, cyclotomic_poly(dd))
-    return _poly_divexact(num, den)
-
-
 def _cyclotomic_value(d: int, x: int) -> int:
-    value = 0
-    for c in reversed(cyclotomic_poly(d)):
-        value = value * x + c
+    """Phi_d(x) for an integer x >= 2, as the product over e | d of (x^e - 1)^mu(d/e)."""
+    squarefree = [(1, 1)]  # (s, mu(s)) for the squarefree s | d; mu vanishes elsewhere
+    for prime in factorize(d):
+        squarefree += [(s * prime, -mu) for s, mu in squarefree]
+    num = den = 1
+    for s, mu in squarefree:
+        if mu > 0:
+            num *= x ** (d // s) - 1
+        else:
+            den *= x ** (d // s) - 1
+    value, rest = divmod(num, den)
+    check(rest == 0, "the Moebius product of x^e - 1 must divide exactly")
     return value
 
 
@@ -154,12 +123,12 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         k = _require_k(descriptor)
         if (p - 1) % k != 0:
             raise HypothesisViolated(f"k = {k} does not divide p - 1 = {p - 1}")
-        pairs = ((k, k * t) for t in _naturals())
+        pairs = ((k, k * t) for t in itertools.count(1))
     elif kind == SEMIPRIMITIVE_DIVISOR:
         k = _require_k(descriptor)
         if (p + 1) % k != 0:
             raise HypothesisViolated(f"k = {k} does not divide p + 1 = {p + 1}")
-        pairs = ((k, 2 * t) for t in _naturals())
+        pairs = ((k, 2 * t) for t in itertools.count(1))
     elif kind == TOTIENT_POWER:
         k = _require_k(descriptor)
         if k % 2 == 0:
@@ -171,14 +140,14 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         if k > 2 * max_q.bit_length() ** 2:
             return
         phi = _totient(k)
-        pairs = ((k, phi * t) for t in _naturals())
+        pairs = ((k, phi * t) for t in itertools.count(1))
     elif kind == CYCLOTOMIC_VALUE:
         if descriptor.d is None or descriptor.d < 2:
             raise HypothesisViolated("CyclotomicValue needs d >= 2")
         if descriptor.d > max_q.bit_length():  # p^d >= 2^d > max_q: Phi_d(p) would go unused
             return
         k = _cyclotomic_value(descriptor.d, p)
-        pairs = ((k, descriptor.d * t) for t in _naturals())
+        pairs = ((k, descriptor.d * t) for t in itertools.count(1))
     else:  # TOWER
         k = _require_k(descriptor)
         if descriptor.d is None or descriptor.d < 1:
@@ -193,7 +162,7 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
             raise HypothesisViolated(f"tower base GP({k},{base_q or f'{p}^{d}'}) is not integral")
         if base_q is None:
             return
-        pairs = ((k * (base_q ** a - 1) // (base_q - 1), d * a) for a in _naturals())
+        pairs = ((k * (base_q ** a - 1) // (base_q - 1), d * a) for a in itertools.count(1))
 
     for k_out, m_out in pairs:
         q_out = p ** m_out
@@ -209,10 +178,3 @@ def _require_k(descriptor: FamilyDescriptor) -> int:
     if descriptor.k is None or descriptor.k < 1:
         raise HypothesisViolated(f"{descriptor.kind} needs a positive k")
     return descriptor.k
-
-
-def _naturals() -> Iterator[int]:
-    t = 1
-    while True:
-        yield t
-        t += 1

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrime, SizeBudgetExceeded, ZeroHasNoLog, check
-from .numbertheory import factorize, is_prime
+from .errors import DivisionByZero, NotPrime, NotPrimePower, SizeBudgetExceeded, ZeroHasNoLog, check
+from .numbertheory import factorize, is_prime, prime_power
 
 DEFAULT_SIZE_BUDGET = 2 ** 20
 
@@ -287,15 +287,20 @@ class FieldElement:
         return f"FieldElement({self}, GF({self.field.p}^{self.field.m}))"
 
 
+def check_size_budget(q: int, name: str) -> None:
+    """Refuse q above DEFAULT_SIZE_BUDGET, read at call time; the message calls q `name`."""
+    if q > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetExceeded(f"{name} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
+
+
 def _check_field_size(p: int, m: int) -> int:
-    """q = p^m, after checking that p is prime, m >= 1 and q is within DEFAULT_SIZE_BUDGET."""
+    """q = p^m, after checking that p is prime, m >= 1 and q is within the size budget."""
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree m = {m} must be positive")
     q = p ** m
-    if q > DEFAULT_SIZE_BUDGET:
-        raise SizeBudgetExceeded(f"q = {p}^{m} = {q} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
+    check_size_budget(q, f"q = {p}^{m} = {q}")
     return q
 
 
@@ -522,3 +527,12 @@ def build_field(p: int, m: int, modulus: Iterable[int] | None = None) -> FiniteF
             cached -= _FIELD_CACHE.pop(next(iter(_FIELD_CACHE))).q
     _FIELD_CACHE[key] = field  # now the most recently used
     return field
+
+
+def field_of_order(q: int) -> FiniteField:
+    """The canonical GF(q), with the budget checked first: a q far past it may not factor in time."""
+    check_size_budget(q, f"q = {q}")
+    pm = prime_power(q)
+    if pm is None:
+        raise NotPrimePower(f"q = {q} is not a prime power")
+    return build_field(*pm)

@@ -1,7 +1,9 @@
 """Verification sweeps: re-derive every structural law on all graphs up to a bound.
 
 Each check runs independently per (k, q) so a single failure is reported
-with its exact location instead of aborting the sweep.
+with its exact location instead of aborting the sweep. Each field comes from
+fields.field_of_order, and the size budget in fields refuses a max_q before
+any field is built.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import numpy as np
 
 from . import spectra
 from .cyclotomic import render_terms
-from .errors import SizeBudgetExceeded
 from .families import census
-from .fields import DEFAULT_SIZE_BUDGET, build_field
+from .fields import check_size_budget, field_of_order
 from .graphs import ComponentDecomposition, GPGraph, build_graph, components, period, quotient_bfs
 from .numbertheory import divisors, prime_power, v2
 from .waring import _diameter, graph_waring
@@ -175,8 +176,7 @@ def _record(outcome: CheckOutcome, context: str, fn, *args):
 def verify_field(q: int) -> list[CheckOutcome]:
     """Run every check category on every GP-graph over GF(q)."""
     outcomes = {name: CheckOutcome(name) for name in CHECK_NAMES}
-    p, m = prime_power(q)
-    field = build_field(p, m)
+    field = field_of_order(q)
     _record(outcomes["census"], f"q={q}", _check_census, q)
     # ascending k: the two-re check of GP(k, q) reads the cached spectrum of GP(k/2, q)
     graphs = {k: build_graph(field, k) for k in divisors(q - 1)}
@@ -200,8 +200,7 @@ def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
     More workers than CPUs would only compete for them, so jobs is capped
     at os.cpu_count().
     """
-    if max_q > DEFAULT_SIZE_BUDGET:
-        raise SizeBudgetExceeded(f"max_q = {max_q} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
+    check_size_budget(max_q, f"max_q = {max_q}")
     qs = [q for q in range(2, max_q + 1) if prime_power(q) is not None]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,14 @@ def package_env():
     src = str(Path(gpgraphs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture
+def run_optimized(package_env):
+    """Runs a dedented script under python -O, which strips asserts; without -O the child exits 1."""
+    guard = 'import sys\nif not sys.flags.optimize:\n    sys.exit("not running under -O")\n'
+    return lambda script: subprocess.run([sys.executable, "-O", "-c", guard + textwrap.dedent(script)],
+                                         capture_output=True, text=True, env=package_env)
 
 
 # (_PYTHON_LEVEL_ARCS, _BLOCK_ARCS) of graphs.log_bfs: the Python loop on every

@@ -2,14 +2,15 @@
 
 Vertex-level traversal and adjacency on element indices, ring arithmetic
 in Z[zeta_p], Gaussian periods one coset at a time, a dense
-floating-point eigensolver, and the paper's results that the CLI does not
-serve: the weak-Waring reduction and the sufficient integrality criteria.
+floating-point eigensolver, cyclotomic polynomials over Z, and the
+paper's results that the CLI does not serve: the weak-Waring reduction
+and the sufficient integrality criteria.
 """
 
 import itertools
 import json
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -249,6 +250,38 @@ def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:
     exact.sort(key=key)
     numeric = sorted((complex(z) for z in numeric), key=key)
     return all(abs(a - b) <= tolerance for a, b in zip(exact, numeric))
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of integer polynomials, dense coefficients constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact division of integer polynomials with monic divisor."""
+    check(den[-1] == 1, "the divisor polynomial must be monic")
+    work = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = work[i + len(den) - 1]
+        out[i] = c
+        if c:
+            for j, dc in enumerate(den):
+                work[i + j] -= c * dc
+    check(not any(work), "the polynomial division must be exact")
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(d: int) -> tuple[int, ...]:
+    """Coefficients of the d-th cyclotomic polynomial, by dividing x^d - 1 by the earlier ones."""
+    den = reduce(_poly_mul, map(cyclotomic_poly, divisors(d)[:-1]), (1,))
+    return _poly_divexact(tuple([-1] + [0] * (d - 1) + [1]), den)
 
 
 def integrality_reasons(p: int, m: int, k: int) -> list[str]:

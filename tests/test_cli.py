@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from gpgraphs import FiniteField, build_field, build_graph, cli, spectra
+from gpgraphs import (FiniteField, SizeBudgetExceeded, build_field, build_graph, cli, fields,
+                      run_verification, spectra)
 from gpgraphs.cli import build_report_rows, render_records, render_table
 from gpgraphs.spectra import Nature
 from oracles import parse_records
@@ -173,6 +174,22 @@ def test_over_budget_input_is_refused_before_any_work(package_env, argv, message
                           text=True, env=package_env, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr == message + "\n"
+
+
+def test_every_command_reads_the_budget_from_fields(monkeypatch, capsys):
+    monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 8)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    for argv in (["report", "--q", "9"], ["spectrum", "--q", "9", "--k", "2"],
+                 ["waring", "--q", "9", "--k", "2"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: q = 9 exceeds the size budget 8\n")
+    built = []
+    honest = fields.build_field
+    monkeypatch.setattr(fields, "build_field", lambda p, m: built.append(p ** m) or honest(p, m))
+    with pytest.raises(SizeBudgetExceeded, match="^max_q = 9 exceeds the size budget 8$"):
+        run_verification(9)
+    assert built == []  # refused before any field is built
+    assert all(o.failed == 0 for o in run_verification(8)) and built == [2, 3, 4, 5, 7, 8]
 
 
 def test_report_and_spectrum_list_no_connection_set(monkeypatch, capsys):

@@ -8,13 +8,12 @@ from gpgraphs import (
     Nature,
     NotPrimePower,
     census,
-    cyclotomic_poly,
     enumerate_family,
     nature_for,
 )
-from gpgraphs.families import _cyclotomic_value, _poly_mul
+from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, prime_power
-from oracles import integrality_reasons
+from oracles import _poly_mul, cyclotomic_poly, integrality_reasons
 
 
 def test_census_values():
@@ -78,6 +77,17 @@ def test_cyclotomic_product_identity():
         for d in divisors(n):
             product = _poly_mul(product, cyclotomic_poly(d))
         assert product == tuple([-1] + [0] * (n - 1) + [1]), n
+
+
+def test_cyclotomic_value_is_the_polynomial_at_x():
+    for d in range(1, 401):
+        for x in (2, 3, 5, 7, 11, 13, 101, 65521):
+            assert _cyclotomic_value(d, x) == sum(c * x ** i for i, c in enumerate(cyclotomic_poly(d)))
+    # Phi_13860(2) has degree phi(13860) = 2880: the polynomial route took seconds
+    start = time.perf_counter()
+    value = _cyclotomic_value(13860, 2)
+    assert time.perf_counter() - start < 1.0
+    assert value.bit_length() == 2881 and (2 ** 13860 - 1) % value == 0
 
 
 def test_enumerators():

@@ -1,7 +1,4 @@
 import itertools
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 
 import numpy as np
@@ -323,15 +320,12 @@ def test_index_pow_does_not_wrap_on_large_exponents():
         assert field.index_pow(u, e) == int(field.exp[log_u * e % (field.q - 1)])
 
 
-def test_table_laws_survive_python_O(package_env):
+def test_table_laws_survive_python_O(run_optimized):
     # a corrupted table build must still be caught when asserts are stripped
-    script = textwrap.dedent("""
+    proc = run_optimized("""
         import sys
 
         from gpgraphs import InvariantViolated, build_field, fields
-
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
 
         def expect_violation(what):
             try:
@@ -357,8 +351,6 @@ def test_table_laws_survive_python_O(package_env):
         fields._product_mod = drop_fourth_doubling
         expect_violation("a dropped doubling step")
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 2

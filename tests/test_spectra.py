@@ -1,7 +1,4 @@
 import re
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from collections import Counter
 
@@ -451,16 +448,14 @@ def test_entries_break_float_ties_by_coefficients(monkeypatch):
     assert len(values) == report.mu == 7
 
 
-def test_spectrum_laws_survive_python_O(package_env):
+def test_spectrum_laws_survive_python_O(run_optimized):
     # a corrupted component count must still be caught when asserts are stripped
-    script = textwrap.dedent("""
+    proc = run_optimized("""
         import dataclasses
         import sys
 
         from gpgraphs import InvariantViolated, build_field, build_graph, spectra
 
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
         honest = spectra.components
         spectra.components = lambda graph: dataclasses.replace(
             honest(graph), count=honest(graph).count + 1)
@@ -471,7 +466,5 @@ def test_spectrum_laws_survive_python_O(package_env):
         else:
             sys.exit("the corrupted component count went unnoticed")
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert "component count" in proc.stdout

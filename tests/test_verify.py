@@ -1,7 +1,4 @@
 import dataclasses
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -110,19 +107,16 @@ def test_a_traded_trace_fails_the_second_moment(monkeypatch, q, corrupted_k, bra
     assert (outcome.failed, outcome.first_failure) == (1, failure)
 
 
-def test_second_moment_check_survives_python_O(package_env):
+def test_second_moment_check_survives_python_O(run_optimized):
     # the moment comparison raises explicitly, so -O keeps it in both branches
-    script = textwrap.dedent("""
+    proc = run_optimized("""
         import dataclasses
-        import sys
 
         import numpy as np
 
         from gpgraphs import spectra
         from gpgraphs.verify import verify_field
 
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
         honest = spectra.spectrum
 
         for q, corrupted_k in ((25, 4), (49, 3)):
@@ -140,8 +134,6 @@ def test_second_moment_check_survives_python_O(package_env):
             moments = next(o for o in verify_field(q) if o.name == "trace-identities")
             print(moments.failed, moments.first_failure)
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(f"1 {failure}\n" for *_, failure in TRADED_TRACE_FAILURES), proc.stdout
 
@@ -200,37 +192,27 @@ def test_passing_verify_builds_no_cyclotomic_integer(monkeypatch, q):
     assert built == [prime_power(q)[0]]
 
 
-def test_census_check_survives_python_O(package_env):
+def test_census_check_survives_python_O(run_optimized):
     # the recount by nature_for is an explicit comparison, so -O keeps it
-    script = textwrap.dedent("""
-        import sys
-
+    proc = run_optimized("""
         from gpgraphs import Nature, spectra
         from gpgraphs.verify import verify_field
 
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
         spectra.nature_for = lambda p, m, k: Nature.INTEGRAL
         census = next(o for o in verify_field(49) if o.name == "census")
         print(census.passed, census.failed, census.first_failure)
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("0 1 q=49: "), proc.stdout
 
 
-def test_boundary_check_survives_python_O(package_env):
+def test_boundary_check_survives_python_O(run_optimized):
     # the row comparison raises explicitly, so -O keeps it
-    script = textwrap.dedent("""
+    proc = run_optimized("""
         import dataclasses
-        import sys
-
         from gpgraphs import spectra
         from gpgraphs.verify import verify_field
 
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
         honest = spectra.spectrum
 
         def corrupted(graph):
@@ -245,8 +227,6 @@ def test_boundary_check_survives_python_O(package_env):
         boundary = next(o for o in verify_field(25) if o.name == "boundary-spectrum")
         print(boundary.passed, boundary.failed, boundary.first_failure)
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("7 1 q=25 k=24: boundary spectrum "), proc.stdout
 
@@ -355,16 +335,12 @@ def test_nature_check_compares_with_the_arithmetic_rule_first(monkeypatch):
     assert nature.first_failure == "q=25 k=8: eigenvalue nature integral != arithmetic rule complex"
 
 
-def test_nature_check_survives_python_O(package_env):
+def test_nature_check_survives_python_O(run_optimized):
     # the antisymmetry comparison raises explicitly, so -O keeps it
-    script = textwrap.dedent("""
-        import sys
-
+    proc = run_optimized("""
         from gpgraphs import verify
         from gpgraphs.verify import verify_field
 
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
         honest = verify.build_graph
 
         def corrupted(field, k):
@@ -377,8 +353,6 @@ def test_nature_check_survives_python_O(package_env):
         nature = next(o for o in verify_field(25) if o.name == "nature")
         print(nature.passed, nature.failed, nature.first_failure)
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "7 1 q=25 k=8: the directed connection set holds some r and -r\n", proc.stdout
 

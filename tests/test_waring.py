@@ -1,8 +1,5 @@
 import random
 import re
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from collections import deque
 
@@ -352,15 +349,12 @@ def test_witness_at_the_farthest_target_matches_deque_bfs_in_bounded_memory(p, m
     assert peak < bound_mb * 2 ** 20
 
 
-def test_witness_law_survives_python_O(package_env):
+def test_witness_law_survives_python_O(run_optimized):
     # a step that is not a k-th power must still be caught when asserts are stripped
-    script = textwrap.dedent("""
+    proc = run_optimized("""
         import sys
 
         from gpgraphs import InvariantViolated, build_field, waring, witness
-
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
 
         honest_build = waring.build_graph
 
@@ -377,7 +371,5 @@ def test_witness_law_survives_python_O(package_env):
         else:
             sys.exit("a step that is not a k-th power went unnoticed")
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert "step elements are k-th powers" in proc.stdout
