@@ -43,11 +43,9 @@ from .graphs import (
     period,
 )
 from .spectra import (
-    Eigenvalue,
     Nature,
     PaleyUnionDigraph,
     SpectrumReport,
-    boundary_spectrum,
     detect_three_ev_digraph,
     nature_for,
     spectrum,

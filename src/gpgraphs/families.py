@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import HypothesisViolated, NotPrimePower, check
-from .numbertheory import factorize, is_prime, prime_power
+from .errors import HypothesisViolated, check
+from .numbertheory import factorize, is_prime
 from .spectra import Nature, nature_for
 
 
@@ -29,18 +29,14 @@ class FieldCensus:
     n_real_nonintegral: int
 
 
-def census(q: int) -> FieldCensus:
-    """Counts of GP-graphs over GF(q) by spectrum nature, from the factorizations
+def census(p: int, m: int) -> FieldCensus:
+    """Counts of GP-graphs over GF(p^m) by spectrum nature, from the factorizations
     of q - 1 and (q - 1)/(p - 1).
 
     verify's census check recounts them by classifying every divisor k of
     q - 1 arithmetically.
     """
-    pm = prime_power(q)
-    if pm is None:
-        raise NotPrimePower(f"q = {q} is not a prime power")
-    p = pm[0]
-
+    q = p ** m
     sigma = 1
     odd_part_sigma = 1
     for prime, e in factorize(q - 1).items():

@@ -5,10 +5,12 @@ polynomial, stored positionally: the element with coefficients
 (c0, c1, ..., c_{m-1}) has integer index c0 + c1*p + ... + c_{m-1}*p^(m-1).
 Index 0 is zero and indices below p form the prime subfield.
 
-Construction is deterministic: with no modulus given, the canonical field
-uses the lexicographically least monic irreducible polynomial (coefficient
-tuples compared constant term first) and the least-index generator of the
-multiplicative group.
+Construction is deterministic: the canonical field, which build_field
+caches, uses the lexicographically least monic irreducible polynomial
+(coefficient tuples compared constant term first) and the least-index
+generator of the multiplicative group. The library computes on indices
+and the exp/log tables; a FieldElement only names an element for printing.
+The element arithmetic, the tests' field model, is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator
+import operator
+from typing import Iterator
 
 import numpy as np
 
@@ -208,7 +211,7 @@ def _power_digits(omega: tuple[int, ...], modulus: tuple[int, ...], p: int, q: i
 # fields and elements
 
 class FieldElement:
-    """An element of a FiniteField, identified by its integer index."""
+    """An element of a FiniteField by its integer index: what witness returns and the CLI prints."""
 
     __slots__ = ("field", "index")
 
@@ -220,65 +223,6 @@ class FieldElement:
     def coeffs(self) -> tuple[int, ...]:
         """Coefficients of the representative polynomial, constant term first."""
         return self.field.index_coeffs(self.index)
-
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def _coerce(self, other) -> "FieldElement":
-        # bare ints act as prime-subfield residues
-        if isinstance(other, int):
-            return FieldElement(self.field, other % self.field.p)
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("operands belong to different fields")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.index_add(self.index, other.index))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.index_sub(self.index, other.index))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.index_mul(self.index, other.index))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.index_mul(self.index, self.field.index_inv(other.index)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.index_pow(self.index, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.index_neg(self.index))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.index_inv(self.index))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.index == other.index
-        if isinstance(other, int):
-            return self.index == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.index))
 
     def __str__(self):
         return _poly_str(self.coeffs, "a")
@@ -312,9 +256,9 @@ class FiniteField:
     Tr(omega^e). Index-level methods return Python ints, so that exponent
     products never wrap in a fixed-width dtype.
 
-    Instances are immutable once constructed and safe to share. Use
-    build_field() rather than calling this constructor directly; it
-    validates arguments and caches the result.
+    Instances are immutable once constructed and safe to share.
+    build_field() gives the canonical field and caches it; the constructor
+    takes any monic irreducible modulus and checks that it is one.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -399,12 +343,6 @@ class FiniteField:
             idx //= p
         return tuple(out)
 
-    def _coeffs_index(self, coeffs: Iterable[int]) -> int:
-        idx = 0
-        for c, w in zip(coeffs, self._pows):
-            idx += (c % self.p) * w
-        return idx
-
     def index_add(self, u: int, v: int) -> int:
         p = self.p
         if self.m == 1:
@@ -418,19 +356,6 @@ class FiniteField:
 
     def index_neg(self, u: int) -> int:
         return int(self._neg[u])
-
-    def index_sub(self, u: int, v: int) -> int:
-        return self.index_add(u, self.index_neg(v))
-
-    def index_mul(self, u: int, v: int) -> int:
-        if u == 0 or v == 0:
-            return 0
-        return int(self.exp[(int(self.log[u]) + int(self.log[v])) % (self.q - 1)])
-
-    def index_inv(self, u: int) -> int:
-        if u == 0:
-            raise DivisionByZero("the zero element has no inverse")
-        return int(self.exp[-int(self.log[u]) % (self.q - 1)])
 
     def index_pow(self, u: int, e: int) -> int:
         if u == 0:
@@ -455,34 +380,15 @@ class FiniteField:
     # -- public surface ---------------------------------------------------------
 
     def element(self, value) -> FieldElement:
-        """Coerce an index, coefficient iterable or FieldElement into this field."""
+        """Coerce an index or a FieldElement into this field."""
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise ValueError("element belongs to a different field")
             return value
-        if isinstance(value, (int, np.integer)):
-            value = int(value)
-            if not 0 <= value < self.q:
-                raise ValueError(f"element index {value} out of range [0, {self.q})")
-            return FieldElement(self, value)
-        coeffs = tuple(int(c) for c in value)
-        if len(coeffs) != self.m or any(not 0 <= c < self.p for c in coeffs):
-            raise ValueError(f"need {self.m} coefficients in [0, {self.p})")
-        return FieldElement(self, self._coeffs_index(coeffs))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def omega(self) -> FieldElement:
-        """The canonical primitive element: least index of multiplicative order q - 1."""
-        return FieldElement(self, self.omega_index)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.q))
+        value = operator.index(value)
+        if not 0 <= value < self.q:
+            raise ValueError(f"element index {value} out of range [0, {self.q})")
+        return FieldElement(self, value)
 
     def discrete_log(self, x) -> int:
         """The exponent e with omega^e = x, for nonzero x."""
@@ -502,30 +408,25 @@ class FiniteField:
         return f"FiniteField(GF({self.p}^{self.m}), modulus={self.modulus_str()})"
 
 
-# least recently used first; the fields' q add up to at most DEFAULT_SIZE_BUDGET,
-# except that the newest field stays even when it alone is larger
-_FIELD_CACHE: dict[tuple, FiniteField] = {}
+# least recently used first, keyed by (p, m); the fields' q add up to at most
+# DEFAULT_SIZE_BUDGET, except that the newest field stays even when it alone is larger
+_FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
-def build_field(p: int, m: int, modulus: Iterable[int] | None = None) -> FiniteField:
-    """Construct (or fetch the cached) GF(p^m).
+def build_field(p: int, m: int) -> FiniteField:
+    """Construct (or fetch the cached) canonical GF(p^m).
 
-    With modulus=None the canonical modulus is used, so the same (p, m)
-    yields the identical field while it stays cached, and an equal one
-    after it is evicted. An explicit modulus must be a monic irreducible
-    degree-m coefficient sequence, constant term first.
+    The same (p, m) yields the identical field while it stays cached, and
+    an equal one after it is evicted.
     """
     _check_field_size(p, m)  # before searching for a modulus
-    key_modulus = None if modulus is None else tuple(int(c) for c in modulus)
-    key = (p, m, key_modulus)
-    field = _FIELD_CACHE.pop(key, None)
+    field = _FIELD_CACHE.pop((p, m), None)
     if field is None:
-        actual = canonical_modulus(p, m) if key_modulus is None else key_modulus
-        field = FiniteField(p, m, actual)
+        field = FiniteField(p, m, canonical_modulus(p, m))
         cached = field.q + sum(f.q for f in _FIELD_CACHE.values())
         while _FIELD_CACHE and cached > DEFAULT_SIZE_BUDGET:
             cached -= _FIELD_CACHE.pop(next(iter(_FIELD_CACHE))).q
-    _FIELD_CACHE[key] = field  # now the most recently used
+    _FIELD_CACHE[(p, m)] = field  # now the most recently used
     return field
 
 

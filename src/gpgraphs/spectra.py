@@ -14,14 +14,16 @@ integer exactly when they are equal as raw vectors, and numpy deduplicates
 and counts them. A value is real when it is fixed by zeta -> zeta^-1 and
 rational when it is fixed by zeta -> zeta^g, g a generator of F_p*, which
 generates the whole Galois group of Q(zeta_p); both automorphisms shift
-the period index, so the tests compare periods, not coefficients. The
-order of the eigenvalues and their float images are computed only when
-something reads them, and the values are rendered from their nonzero
-terms. eta^2 is the histogram of trace sums over pairs from one row,
-eta + conj(eta) is the row merged with its negative, and a value has
-modulus n exactly when its row is constant, so no check multiplies
-coefficient vectors. Cyclotomic arithmetic and a dense floating-point
-eigensolver, the tests' oracles for these rows, are in tests/oracles.py.
+the period index, so the tests compare periods, not coefficients.
+SpectrumReport.entries is the one view of the values: their order and
+float images are computed only when something reads it, and each value
+is kept as its nonzero terms. eta^2 is the histogram of trace sums over
+pairs from one row, eta + conj(eta) is the row merged with its negative,
+and a value has modulus n exactly when its row is constant, so no check
+multiplies coefficient vectors. The trace-zero law and the second moment
+are checked by verify, on `moments`, not on every spectrum. Cyclotomic
+arithmetic and a dense floating-point eigensolver, the tests' oracles for
+these rows, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -66,15 +68,6 @@ class Entry(NamedTuple):
     numeric: complex
 
 
-class Eigenvalue(NamedTuple):
-    """One distinct eigenvalue: exact value, multiplicity, class and double-precision image."""
-
-    value: CyclotomicInteger
-    multiplicity: int
-    value_class: ValueClass
-    numeric: complex
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     q: int
@@ -101,13 +94,14 @@ class SpectrumReport:
         Each row is decoded into a transient canonical coefficient vector,
         c_j = h_j - h_(p-1) for the trace histogram h; only its nonzero terms
         are kept, and its float image is the one CyclotomicInteger.embed
-        gives. Dense coefficient tuples break ties between rounded images, so
-        they are built only for the entries that tie.
+        gives. The coefficients break ties between rounded images, so they
+        are decoded a second time only for the entries that tie.
         """
         p = self._p
+        rows = self._rows[indices]
         value_classes = tuple(ValueClass)  # in the order of the codes
         entries = []
-        for row, mult, code in zip(self._rows[indices], self._multiplicities[indices].tolist(),
+        for row, mult, code in zip(rows, self._multiplicities[indices].tolist(),
                                    self._classes[indices].tolist()):
             coeffs = np.bincount(row, minlength=p)
             coeffs -= coeffs[-1]
@@ -120,20 +114,16 @@ class SpectrumReport:
         def order(i):
             if keys[i] not in tied:
                 return keys[i]
-            return keys[i] + (CyclotomicInteger.from_terms(p, entries[i].terms).coeffs,)
+            coeffs = np.bincount(rows[i], minlength=p)
+            return keys[i] + (tuple((coeffs - coeffs[-1]).tolist()),)
 
         return tuple(entries[i] for i in sorted(range(len(entries)), key=order))
 
     @cached_property
-    def table(self) -> tuple[Eigenvalue, ...]:
-        """`entries` with each value as a CyclotomicInteger."""
-        return tuple(Eigenvalue(CyclotomicInteger.from_terms(self._p, e.terms), e.multiplicity,
-                                e.value_class, e.numeric) for e in self.entries)
-
-    @cached_property
     def eigenvalues(self) -> tuple[tuple[CyclotomicInteger, int], ...]:
-        """(value, multiplicity) pairs in the order of `table`."""
-        return tuple((e.value, e.multiplicity) for e in self.table)
+        """(value, multiplicity) pairs in the order of `entries`, each value a CyclotomicInteger."""
+        return tuple((CyclotomicInteger.from_terms(self._p, e.terms), e.multiplicity)
+                     for e in self.entries)
 
 
 def nature_for(p: int, m: int, k: int) -> Nature:
@@ -298,8 +288,9 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     adds n to the principal multiplicity. A value is rational when it is
     fixed by zeta -> zeta^g, g = omega^((q-1)/(p-1)), and real when it is
     fixed by zeta -> zeta^-1. The result is checked on every call: the
-    multiplicities sum to q, n occurs once per component, the eigenvalues
-    sum to zero, and the nature matches the arithmetic rule.
+    multiplicities sum to q, n occurs once per component, and the nature
+    matches the arithmetic rule. That the eigenvalues sum to zero is
+    checked by verify, on `moments`.
     """
     if graph._spectrum is not None:
         return graph._spectrum
@@ -326,8 +317,6 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     check(multiplicities[principal] == count,
           f"{label}: principal multiplicity {multiplicities[principal]} "
           f"must equal the component count {count}")
-    check(not _value_sum(values, _groups(multiplicities), p).any(),
-          f"{label}: a loop-free adjacency matrix has trace zero")
     check(nature == nature_for(p, field.m, k),
           f"{label}: eigenvalue nature {nature.render()} must match the arithmetic rule")
 
@@ -432,10 +421,3 @@ def boundary_rows(report: SpectrumReport) -> np.ndarray:
     """
     rows = report._rows
     return np.flatnonzero((rows == rows[:, :1]).all(axis=1))
-
-
-def boundary_spectrum(graph: GPGraph) -> tuple[CyclotomicInteger, ...]:
-    """Eigenvalues of maximum modulus n, in the order of `SpectrumReport.entries`."""
-    report = spectrum(graph)
-    return tuple(CyclotomicInteger.from_terms(report._p, e.terms)
-                 for e in report._entries(boundary_rows(report)))

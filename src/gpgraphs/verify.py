@@ -18,7 +18,7 @@ import numpy as np
 from . import spectra
 from .cyclotomic import render_terms
 from .families import census
-from .fields import check_size_budget, field_of_order
+from .fields import FiniteField, check_size_budget, field_of_order
 from .graphs import ComponentDecomposition, GPGraph, build_graph, components, period, quotient_bfs
 from .numbertheory import divisors, prime_power, v2
 from .waring import _diameter, graph_waring
@@ -128,18 +128,19 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
 
 def _check_boundary(graph: GPGraph):
     report = spectra.spectrum(graph)
+    boundary = spectra.boundary_rows(report)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
-    found = sorted(set(report._rows[spectra.boundary_rows(report), 0].tolist()))
+    found = sorted(set(report._rows[boundary, 0].tolist()))
     q, p = graph.field.q, graph.field.p
     expected = list(range(p)) if graph.k == q - 1 else [0]  # zeta^j (n = 1), or n itself
     if found != expected:
-        values = set(spectra.boundary_spectrum(graph))
-        raise AssertionError(f"boundary spectrum {sorted(map(str, values))} != expected")
+        values = sorted({render_terms(e.terms) for e in report._entries(boundary)})
+        raise AssertionError(f"boundary spectrum {values} != expected")
 
 
-def _check_census(q: int):
-    c = census(q)
-    p, m = prime_power(q)
+def _check_census(field: FiniteField):
+    p, m, q = field.p, field.m, field.q
+    c = census(p, m)
     by_nature = [spectra.nature_for(p, m, k) for k in divisors(q - 1)]
     counted = tuple(by_nature.count(nature) for nature in spectra.Nature)
     by_formula = (c.n_integral, c.n_real_nonintegral, c.n_complex)
@@ -177,7 +178,7 @@ def verify_field(q: int) -> list[CheckOutcome]:
     """Run every check category on every GP-graph over GF(q)."""
     outcomes = {name: CheckOutcome(name) for name in CHECK_NAMES}
     field = field_of_order(q)
-    _record(outcomes["census"], f"q={q}", _check_census, q)
+    _record(outcomes["census"], f"q={q}", _check_census, field)
     # ascending k: the two-re check of GP(k, q) reads the cached spectrum of GP(k/2, q)
     graphs = {k: build_graph(field, k) for k in divisors(q - 1)}
     for k, graph in graphs.items():

@@ -1,10 +1,11 @@
 """Reference methods that the tests compare the library with.
 
-Vertex-level traversal and adjacency on element indices, ring arithmetic
-in Z[zeta_p], Gaussian periods one coset at a time, a dense
-floating-point eigensolver, cyclotomic polynomials over Z, and the
-paper's results that the CLI does not serve: the weak-Waring reduction
-and the sufficient integrality criteria.
+The field model (elements with their arithmetic), vertex-level traversal
+and adjacency on element indices, ring arithmetic in Z[zeta_p], Gaussian
+periods one coset at a time, a dense floating-point eigensolver,
+cyclotomic polynomials over Z, and the paper's results that the CLI does
+not serve: the weak-Waring reduction and the sufficient integrality
+criteria.
 """
 
 import itertools
@@ -16,6 +17,8 @@ import numpy as np
 
 from gpgraphs import (
     CyclotomicInteger,
+    DivisionByZero,
+    FieldElement,
     NotDirected,
     NotPrime,
     SizeBudgetExceeded,
@@ -29,9 +32,107 @@ from gpgraphs.cli import FieldReportRow
 from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, is_prime
-from gpgraphs.spectra import _weighted_squares, two_re_holds
+from gpgraphs.spectra import _weighted_squares, boundary_rows, two_re_holds
 
 ORACLE_SIZE_LIMIT = 512
+
+
+def index_sub(field, u: int, v: int) -> int:
+    return field.index_add(u, field.index_neg(v))
+
+
+def index_mul(field, u: int, v: int) -> int:
+    if u == 0 or v == 0:
+        return 0
+    return int(field.exp[(int(field.log[u]) + int(field.log[v])) % (field.q - 1)])
+
+
+def index_inv(field, u: int) -> int:
+    if u == 0:
+        raise DivisionByZero("the zero element has no inverse")
+    return int(field.exp[-int(field.log[u]) % (field.q - 1)])
+
+
+class Element(FieldElement):
+    """A FieldElement with the field operations, in which an int acts as a prime-subfield residue.
+
+    Two elements are equal when they have the same field and index, so an
+    Element also compares with the library's FieldElements.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x: FieldElement) -> "Element":
+        return cls(x.field, x.index)
+
+    @classmethod
+    def from_coeffs(cls, field, coeffs) -> "Element":
+        """The element with these polynomial coefficients, constant term first."""
+        coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != field.m or any(not 0 <= c < field.p for c in coeffs):
+            raise ValueError(f"need {field.m} coefficients in [0, {field.p})")
+        return cls(field, sum(c * field.p ** i for i, c in enumerate(coeffs)))
+
+    @classmethod
+    def zero(cls, field) -> "Element":
+        return cls(field, 0)
+
+    @classmethod
+    def one(cls, field) -> "Element":
+        return cls(field, 1)
+
+    @classmethod
+    def omega(cls, field) -> "Element":
+        """The canonical primitive element: least index of multiplicative order q - 1."""
+        return cls(field, field.omega_index)
+
+    @classmethod
+    def elements(cls, field):
+        return (cls(field, i) for i in range(field.q))
+
+    def is_zero(self) -> bool:
+        return self.index == 0
+
+    def _operand(self, other) -> int:
+        """The index of other, an int (a prime-subfield residue) or an element of the same field."""
+        if isinstance(other, int):
+            return other % self.field.p
+        if other.field is not self.field:
+            raise ValueError("operands belong to different fields")
+        return other.index
+
+    def __add__(self, other):
+        return Element(self.field, self.field.index_add(self.index, self._operand(other)))
+
+    def __sub__(self, other):
+        return Element(self.field, index_sub(self.field, self.index, self._operand(other)))
+
+    def __mul__(self, other):
+        return Element(self.field, index_mul(self.field, self.index, self._operand(other)))
+
+    def __truediv__(self, other):
+        return Element(self.field, index_mul(self.field, self.index,
+                                             index_inv(self.field, self._operand(other))))
+
+    def __pow__(self, e: int):
+        return Element(self.field, self.field.index_pow(self.index, e))
+
+    def __neg__(self):
+        return Element(self.field, self.field.index_neg(self.index))
+
+    def inverse(self) -> "Element":
+        return Element(self.field, index_inv(self.field, self.index))
+
+    def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return self.field is other.field and self.index == other.index
+        if isinstance(other, int):
+            return self.index == other % self.field.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.field), self.index))
 
 
 def second_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -77,7 +178,7 @@ def bfs_distances(field, connection, root: int = 0) -> np.ndarray:
 def has_arc(graph, u, v) -> bool:
     """Whether v - u is a nonzero k-th power, by its discrete log."""
     field = graph.field
-    diff = field.index_sub(field.element(v).index, field.element(u).index)
+    diff = index_sub(field, field.element(v).index, field.element(u).index)
     return diff != 0 and field.discrete_log(diff) % graph.k == 0
 
 
@@ -207,6 +308,12 @@ def gaussian_period(field, k: int, i: int) -> Cyclotomic:
     if not 0 <= i < k:
         raise ValueError(f"coset index {i} outside [0, {k})")
     return Cyclotomic(field.p, np.bincount(field.trace_of_exp[i::k], minlength=field.p).tolist())
+
+
+def boundary_values(report) -> tuple[Cyclotomic, ...]:
+    """The eigenvalues of maximum modulus n, in the order of `entries`, from the boundary rows."""
+    return tuple(Cyclotomic.from_terms(report._p, e.terms)
+                 for e in report._entries(boundary_rows(report)))
 
 
 def square_histogram(row: np.ndarray, p: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 from gpgraphs import (
+    FiniteField,
     Nature,
     build_field,
     build_graph,
@@ -253,8 +254,8 @@ def test_criterion_07_reduction_formula():
 def test_criterion_08_census():
     start = time.perf_counter()
     for q in prime_powers_up_to(10 ** 4):
-        c = census(q)
         p, m = prime_power(q)
+        c = census(p, m)
         natures = [nature_for(p, m, k) for k in divisors(q - 1)]
         counted = tuple(natures.count(nature) for nature in Nature)
         assert counted == (c.n_integral, c.n_real_nonintegral, c.n_complex), q
@@ -262,9 +263,9 @@ def test_criterion_08_census():
         if q % 2 == 1:
             assert c.sigma == (v2(q - 1) + 1) * c.n_complex, q
             assert c.n_real == v2(q - 1) * c.n_complex, q
-    assert census(25).n_complex == 2
-    assert census(25).n_integral == 4
-    assert census(81).n_integral == 8
+    assert census(5, 2).n_complex == 2
+    assert census(5, 2).n_integral == 4
+    assert census(3, 4).n_integral == 8
     assert time.perf_counter() - start < 30.0
 
 
@@ -296,7 +297,7 @@ def test_criterion_10_three_eigenvalue_digraphs():
 def test_criterion_11_modulus_independence():
     for p, m in ((5, 2), (7, 2), (3, 4)):
         canonical = build_field(p, m)
-        alternate = build_field(p, m, modulus=second_modulus(p, m))
+        alternate = FiniteField(p, m, second_modulus(p, m))
         assert alternate.modulus != canonical.modulus
         for k in divisors(p ** m - 1):
             left = dict(spectrum(build_graph(canonical, k)).eigenvalues)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gpgraphs import (
+    FiniteField,
     Nature,
     NotDirected,
     SizeBudgetExceeded,
-    boundary_spectrum,
     build_field,
     build_graph,
     components,
@@ -23,6 +23,7 @@ from gpgraphs.numbertheory import divisors, is_prime, prime_power
 from gpgraphs.spectra import doubled_rows, moments
 from oracles import (
     Cyclotomic,
+    boundary_values,
     gaussian_period,
     numeric_oracle_check,
     quadratic_gauss_sum,
@@ -248,15 +249,14 @@ def test_srg_parameters_match_set_counts():
 
 
 def test_boundary_spectrum():
-    assert boundary_spectrum(build_graph(build_field(13, 1), 2)) \
-        == (Cyclotomic.from_int(13, 6),)
+    def boundary(q, k):
+        return boundary_values(spectrum(build_graph(build_field(*prime_power(q)), k)))
+
+    assert boundary(13, 2) == (Cyclotomic.from_int(13, 6),)
     # K(2399): its period -1 is not on the boundary, only n = 2398 is
-    assert boundary_spectrum(build_graph(build_field(2399, 1), 1)) \
-        == (Cyclotomic.from_int(2399, 2398),)
-    found = set(boundary_spectrum(build_graph(build_field(5, 1), 4)))
-    assert found == {root_power(5, j) for j in range(5)}
-    found = set(boundary_spectrum(build_graph(build_field(2, 8), 255)))
-    assert found == {Cyclotomic.from_int(2, 1), Cyclotomic.from_int(2, -1)}
+    assert boundary(2399, 1) == (Cyclotomic.from_int(2399, 2398),)
+    assert set(boundary(5, 4)) == {root_power(5, j) for j in range(5)}
+    assert set(boundary(256, 255)) == {Cyclotomic.from_int(2, 1), Cyclotomic.from_int(2, -1)}
 
 
 def test_numeric_oracle():
@@ -270,7 +270,7 @@ def test_numeric_oracle():
 def test_spectrum_invariant_under_modulus_change():
     for p, m in ((5, 2), (7, 2), (3, 4)):
         canonical = build_field(p, m)
-        alternate = build_field(p, m, modulus=second_modulus(p, m))
+        alternate = FiniteField(p, m, second_modulus(p, m))
         assert canonical.modulus != alternate.modulus
         for k in divisors(p ** m - 1):
             left = as_multiset(spectrum(build_graph(canonical, k)))
@@ -433,9 +433,10 @@ def test_report_table_agrees_with_values():
     for q, k in ((25, 8), (49, 16), (343, 38), (2401, 30), (13, 4), (2399, 11), (256, 5),
                  (2401, 16)):
         report = spectrum(build_graph(build_field(*prime_power(q)), k))
-        for entry in report.table:
-            assert entry.numeric == entry.value.embed()
-            assert entry.value_class is entry.value.classify()
+        for entry, (value, mult) in zip(report.entries, report.eigenvalues, strict=True):
+            assert mult == entry.multiplicity
+            assert entry.numeric == value.embed()
+            assert entry.value_class is value.classify()
 
 
 def test_entries_break_float_ties_by_coefficients(monkeypatch):
@@ -443,7 +444,7 @@ def test_entries_break_float_ties_by_coefficients(monkeypatch):
     # so force every image to 0: the order must be that of the coefficients
     monkeypatch.setattr(spectra, "embed_coeffs", lambda p, coeffs: 0j)
     report = spectrum(build_graph(build_field(5, 2), 8))
-    values = [entry.value for entry in report.table]
+    values = [value for value, _ in report.eigenvalues]
     assert [v.coeffs for v in values] == sorted(v.coeffs for v in values)
     assert len(values) == report.mu == 7
 

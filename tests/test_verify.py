@@ -6,7 +6,7 @@ import pytest
 from gpgraphs import CyclotomicInteger, build_field, build_graph, spectra, verify
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
-from oracles import Cyclotomic, root_power
+from oracles import Cyclotomic, boundary_values, root_power
 
 
 def test_verify_field_single():
@@ -138,6 +138,40 @@ def test_second_moment_check_survives_python_O(run_optimized):
     assert proc.stdout == "".join(f"1 {failure}\n" for *_, failure in TRADED_TRACE_FAILURES), proc.stdout
 
 
+SHIFTED_PERIOD_FAILURES = [
+    (13, 3, "q=13 k=3: sum of eigenvalues is 4 - 4*z, not 0"),
+    (25, 8, "q=25 k=8: sum of eigenvalues is 3 - 3*z, not 0"),
+    (29, 4, "q=29 k=4: sum of eigenvalues is 7 - 7*z, not 0"),
+    (49, 4, "q=49 k=4: sum of eigenvalues is 12 - 12*z, not 0"),
+]
+
+
+def test_shifted_periods_fail_the_trace_identity_under_python_O(run_optimized):
+    # every period times zeta keeps the multiplicities, the components and the
+    # nature, and only the eigenvalue sum moves: spectrum no longer checks
+    # it, so verify's first moment must catch it, also when asserts are stripped
+    proc = run_optimized("""
+        from gpgraphs import spectra
+        from gpgraphs.verify import verify_field
+
+        honest = spectra._period_rows
+
+        for q, corrupted_k in ((13, 3), (25, 8), (29, 4), (49, 4)):
+            def shifted(field, k, n):
+                rows = honest(field, k, n)
+                if k == corrupted_k:
+                    rows[1:] = (rows[1:] + 1) % field.p
+                    rows[1:].sort(axis=1)
+                return rows
+
+            spectra._period_rows = shifted
+            moments = next(o for o in verify_field(q) if o.name == "trace-identities")
+            print(moments.failed, moments.first_failure)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"1 {failure}\n" for *_, failure in SHIFTED_PERIOD_FAILURES), proc.stdout
+
+
 def _boundary_by_norms(report):
     """The values with lam * conj(lam) = n^2, by Cyclotomic arithmetic, in entry order."""
     n_squared = Cyclotomic.from_int(report._p, report.n ** 2)
@@ -173,7 +207,8 @@ def test_boundary_on_rows_matches_cyclotomic_sets_and_norms_for_every_q_up_to_34
         field = build_field(*prime_power(q))
         for k in divisors(q - 1):
             graph = build_graph(field, k)
-            assert spectra.boundary_spectrum(graph) == _boundary_by_norms(spectra.spectrum(graph)), (q, k)
+            report = spectra.spectrum(graph)
+            assert boundary_values(report) == _boundary_by_norms(report), (q, k)
             assert _failure(verify._check_boundary, graph) is None, (q, k)
             assert _failure(_check_boundary_by_cyclotomic_sets, graph) is None, (q, k)
             graphs += 1
@@ -188,8 +223,8 @@ def test_passing_verify_builds_no_cyclotomic_integer(monkeypatch, q):
                         lambda self, p, coeffs: built.append(p) or init(self, p, coeffs))
     assert all(o.failed == 0 for o in verify_field(q))
     assert built == []
-    spectra.boundary_spectrum(build_graph(build_field(*prime_power(q)), 1))  # the count works
-    assert built == [prime_power(q)[0]]
+    spectra.spectrum(build_graph(build_field(*prime_power(q)), 1)).eigenvalues  # the count works
+    assert built == [prime_power(q)[0]] * 2  # q - 1 and -1
 
 
 def test_census_check_survives_python_O(run_optimized):

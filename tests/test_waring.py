@@ -7,6 +7,7 @@ import pytest
 
 from gpgraphs import (
     FieldElement,
+    FiniteField,
     NotPrime,
     NumberDoesNotExist,
     build_field,
@@ -19,9 +20,7 @@ from gpgraphs import (
 from gpgraphs import graphs
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
-from oracles import bfs_distances, is_primitive_divisor, symmetrize, verify_reduction
-
-F25_MODEL_MODULUS = (3, 2, 1)
+from oracles import Element, bfs_distances, is_primitive_divisor, symmetrize, verify_reduction
 
 
 def test_g_values():
@@ -96,9 +95,10 @@ def test_witness_signed_pair():
     field = build_field(5, 1)
     terms = witness(field, 4, field.element(3), signed=True)
     assert len(terms) == 2
-    total = field.zero()
+    total = Element.zero(field)
     for sign, x in terms:
-        total = total + (x ** 4 if sign > 0 else -(x ** 4))
+        power = Element.of(x) ** 4
+        total = total + (power if sign > 0 else -power)
     assert total == field.element(3)
 
 
@@ -107,17 +107,18 @@ def test_witness_zero_target():
 
 
 def test_witness_in_gf25_model():
-    field = build_field(5, 2, modulus=F25_MODEL_MODULUS)
-    beta = field.element((1, 3))  # 3a + 1
+    field = FiniteField(5, 2, (3, 2, 1))  # x^2 + 2x + 3
+    beta = Element.from_coeffs(field, (1, 3))  # 3a + 1
     signed_terms = witness(field, 8, beta, signed=True)
     assert len(signed_terms) == 3
     unsigned_terms = witness(field, 8, beta, signed=False)
     assert len(unsigned_terms) == 4
     for terms, use_sign in ((signed_terms, True), (unsigned_terms, False)):
-        total = field.zero()
+        total = Element.zero(field)
         for sign, x in terms:
             assert use_sign or sign == 1
-            total = total + (x ** 8 if sign > 0 else -(x ** 8))
+            power = Element.of(x) ** 8
+            total = total + (power if sign > 0 else -power)
         assert total == beta
 
 
@@ -135,7 +136,7 @@ def test_witness_unreachable_target():
     # subfield, so the generator a is unreachable
     assert witness(field, 6, field.element(3), signed=False) is not None
     with pytest.raises(NumberDoesNotExist):
-        witness(field, 6, field.element((0, 1)), signed=False)
+        witness(field, 6, field.element(5), signed=False)  # a, of coefficients (0, 1)
 
 
 def test_primitive_divisor():
@@ -193,7 +194,7 @@ def test_waring_result_memory_is_linear_in_q():
 def _sumset_oracle(field, k, signed):
     # least s with every element a sum of s (possibly signed, possibly zero)
     # k-th powers, by growing sumsets; independent of any graph traversal
-    powers = {(x ** k).index for x in field.elements()}
+    powers = {(x ** k).index for x in Element.elements(field)}
     if signed:
         powers |= {field.index_neg(i) for i in powers}
     reachable = {0}
