@@ -6,7 +6,6 @@ periods, integral-family enumeration and Waring numbers via BFS diameters.
 
 from .cyclotomic import CyclotomicInteger, ValueClass
 from .errors import (
-    DivisionByZero,
     GPGraphError,
     HypothesisViolated,
     InvariantViolated,
@@ -15,7 +14,6 @@ from .errors import (
     NotPrimePower,
     NumberDoesNotExist,
     SizeBudgetExceeded,
-    ZeroHasNoLog,
 )
 from .families import (
     FAMILY_KINDS,

@@ -17,14 +17,6 @@ class SizeBudgetExceeded(GPGraphError):
     """The requested object is larger than the configured size budget."""
 
 
-class DivisionByZero(GPGraphError):
-    """Multiplicative inverse of the zero element was requested."""
-
-
-class ZeroHasNoLog(GPGraphError):
-    """Discrete logarithm of the zero element was requested."""
-
-
 class NotDirected(GPGraphError):
     """An operation that requires a directed graph received an undirected one."""
 

@@ -161,6 +161,8 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         pairs = ((k * (base_q ** a - 1) // (base_q - 1), d * a) for a in itertools.count(1))
 
     for k_out, m_out in pairs:
+        if m_out > max_q.bit_length():  # p^m >= 2^m > max_q, and p^m itself may be huge
+            return
         q_out = p ** m_out
         if q_out > max_q:
             return

@@ -8,22 +8,22 @@ Index 0 is zero and indices below p form the prime subfield.
 Construction is deterministic: the canonical field, which build_field
 caches, uses the lexicographically least monic irreducible polynomial
 (coefficient tuples compared constant term first) and the least-index
-generator of the multiplicative group. The library computes on indices
-and the exp/log tables; a FieldElement only names an element for printing.
-The element arithmetic, the tests' field model, is in tests/oracles.py.
+generator of the multiplicative group. A field is its tables, exp, log,
+trace_of_exp and, on first read, zech, and the library computes on them
+alone; a FieldElement only names an element for printing. The element
+arithmetic, the tests' field model, is in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrime, NotPrimePower, SizeBudgetExceeded, ZeroHasNoLog, check
+from .errors import NotPrime, NotPrimePower, SizeBudgetExceeded, check
 from .numbertheory import factorize, is_prime, prime_power
 
 DEFAULT_SIZE_BUDGET = 2 ** 20
@@ -253,8 +253,8 @@ class FiniteField:
 
     The tables are flat numpy arrays: exp[e] is the index of omega^e for
     e in [0, q - 1), log inverts it (log[0] = -1) and trace_of_exp[e] is
-    Tr(omega^e). Index-level methods return Python ints, so that exponent
-    products never wrap in a fixed-width dtype.
+    Tr(omega^e). They are all the field holds, with zech on first read.
+    -1 has index p - 1, so its log is field.log[p - 1].
 
     Instances are immutable once constructed and safe to share.
     build_field() gives the canonical field and caches it; the constructor
@@ -277,7 +277,6 @@ class FiniteField:
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._pows = tuple(p ** i for i in range(m))
         self._build_tables()
 
     # -- construction internals ------------------------------------------------
@@ -305,8 +304,9 @@ class FiniteField:
         check((digits[q - 1] == digits[0]).all(), f"{self!r}: the generator must satisfy omega^(q-1) = 1")
         digits = digits[:q - 1]
         index_dtype = np.promote_types(np.int32, np.min_scalar_type(-q))
+        pows = [p ** i for i in range(m)]  # the index of a^i
         exp = np.empty(q - 1, dtype=index_dtype)
-        _product_mod(digits, np.array(self._pows), q, exp)  # each index is already below q
+        _product_mod(digits, np.array(pows), q, exp)  # each index is already below q
         log = np.full(q, -1, dtype=index_dtype)
         log[exp] = np.arange(q - 1, dtype=index_dtype)
         check(log[0] == -1 and (log[1:] >= 0).all(),
@@ -314,26 +314,15 @@ class FiniteField:
         self.exp = exp
         self.log = log
 
-        # -x = omega^((q-1)/2) * x for odd p, and -x = x in characteristic 2
-        half = (q - 1) // 2 if p > 2 else 0
-        neg = np.zeros(q, dtype=index_dtype)
-        neg[exp] = np.roll(exp, -half)
-        self._neg = neg
-
-        basis_traces = []
-        for i in range(m):
-            acc = 0
-            x = self._pows[i]  # index of a^i
-            for _ in range(m):
-                acc = self.index_add(acc, x)
-                x = self.index_pow(x, p)
-            # Frobenius orbit sums land in the prime subfield (indices < p)
-            check(acc < p, f"{self!r}: the trace of a basis element must lie in the prime subfield")
-            basis_traces.append(acc)
+        # Tr(a^i) sums the conjugates a^(i p^j), read off their coefficient rows; it lies in F_p
+        conjugates = [[int(log[w]) * p ** j % (q - 1) for j in range(m)] for w in pows]
+        traces = digits[conjugates].sum(axis=1, dtype=np.int64) % p
+        check(not traces[:, 1:].any(),
+              f"{self!r}: the trace of a basis element must lie in the prime subfield")
         self.trace_of_exp = np.empty(q - 1, dtype=np.min_scalar_type(p - 1))
-        _product_mod(digits, np.array(basis_traces), p, self.trace_of_exp)
+        _product_mod(digits, traces[:, 0], p, self.trace_of_exp)
 
-    # -- index-level arithmetic --------------------------------------------------
+    # -- coefficients and the Zech table ---------------------------------------
 
     def index_coeffs(self, idx: int) -> tuple[int, ...]:
         p = self.p
@@ -342,29 +331,6 @@ class FiniteField:
             out.append(idx % p)
             idx //= p
         return tuple(out)
-
-    def index_add(self, u: int, v: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return (u + v) % p
-        if p == 2:
-            return u ^ v
-        out = 0
-        for w in self._pows:
-            out += ((u // w + v // w) % p) * w
-        return out
-
-    def index_neg(self, u: int) -> int:
-        return int(self._neg[u])
-
-    def index_pow(self, u: int, e: int) -> int:
-        if u == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise DivisionByZero("negative power of the zero element")
-            return 0
-        return int(self.exp[int(self.log[u]) * e % (self.q - 1)])
 
     @functools.cached_property
     def zech(self) -> np.ndarray:
@@ -389,17 +355,6 @@ class FiniteField:
         if not 0 <= value < self.q:
             raise ValueError(f"element index {value} out of range [0, {self.q})")
         return FieldElement(self, value)
-
-    def discrete_log(self, x) -> int:
-        """The exponent e with omega^e = x, for nonzero x."""
-        idx = self.element(x).index
-        if idx == 0:
-            raise ZeroHasNoLog("discrete log of zero is undefined")
-        return int(self.log[idx])
-
-    def power_residue_indices(self, k: int) -> list[int]:
-        """Indices of the subgroup of nonzero k-th powers, ascending."""
-        return np.sort(self.exp[::math.gcd(k, self.q - 1)]).tolist()
 
     def modulus_str(self) -> str:
         return _poly_str(self.modulus, "x")

@@ -44,9 +44,11 @@ class GPGraph:
         self._traversal: np.ndarray | None = None  # by quotient_bfs
 
     @cached_property
-    def connection(self) -> tuple[int, ...]:
-        """The nonzero k-th powers as ascending indices."""
-        return tuple(self.field.power_residue_indices(self.k))
+    def connection(self) -> np.ndarray:
+        """The nonzero k-th powers omega^(jk) as ascending indices, a read-only int array."""
+        connection = np.sort(self.field.exp[::self.k])
+        connection.setflags(write=False)
+        return connection
 
     def __repr__(self):
         shape = "directed" if self.directed else "undirected"
@@ -171,11 +173,11 @@ def quotient_bfs(graph: GPGraph, signed: bool = False) -> np.ndarray:
 
 def _traverse(graph: GPGraph, signed: bool) -> np.ndarray:
     """One run of the quotient BFS; quotient_bfs keeps its unsigned run on the graph."""
-    q1 = graph.field.q - 1
-    steps = np.arange(0, q1, graph.k)
-    if signed:
-        steps = np.concatenate([steps, (steps + q1 // 2) % q1])
-    return log_bfs(graph.field.zech, steps, graph.k)[0]
+    field = graph.field
+    steps = np.arange(0, field.q - 1, graph.k)
+    if signed:  # -r = (-1) * r, and -1 has index p - 1
+        steps = np.concatenate([steps, (steps + field.log[field.p - 1]) % (field.q - 1)])
+    return log_bfs(field.zech, steps, graph.k)[0]
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     multiplicities[principal] += 1 - n
     ids = inverse[1:]
     irrational = ~_fixed_by(ids, (q - 1) // (p - 1))  # g
-    nonreal = ~_fixed_by(ids, field.discrete_log(p - 1))  # -1, an element of F_p
+    nonreal = ~_fixed_by(ids, field.log[p - 1])  # -1, which has index p - 1
     # codes 0 rational, 1 real irrational, 2 nonreal, in the order of
     # ValueClass and of Nature; equal periods get equal codes, and n is rational
     classes = np.zeros(len(values), dtype=np.int64)

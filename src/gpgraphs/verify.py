@@ -53,12 +53,17 @@ def _check_nature(graph: GPGraph):
     shape = "directed" if graph.directed else "undirected"
     if (report.nature is spectra.Nature.COMPLEX) != graph.directed:
         raise AssertionError(f"{report.nature.render()} spectrum, but the valuation rule says {shape}")
-    field, connection = graph.field, set(graph.connection)
-    if (field.index_neg(1) in connection) == graph.directed:
+    field, connection, p = graph.field, graph.connection, graph.field.p
+    held = np.zeros(field.q, dtype=bool)  # a table, as np.isin would import numpy.ma (about 1 MB)
+    held[connection] = True
+    if held[p - 1] == graph.directed:  # -1 has the coefficients (p - 1, 0, ..., 0)
         raise AssertionError(f"membership of -1 disagrees with the valuation rule ({shape})")
-    if graph.directed and connection & {field.index_neg(r) for r in connection}:
-        raise AssertionError("the directed connection set holds some r and -r")
-    if connection != set(field.exp[::graph.k].tolist()) or len(graph.connection) != graph.n:
+    if graph.directed:  # -r coefficient by coefficient
+        pows = p ** np.arange(field.m)
+        if held[(p - connection[:, None] // pows % p) % p @ pows].any():
+            raise AssertionError("the directed connection set holds some r and -r")
+    # n distinct logs that are multiples of k are 0, k, ..., q - 1 - k; the zero element's log is -1
+    if not np.array_equal(np.sort(field.log[connection]), np.arange(0, field.q - 1, graph.k)):
         raise AssertionError(f"the connection set is not the n = {graph.n} k-th powers")
 
 

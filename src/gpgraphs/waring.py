@@ -73,9 +73,9 @@ def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int,
     target_idx = field.element(target).index
     if target_idx == 0:
         return []
-    step_logs = field.log[list(graph.connection)].astype(np.int64)
-    if signed and graph.directed:  # -r = omega^((q-1)/2) * r, as q is odd
-        step_logs = np.concatenate([step_logs, (step_logs + (field.q - 1) // 2) % (field.q - 1)])
+    step_logs = field.log[graph.connection].astype(np.int64)
+    if signed and graph.directed:  # -r = (-1) * r, and -1 has index p - 1
+        step_logs = np.concatenate([step_logs, (step_logs + field.log[field.p - 1]) % (field.q - 1)])
     goal = int(field.log[target_idx])
     dist, parent, step = log_bfs(field.zech, step_logs, field.q - 1, goal)
     if dist[goal] < 0:

@@ -17,7 +17,6 @@ import numpy as np
 
 from gpgraphs import (
     CyclotomicInteger,
-    DivisionByZero,
     FieldElement,
     NotDirected,
     NotPrime,
@@ -37,8 +36,21 @@ from gpgraphs.spectra import _weighted_squares, boundary_rows, two_re_holds
 ORACLE_SIZE_LIMIT = 512
 
 
+def index_add(field, u: int, v: int) -> int:
+    """u + v, coefficient by coefficient; a scalar add_outer, which the deque-BFS oracles call per arc."""
+    out = 0
+    for i in range(field.m):
+        w = field.p ** i
+        out += (u // w + v // w) % field.p * w
+    return out
+
+
+def index_neg(field, u: int) -> int:
+    return index_mul(field, field.p - 1, u)  # -u = (-1) * u, and -1 has index p - 1
+
+
 def index_sub(field, u: int, v: int) -> int:
-    return field.index_add(u, field.index_neg(v))
+    return index_add(field, u, index_neg(field, v))
 
 
 def index_mul(field, u: int, v: int) -> int:
@@ -49,8 +61,25 @@ def index_mul(field, u: int, v: int) -> int:
 
 def index_inv(field, u: int) -> int:
     if u == 0:
-        raise DivisionByZero("the zero element has no inverse")
+        raise ValueError("the zero element has no inverse")
     return int(field.exp[-int(field.log[u]) % (field.q - 1)])
+
+
+def index_pow(field, u: int, e: int) -> int:
+    """u^e, on Python ints so that log(u) * e never wraps."""
+    if u == 0:
+        if e < 0:
+            raise ValueError("negative power of the zero element")
+        return int(e == 0)
+    return int(field.exp[int(field.log[u]) * e % (field.q - 1)])
+
+
+def discrete_log(field, x) -> int:
+    """The exponent e with omega^e = x, for nonzero x (an index or an element)."""
+    idx = field.element(x).index
+    if idx == 0:
+        raise ValueError("discrete log of zero is undefined")
+    return int(field.log[idx])
 
 
 class Element(FieldElement):
@@ -103,7 +132,7 @@ class Element(FieldElement):
         return other.index
 
     def __add__(self, other):
-        return Element(self.field, self.field.index_add(self.index, self._operand(other)))
+        return Element(self.field, index_add(self.field, self.index, self._operand(other)))
 
     def __sub__(self, other):
         return Element(self.field, index_sub(self.field, self.index, self._operand(other)))
@@ -116,10 +145,10 @@ class Element(FieldElement):
                                              index_inv(self.field, self._operand(other))))
 
     def __pow__(self, e: int):
-        return Element(self.field, self.field.index_pow(self.index, e))
+        return Element(self.field, index_pow(self.field, self.index, e))
 
     def __neg__(self):
-        return Element(self.field, self.field.index_neg(self.index))
+        return Element(self.field, index_neg(self.field, self.index))
 
     def inverse(self) -> "Element":
         return Element(self.field, index_inv(self.field, self.index))
@@ -179,16 +208,12 @@ def has_arc(graph, u, v) -> bool:
     """Whether v - u is a nonzero k-th power, by its discrete log."""
     field = graph.field
     diff = index_sub(field, field.element(v).index, field.element(u).index)
-    return diff != 0 and field.discrete_log(diff) % graph.k == 0
+    return diff != 0 and field.log[diff] % graph.k == 0
 
 
-def symmetric_connection(graph) -> tuple[int, ...]:
-    """Connection set of the underlying undirected graph (k-th powers and their negatives)."""
-    if not graph.directed:
-        return graph.connection
-    sym = set(graph.connection)
-    sym.update(graph.field.index_neg(r) for r in graph.connection)
-    return tuple(sorted(sym))
+def symmetric_connection(graph) -> np.ndarray:
+    """Connection set of the underlying undirected graph (k-th powers and their negatives), ascending."""
+    return np.union1d(graph.connection, [index_neg(graph.field, r) for r in graph.connection.tolist()])
 
 
 def symmetrize(graph):

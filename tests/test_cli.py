@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gpgraphs import (FiniteField, SizeBudgetExceeded, build_field, build_graph, cli, fields,
+from gpgraphs import (GPGraph, SizeBudgetExceeded, build_field, build_graph, cli, fields,
                       run_verification, spectra)
 from gpgraphs.cli import build_report_rows, render_records, render_table
 from gpgraphs.spectra import Nature
@@ -193,16 +193,16 @@ def test_every_command_reads_the_budget_from_fields(monkeypatch, capsys):
 
 
 def test_report_and_spectrum_list_no_connection_set(monkeypatch, capsys):
-    listed = []
-    honest = FiniteField.power_residue_indices
-    monkeypatch.setattr(FiniteField, "power_residue_indices",
-                        lambda self, k: listed.append((self.q, k)) or honest(self, k))
+    read = []
+    honest = GPGraph.connection.func
+    monkeypatch.setattr(GPGraph, "connection",
+                        property(lambda graph: read.append((graph.field.q, graph.k)) or honest(graph)))
     for q in (729, 2399, 2401):
         build_report_rows(q)
     assert cli.main(["spectrum", "--q", "2401", "--k", "1"]) == 0
-    assert listed == []
-    build_graph(build_field(7, 4), 1).connection  # the count works: the set is built on first read
-    assert listed == [(2401, 1)]
+    assert read == []
+    build_graph(build_field(7, 4), 1).connection  # the count works: every read is counted
+    assert read == [(2401, 1)]
 
 
 def test_cli_families(capsys):
@@ -217,18 +217,16 @@ def test_cli_families(capsys):
     assert "gcd" in capsys.readouterr().err
 
 
-def test_cyclotomic_family_beyond_max_q_prints_nothing_at_once(package_env):
+@pytest.mark.parametrize("args", [
     # 3^1000000 > 10^6: Phi_1000000(3) took 19 s to compute and was never used
-    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "families", "--kind", "CyclotomicValue",
-                           "--p", "3", "--d", "1000000"], capture_output=True, text=True,
-                          env=package_env, timeout=5)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-
-
-def test_totient_family_with_k_beyond_max_q_prints_nothing_at_once(package_env):
+    ["--kind", "CyclotomicValue", "--p", "3", "--d", "1000000"],
     # k divides every emitted q - 1, so q > k > max_q: factoring k took over 30 s and went unused
-    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "families", "--kind", "TotientPower",
-                           "--p", "5", "--k", "10000000000000431000000000002257"],
+    ["--kind", "TotientPower", "--p", "5", "--k", "10000000000000431000000000002257"],
+    # the first q is p^k: computing p^500000003 ran past 15 s
+    ["--kind", "SubfieldDivisor", "--p", "1000000007", "--k", "500000003", "--max-q", "100"],
+], ids=["CyclotomicValue", "TotientPower", "SubfieldDivisor"])
+def test_family_beyond_max_q_prints_nothing_at_once(package_env, args):
+    proc = subprocess.run([sys.executable, "-m", "gpgraphs", "families", *args],
                           capture_output=True, text=True, env=package_env, timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 

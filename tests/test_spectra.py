@@ -25,6 +25,7 @@ from oracles import (
     Cyclotomic,
     boundary_values,
     gaussian_period,
+    index_add,
     numeric_oracle_check,
     quadratic_gauss_sum,
     root_power,
@@ -224,12 +225,12 @@ def _srg_by_sets(graph):
         return None
     field = graph.field
     q, n = field.q, graph.n
-    nbrs0 = set(graph.connection)
-    v_adj = graph.connection[0]
-    nbrs_adj = {field.index_add(v_adj, r) for r in graph.connection}
+    connection = graph.connection.tolist()
+    nbrs0 = set(connection)
+    nbrs_adj = {index_add(field, connection[0], r) for r in connection}
     e = len(nbrs0 & nbrs_adj)
     w = next(i for i in range(1, q) if i not in nbrs0)
-    nbrs_non = {field.index_add(w, r) for r in graph.connection}
+    nbrs_non = {index_add(field, w, r) for r in connection}
     d = len(nbrs0 & nbrs_non)
     return (q, n, e, d)
 

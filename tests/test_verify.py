@@ -6,7 +6,7 @@ import pytest
 from gpgraphs import CyclotomicInteger, build_field, build_graph, spectra, verify
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
-from oracles import Cyclotomic, boundary_values, root_power
+from oracles import Cyclotomic, boundary_values, index_neg, root_power
 
 
 def test_verify_field_single():
@@ -271,22 +271,22 @@ def _flip_directed(graph):
 
 
 def _toggle_minus_one(graph):
-    graph.connection = tuple(sorted(set(graph.connection) ^ {graph.field.index_neg(1)}))
+    graph.connection = np.setxor1d(graph.connection, [index_neg(graph.field, 1)])
 
 
 def _hold_a_negative(graph):
     # the last k-th power becomes the negative of another, so there are still n of them
-    graph.connection = graph.connection[:-1] + (graph.field.index_neg(graph.connection[1]),)
+    graph.connection = np.append(graph.connection[:-1], index_neg(graph.field, int(graph.connection[1])))
 
 
 def _swap_a_power(graph):
     # omega^(2k) gives way to omega, which is no k-th power, so there are still n elements
     exp = graph.field.exp
-    graph.connection = tuple(sorted(set(graph.connection) - {int(exp[2 * graph.k])} | {int(exp[1])}))
+    graph.connection = np.union1d(np.setdiff1d(graph.connection, exp[2 * graph.k]), exp[1])
 
 
 def _repeat_a_power(graph):
-    graph.connection = graph.connection + graph.connection[1:2]
+    graph.connection = np.append(graph.connection, graph.connection[1])
 
 
 def _corrupting_build(monkeypatch, corrupted_k, corrupt):
@@ -373,6 +373,8 @@ def test_nature_check_compares_with_the_arithmetic_rule_first(monkeypatch):
 def test_nature_check_survives_python_O(run_optimized):
     # the antisymmetry comparison raises explicitly, so -O keeps it
     proc = run_optimized("""
+        import numpy as np
+
         from gpgraphs import verify
         from gpgraphs.verify import verify_field
 
@@ -380,8 +382,9 @@ def test_nature_check_survives_python_O(run_optimized):
 
         def corrupted(field, k):
             graph = honest(field, k)
-            if graph.k == 8:  # directed: the last k-th power becomes the negative of another
-                graph.connection = graph.connection[:-1] + (field.index_neg(graph.connection[1]),)
+            if graph.k == 8:  # directed: the last k-th power becomes -r = (-1) * r for another r
+                minus_r = field.exp[(field.log[graph.connection[1]] + field.log[4]) % 24]
+                graph.connection = np.append(graph.connection[:-1], minus_r)
             return graph
 
         verify.build_graph = corrupted

@@ -20,7 +20,8 @@ from gpgraphs import (
 from gpgraphs import graphs
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
-from oracles import Element, bfs_distances, is_primitive_divisor, symmetrize, verify_reduction
+from oracles import (Element, bfs_distances, discrete_log, index_add, index_neg, is_primitive_divisor,
+                     symmetrize, verify_reduction)
 
 
 def test_g_values():
@@ -196,10 +197,10 @@ def _sumset_oracle(field, k, signed):
     # k-th powers, by growing sumsets; independent of any graph traversal
     powers = {(x ** k).index for x in Element.elements(field)}
     if signed:
-        powers |= {field.index_neg(i) for i in powers}
+        powers |= {index_neg(field, i) for i in powers}
     reachable = {0}
     for s in range(1, field.q + 1):
-        reachable = {field.index_add(a, b) for a in reachable for b in powers}
+        reachable = {index_add(field, a, b) for a in reachable for b in powers}
         if len(reachable) == field.q:
             return s
     return None
@@ -218,16 +219,16 @@ def _reference_witness(field, k, target, signed):
     # is the first (u, r) in FIFO order, with r in the insertion order of steps
     graph = build_graph(field, k)
     target_idx = field.element(target).index
-    steps = {r: 1 for r in graph.connection}
+    steps = {r: 1 for r in graph.connection.tolist()}
     if signed:
-        for r in graph.connection:
-            steps.setdefault(field.index_neg(r), -1)
+        for r in graph.connection.tolist():
+            steps.setdefault(index_neg(field, r), -1)
     parents = {0: (-1, 0)}
     queue = deque([0])
     while queue and target_idx not in parents:
         u = queue.popleft()
         for r in steps:
-            v = field.index_add(u, r)
+            v = index_add(field, u, r)
             if v not in parents:
                 parents[v] = (u, r)
                 queue.append(v)
@@ -240,7 +241,7 @@ def _reference_witness(field, k, target, signed):
     while v != 0:
         u, r = parents[v]
         sign = steps[r]
-        e = field.discrete_log(r if sign == 1 else field.index_neg(r))
+        e = discrete_log(field, r if sign == 1 else index_neg(field, r))
         out.append((sign, FieldElement(field, int(field.exp[e // graph.k]))))
         v = u
     out.reverse()
@@ -355,13 +356,15 @@ def test_witness_law_survives_python_O(run_optimized):
     proc = run_optimized("""
         import sys
 
+        import numpy as np
+
         from gpgraphs import InvariantViolated, build_field, waring, witness
 
         honest_build = waring.build_graph
 
         def corrupted_build(field, k):
             graph = honest_build(field, k)
-            graph.connection = (1, 2, 3)  # 3 is not a square mod 7
+            graph.connection = np.array([1, 2, 3])  # 3 is not a square mod 7
             return graph
 
         waring.build_graph = corrupted_build
