@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -203,7 +204,9 @@ def _cmd_waring(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to main rather than at import."""
     parser = argparse.ArgumentParser(
         prog="gpgraphs",
         description="Power-residue Cayley graphs over finite fields: exact spectra, "
@@ -240,8 +243,12 @@ def main(argv=None) -> int:
     p_war.add_argument("--witness", type=int, default=None,
                        help="element index to decompose into k-th powers")
     p_war.set_defaults(fn=_cmd_waring)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code; every call parses with the one cached parser."""
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InvariantViolated as exc:  # a law failed on computed data: not the caller's error

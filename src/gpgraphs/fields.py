@@ -7,7 +7,8 @@ Index 0 is zero and indices below p form the prime subfield.
 
 Construction is deterministic: the canonical field, which build_field
 caches, uses the lexicographically least monic irreducible polynomial
-(coefficient tuples compared constant term first) and the least-index
+(coefficient tuples compared constant term first), found by Ben-Or's test,
+which stops at a candidate's least factor degree, and the least-index
 generator of the multiplicative group. A field is its tables, exp, log,
 trace_of_exp and, on first read, zech, and the library computes on them
 alone; a FieldElement only names an element for printing. The element
@@ -46,14 +47,13 @@ def _poly_mul_mod(a, b, modulus, p):
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
+                prod[i + j] += ca * cb
+    for i in range(len(prod) - 1, m - 1, -1):  # Python ints: reduce mod p once a coefficient is final
+        c = prod[i] % p
         if c:
-            prod[i] = 0
             for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    return _poly_trim(tuple(prod))
+                prod[i - m + j] -= c * modulus[j]
+    return _poly_trim(tuple(c % p for c in prod[:m]))
 
 
 def _poly_pow_mod(a, e, modulus, p):
@@ -95,28 +95,21 @@ def _poly_gcd(a, b, p):
 
 
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial of degree >= 1 over F_p."""
+    """Ben-Or's test (FOCS 1981) for a monic polynomial f of degree m >= 1 over F_p.
+
+    f is irreducible exactly when gcd(x^(p^i) - x, f) = 1 for i = 1 .. m/2, as
+    x^(p^i) - x is the product of the monic irreducibles of degree dividing i;
+    so a reducible f is rejected at the least degree of its factors.
+    """
     m = len(modulus) - 1
     if m < 1 or modulus[-1] != 1:
         return False
-    if m == 1:
-        return True
-    x = (0, 1)
-    # x^(p^m) == x mod f
-    xq = x
-    for _ in range(m):
-        xq = _poly_pow_mod(xq, p, modulus, p)
-    if _poly_trim(xq) != x:
-        return False
-    # gcd(x^(p^(m/r)) - x, f) == 1 for every prime r | m
-    for r in factorize(m):
-        xe = x
-        for _ in range(m // r):
-            xe = _poly_pow_mod(xe, p, modulus, p)
+    xe = (0, 1)
+    for _ in range(m // 2):
+        xe = _poly_pow_mod(xe, p, modulus, p)
         diff = list(xe) + [0] * (2 - len(xe))
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(tuple(diff), modulus, p)
-        if len(g) != 1:
+        if len(_poly_gcd(tuple(diff), modulus, p)) != 1:
             return False
     return True
 

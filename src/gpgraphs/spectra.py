@@ -91,23 +91,33 @@ class SpectrumReport:
     def _entries(self, indices: np.ndarray) -> tuple[Entry, ...]:
         """The entries of the rows at `indices`, in the order of `entries`.
 
-        Each row is decoded into a transient canonical coefficient vector,
-        c_j = h_j - h_(p-1) for the trace histogram h; only its nonzero terms
-        are kept, and its float image is the one CyclotomicInteger.embed
-        gives. The coefficients break ties between rounded images, so they
-        are decoded a second time only for the entries that tie.
+        The canonical terms are c_j = h_j - h_(p-1) for the trace histogram h
+        of a sorted row. One pass finds the runs of all rows: a row without
+        trace p - 1 has h_(p-1) = 0, so its runs are its nonzero terms, and
+        only a row with it decodes every c_j. The float image is embed_coeffs
+        of a transient dense vector, whose summation order sets the sign of a
+        real value's tiny imaginary part. The coefficients break ties between
+        rounded images, so they are decoded again only for the entries that tie.
         """
         p = self._p
         rows = self._rows[indices]
+        starts = np.ones(rows.shape, dtype=bool)  # where a run of equal traces starts
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+        starts = np.flatnonzero(starts)
+        values, lengths = rows.ravel()[starts], np.diff(starts, append=rows.size)
+        bounds = np.searchsorted(starts, np.arange(len(rows) + 1) * rows.shape[1]).tolist()
         value_classes = tuple(ValueClass)  # in the order of the codes
         entries = []
-        for row, mult, code in zip(rows, self._multiplicities[indices].tolist(),
-                                   self._classes[indices].tolist()):
-            coeffs = np.bincount(row, minlength=p)
-            coeffs -= coeffs[-1]
-            nonzero = np.flatnonzero(coeffs)
-            entries.append(Entry(tuple(zip(nonzero.tolist(), coeffs[nonzero].tolist())), mult,
-                                 value_classes[code], embed_coeffs(p, coeffs)))
+        for row, b, e, mult, code in zip(rows, bounds, bounds[1:], self._multiplicities[indices].tolist(),
+                                         self._classes[indices].tolist()):
+            coeffs = np.zeros(p)  # h, from the runs; float64 holds every count exactly
+            at = values[b:e]  # the terms, while h_(p-1) = 0
+            coeffs[at] = lengths[b:e]
+            if row[-1] == p - 1:
+                coeffs -= coeffs[-1]
+                at = np.flatnonzero(coeffs)
+            terms = tuple(zip(at.tolist(), map(int, coeffs[at].tolist())))
+            entries.append(Entry(terms, mult, value_classes[code], embed_coeffs(p, coeffs)))
         keys = [(-round(e.numeric.real, 9), round(e.numeric.imag, 9)) for e in entries]
         tied = {key for key, count in Counter(keys).items() if count > 1}
 

@@ -11,6 +11,7 @@ criteria.
 import itertools
 import json
 import math
+from collections import Counter
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -28,10 +29,11 @@ from gpgraphs import (
     waring_result,
 )
 from gpgraphs.cli import FieldReportRow
+from gpgraphs.cyclotomic import ValueClass, embed_coeffs
 from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, is_prime
-from gpgraphs.spectra import _weighted_squares, boundary_rows, two_re_holds
+from gpgraphs.spectra import Entry, _weighted_squares, boundary_rows, two_re_holds
 
 ORACLE_SIZE_LIMIT = 512
 
@@ -167,6 +169,21 @@ class Element(FieldElement):
 def second_modulus(p: int, m: int) -> tuple[int, ...]:
     """The modulus after the canonical one, second in the order of irreducible_polynomials."""
     return next(itertools.islice(irreducible_polynomials(p, m), 1, None))
+
+
+def irreducible_by_trial_division(f: tuple[int, ...], p: int) -> bool:
+    """Whether the monic f over F_p has no monic factor of degree 1 .. deg(f) / 2, by long division."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rem = list(f)
+            for top in range(m, d - 1, -1):  # the divisor low + (1,) is monic
+                c = rem[top]
+                for j, b in enumerate(low + (1,)):
+                    rem[top - d + j] = (rem[top - d + j] - c * b) % p
+            if not any(rem):
+                return False
+    return True
 
 
 def add_outer(field, us, vs) -> np.ndarray:
@@ -339,6 +356,28 @@ def boundary_values(report) -> tuple[Cyclotomic, ...]:
     """The eigenvalues of maximum modulus n, in the order of `entries`, from the boundary rows."""
     return tuple(Cyclotomic.from_terms(report._p, e.terms)
                  for e in report._entries(boundary_rows(report)))
+
+
+def dense_entries(report) -> tuple[Entry, ...]:
+    """`report.entries`, each row decoded densely: c_j = h_j - h_(p-1) for its trace histogram h."""
+    p, rows = report._p, report._rows
+    entries = []
+    for row, mult, code in zip(rows, report._multiplicities.tolist(), report._classes.tolist()):
+        coeffs = np.bincount(row, minlength=p)
+        coeffs -= coeffs[-1]
+        nonzero = np.flatnonzero(coeffs)
+        entries.append(Entry(tuple(zip(nonzero.tolist(), coeffs[nonzero].tolist())), mult,
+                             tuple(ValueClass)[code], embed_coeffs(p, coeffs)))
+    keys = [(-round(e.numeric.real, 9), round(e.numeric.imag, 9)) for e in entries]
+    tied = {key for key, count in Counter(keys).items() if count > 1}
+
+    def order(i):
+        if keys[i] not in tied:
+            return keys[i]
+        coeffs = np.bincount(rows[i], minlength=p)
+        return keys[i] + (tuple((coeffs - coeffs[-1]).tolist()),)
+
+    return tuple(entries[i] for i in sorted(range(len(entries)), key=order))
 
 
 def square_histogram(row: np.ndarray, p: int) -> np.ndarray:

@@ -28,10 +28,13 @@ def test_traced_ops_match_the_bench_reference(bench):
     spans, worker, workloads = bench
     reference = json.loads((BENCH / "reference.json").read_text())
     sweep, queries = workloads.SpectrumSweep(), workloads.CliQueries()
-    # integral, real-nonintegral and complex spectra, and a directed graph's signed witness
-    ops = [(sweep, op) for op in sweep.universe() if op.q == 2401 and op.k in (1, 3, 16, 32, 2400)]
+    # every traced spectrum: its render prints the imaginary part of real
+    # values, whose sign is set by the summation order of the float image
+    ops = [(sweep, op) for op in sweep.universe()]
+    ops += [(queries, op) for op in queries.universe() if op.target is None]
+    # and a directed graph's signed witness
     ops += [(queries, op) for op in queries.universe() if op.key == "waring --q 3721 --k 120 --witness 219"]
-    assert len(ops) == 6
+    assert len(ops) == 72 + 19 + 1
     for workload, op in ops:
         text = workload.run_traced(op, spans.Tracer())  # as worker.record digests it
         assert worker.digest(text) == reference[workload.name]["traced"][op.key], op.key

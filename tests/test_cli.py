@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from gpgraphs import (GPGraph, SizeBudgetExceeded, build_field, build_graph, cli
 from gpgraphs.cli import build_report_rows, render_records, render_table
 from gpgraphs.spectra import Nature
 from oracles import parse_records
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_report_rows_are_sorted_by_k():
@@ -243,6 +248,31 @@ def test_tower_family_with_d_beyond_max_q_returns_at_once(package_env, k, d, cod
                            "--p", "3", "--k", k, "--d", d], capture_output=True, text=True,
                           env=package_env, timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    built = []
+    counting = lambda *args, **kwargs: built.append(1) or argparse.ArgumentParser(*args, **kwargs)
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+    cli._parser.cache_clear()
+    assert built == []  # nothing is built before the first call
+    for argv in (["spectrum", "--q", "25", "--k", "8"], ["waring", "--q", "25", "--k", "8"],
+                 ["families", "--kind", "Tower", "--p", "3", "--k", "2", "--d", "2", "--max-q", "81"]):
+        assert cli.main(argv) == 0
+    assert len(built) == 1
+
+
+def test_no_argument_carries_over_between_calls(capsys):
+    assert cli.main(["report", "--q", "25", "--format", "records"]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--q", "25"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "report_q25.txt").read_text()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--q", "25"])  # missing --k
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 0
+    assert capsys.readouterr().out.startswith("q=25 k=8 n=3 nature=complex mu=7 components=1\n")
 
 
 def test_cli_usage_error_exit_code():

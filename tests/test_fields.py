@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -16,9 +17,9 @@ from gpgraphs import (
 )
 from gpgraphs import fields
 from gpgraphs.fields import _poly_mul_mod, _poly_pow_mod, _poly_trim, is_irreducible
-from gpgraphs.numbertheory import prime_power
+from gpgraphs.numbertheory import is_prime, prime_power
 from oracles import (Element, add_outer, discrete_log, index_inv, index_mul, index_neg, index_pow,
-                     trace_table)
+                     irreducible_by_trial_division, trace_table)
 
 # A concrete GF(25) model used throughout the tests: x^2 + 2x + 3,
 # so the generator a satisfies a^2 = 3a + 2.
@@ -201,9 +202,27 @@ def test_is_irreducible_known_cases():
 @pytest.mark.parametrize("p, m", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2),
                                   (5, 3), (7, 2), (11, 2)])
 def test_canonical_modulus_matches_search_over_every_candidate(p, m):
-    every = [c + (1,) for c in itertools.product(range(p), repeat=m) if is_irreducible(c + (1,), p)]
+    every = [c + (1,) for c in itertools.product(range(p), repeat=m)
+             if irreducible_by_trial_division(c + (1,), p)]
     assert list(itertools.islice(irreducible_polynomials(p, m), 2)) == every[:2]
     assert canonical_modulus(p, m) == every[0]
+
+
+@pytest.mark.parametrize("p, max_m", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_is_irreducible_agrees_with_trial_division(p, max_m):
+    # every monic polynomial, so squares of irreducibles and zero constant terms among them
+    for m in range(1, max_m + 1):
+        for low in itertools.product(range(p), repeat=m):
+            f = low + (1,)
+            assert is_irreducible(f, p) == irreducible_by_trial_division(f, p), f
+
+
+def test_canonical_moduli_of_every_extension_field_are_pinned():
+    fields_by_q = sorted((p ** m, p, m) for p in range(2, 1025) if is_prime(p)
+                         for m in range(2, 21) if p ** m <= 2 ** 20)
+    moduli = [((p, m), canonical_modulus(p, m)) for _, p, m in fields_by_q]
+    assert len(moduli) == 242
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest()[:16] == "43e17d4b0f2702b0"
 
 
 def test_modulus_search_skips_multiples_of_x(monkeypatch):

@@ -24,6 +24,7 @@ from gpgraphs.spectra import doubled_rows, moments
 from oracles import (
     Cyclotomic,
     boundary_values,
+    dense_entries,
     gaussian_period,
     index_add,
     numeric_oracle_check,
@@ -438,6 +439,15 @@ def test_report_table_agrees_with_values():
             assert mult == entry.multiplicity
             assert entry.numeric == value.embed()
             assert entry.value_class is value.classify()
+
+
+def test_entries_match_the_dense_decode():
+    # GP(2398, 2399) and GP(1199, 2399) have one row with trace p - 1 among
+    # thousands; GP(736, 2209) and GP(63, 16129) have dozens
+    graphs = [(q, k) for q in range(2, 344) if prime_power(q) for k in divisors(q - 1)]
+    for q, k in graphs + [(2399, 2398), (2399, 1199), (2209, 736), (16129, 63)]:
+        report = spectrum(build_graph(build_field(*prime_power(q)), k))
+        assert report.entries == dense_entries(report), (q, k)
 
 
 def test_entries_break_float_ties_by_coefficients(monkeypatch):
