@@ -9,7 +9,6 @@ from .errors import (
     GPGraphError,
     HypothesisViolated,
     InvariantViolated,
-    NotDirected,
     NotPrime,
     NotPrimePower,
     NumberDoesNotExist,
@@ -42,9 +41,7 @@ from .graphs import (
 )
 from .spectra import (
     Nature,
-    PaleyUnionDigraph,
     SpectrumReport,
-    detect_three_ev_digraph,
     nature_for,
     spectrum,
     srg_parameters,

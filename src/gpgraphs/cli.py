@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cyclotomic import ValueClass, render_terms
 from .errors import GPGraphError, InvariantViolated
@@ -24,10 +24,6 @@ from .numbertheory import divisors
 from .spectra import spectrum, srg_parameters
 from .verify import run_verification
 from .waring import graph_waring, witness
-
-ROW_FIELDS = ("q", "p", "m", "k", "n", "structure", "directed", "components",
-              "nature", "mu", "srg", "period", "g", "w")
-
 
 @dataclass(frozen=True)
 class FieldReportRow:
@@ -48,6 +44,9 @@ class FieldReportRow:
 
     def to_record(self) -> dict:
         return {name: getattr(self, name) for name in ROW_FIELDS}  # json writes srg as a list
+
+
+ROW_FIELDS = tuple(f.name for f in fields(FieldReportRow))  # the report columns, in order
 
 
 def build_report_rows(q: int) -> list[FieldReportRow]:

@@ -17,10 +17,6 @@ class SizeBudgetExceeded(GPGraphError):
     """The requested object is larger than the configured size budget."""
 
 
-class NotDirected(GPGraphError):
-    """An operation that requires a directed graph received an undirected one."""
-
-
 class NumberDoesNotExist(GPGraphError):
     """A Waring-type number does not exist for the given parameters."""
 

@@ -173,11 +173,13 @@ def quotient_bfs(graph: GPGraph, signed: bool = False) -> np.ndarray:
 
 def _traverse(graph: GPGraph, signed: bool) -> np.ndarray:
     """One run of the quotient BFS; quotient_bfs keeps its unsigned run on the graph."""
-    field = graph.field
-    steps = np.arange(0, field.q - 1, graph.k)
-    if signed:  # -r = (-1) * r, and -1 has index p - 1
-        steps = np.concatenate([steps, (steps + field.log[field.p - 1]) % (field.q - 1)])
-    return log_bfs(field.zech, steps, graph.k)[0]
+    steps = np.arange(0, graph.field.q - 1, graph.k)
+    return log_bfs(graph.field.zech, signed_steps(graph.field, steps) if signed else steps, graph.k)[0]
+
+
+def signed_steps(field: FiniteField, steps: np.ndarray) -> np.ndarray:
+    """The step logs r, then those of -r = (-1) * r in the same order; -1 has index p - 1."""
+    return np.concatenate([steps, (steps + field.log[field.p - 1]) % (field.q - 1)])
 
 
 @dataclass(frozen=True)
@@ -264,26 +266,22 @@ def classify_structure(graph: GPGraph) -> StructureLabel:
     field = graph.field
     q, p, m, k = field.q, field.p, field.m, graph.k
     dec = components(graph)
-    pa = p ** dec.a
 
-    if k * (pa - 1) == q - 1:
-        return StructureLabel(COMPLETE_UNION, copies=dec.count, part=pa)
-    if k * (pa - 1) == 2 * (q - 1):
-        return StructureLabel(PALEY_UNION, copies=dec.count, part=pa, directed=graph.directed)
+    if k * (dec.component_q - 1) == q - 1:
+        return StructureLabel(COMPLETE_UNION, copies=dec.count, part=dec.component_q)
+    if k * (dec.component_q - 1) == 2 * (q - 1):
+        return StructureLabel(PALEY_UNION, copies=dec.count, part=dec.component_q, directed=graph.directed)
     if q % 2 == 1 and k in (q - 1, (q - 1) // 2):
         return StructureLabel(CYCLE_UNION, copies=q // p, part=p, directed=graph.directed)
     if q % 2 == 0 and k == q - 1:
         return StructureLabel(K2_UNION, copies=q // 2)
-    for b in divisors(m):
-        if b < 2:
-            continue
+    for b in divisors(m)[1:]:
         q0 = p ** (m // b)
-        if k * b * (q0 - 1) == q - 1 and (q - 1) % (q0 - 1) == 0 \
-                and ((q - 1) // (q0 - 1)) % b == 0 and dec.count == 1:
+        if k * b * (q0 - 1) == q - 1 and dec.count == 1:  # then (q - 1)/(q0 - 1) = kb
             return StructureLabel(HAMMING, hamming_b=b, hamming_q=q0)
     if _is_semiprimitive(p, m, k, q):
         return StructureLabel(SEMIPRIMITIVE)
-    return StructureLabel(GENERIC, copies=dec.count, part=pa, directed=graph.directed,
+    return StructureLabel(GENERIC, copies=dec.count, part=dec.component_q, directed=graph.directed,
                           component_k=dec.component_k)
 
 

@@ -21,7 +21,8 @@ is kept as its nonzero terms. eta^2 is the histogram of trace sums over
 pairs from one row, eta + conj(eta) is the row merged with its negative,
 and a value has modulus n exactly when its row is constant, so no check
 multiplies coefficient vectors. The trace-zero law and the second moment
-are checked by verify, on `moments`, not on every spectrum. Cyclotomic
+are checked by verify, on `moments`, not on every spectrum; so is the
+three-eigenvalue law of digraphs, against the structure label. Cyclotomic
 arithmetic and a dense floating-point eigensolver, the tests' oracles for
 these rows, are in tests/oracles.py.
 """
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CyclotomicInteger, ValueClass, embed_coeffs
-from .errors import NotDirected, check
+from .errors import check
 from .fields import FiniteField
 from .graphs import GPGraph, components
 
@@ -365,37 +366,6 @@ def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
         expected[row.tobytes()] += mult
     return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows),
                                         half._multiplicities.tolist())))
-
-
-@dataclass(frozen=True)
-class PaleyUnionDigraph:
-    """A directed graph that is a disjoint union of directed Paley graphs."""
-
-    copies: int
-    part: int  # vertex count p^a of each directed Paley component
-
-
-def detect_three_ev_digraph(graph: GPGraph) -> PaleyUnionDigraph | None:
-    """Detect the only directed GP-graphs with exactly three eigenvalues.
-
-    These are unions of directed Paley graphs: k = 2(q-1)/(p^a - 1) with
-    p^a = 3 (mod 4). The detection is checked to coincide with mu = 3, and
-    every directed graph is checked to satisfy mu >= 3.
-    """
-    if not graph.directed:
-        raise NotDirected(f"GP({graph.k},{graph.field.q}) is undirected")
-    field = graph.field
-    dec = components(graph)
-    pa = field.p ** dec.a
-    found = None
-    if pa % 4 == 3 and graph.k * (pa - 1) == 2 * (field.q - 1):
-        found = PaleyUnionDigraph(copies=dec.count, part=pa)
-    m = spectrum(graph).mu
-    label = f"GP({graph.k},{field.q})"
-    check(m >= 3, f"{label}: a directed GP-graph has at least three eigenvalues, not {m}")
-    check((found is not None) == (m == 3),
-          f"{label}: the union-of-directed-Paley test must hold exactly when mu = 3 (mu = {m})")
-    return found
 
 
 def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:

@@ -1,9 +1,10 @@
 """Verification sweeps: re-derive every structural law on all graphs up to a bound.
 
 Each check runs independently per (k, q) so a single failure is reported
-with its exact location instead of aborting the sweep. Each field comes from
-fields.field_of_order, and the size budget in fields refuses a max_q before
-any field is built.
+with its exact location instead of aborting the sweep. The graph checks are
+one table; mu-directed holds a digraph's mu = 3 to the oriented Paley label
+of classify_structure. Each field comes from fields.field_of_order, and the
+size budget in fields refuses a max_q before any field is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from . import spectra
 from .cyclotomic import render_terms
 from .families import census
 from .fields import FiniteField, check_size_budget, field_of_order
-from .graphs import ComponentDecomposition, GPGraph, build_graph, components, period, quotient_bfs
+from .graphs import (PALEY_UNION, ComponentDecomposition, GPGraph, build_graph, classify_structure,
+                     components, period, quotient_bfs)
 from .numbertheory import divisors, prime_power, v2
 from .waring import _diameter, graph_waring
 
@@ -43,7 +45,7 @@ class CheckOutcome:
     first_failure: str | None = None
 
 
-def _check_nature(graph: GPGraph):
+def _check_nature(graph: GPGraph, half: GPGraph | None):
     """The nature against its rule, then the valuation rule against realness and the connection set."""
     report = spectra.spectrum(graph)
     arithmetic = spectra.nature_for(graph.field.p, graph.field.m, graph.k)
@@ -71,7 +73,7 @@ def _render(coeffs) -> str:
     return render_terms((j, c) for j, c in enumerate(coeffs.tolist()) if c)
 
 
-def _check_moments(graph: GPGraph):
+def _check_moments(graph: GPGraph, half: GPGraph | None):
     first, second = spectra.moments(spectra.spectrum(graph))
     if first.any():
         raise AssertionError(f"sum of eigenvalues is {_render(first)}, not 0")
@@ -101,7 +103,7 @@ def _traversed_period(graph: GPGraph) -> int:
     return int(np.gcd.reduce(np.abs(src[reached] + 1 - dst[reached])))
 
 
-def _check_period_law(graph: GPGraph):
+def _check_period_law(graph: GPGraph, half: GPGraph | None):
     traversed, closed_form = _traversed_period(graph), period(graph)
     if traversed != closed_form:
         raise AssertionError(f"period {traversed} by traversal != closed form {closed_form}")
@@ -131,7 +133,7 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
         raise AssertionError(f"w = {w} inconsistent with g = {g}")
 
 
-def _check_boundary(graph: GPGraph):
+def _check_boundary(graph: GPGraph, half: GPGraph | None):
     report = spectra.spectrum(graph)
     boundary = spectra.boundary_rows(report)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
@@ -141,6 +143,15 @@ def _check_boundary(graph: GPGraph):
     if found != expected:
         values = sorted({render_terms(e.terms) for e in report._entries(boundary)})
         raise AssertionError(f"boundary spectrum {values} != expected")
+
+
+def _check_three_eigenvalues(graph: GPGraph, half: GPGraph):
+    """A digraph has mu >= 3, and mu = 3 exactly when its label is a union of oriented Paley graphs."""
+    mu = spectra.spectrum(graph).mu
+    if mu < 3:
+        raise AssertionError(f"a directed GP-graph has at least three eigenvalues, not {mu}")
+    if (classify_structure(graph).kind == PALEY_UNION) != (mu == 3):
+        raise AssertionError(f"the oriented Paley union label must hold exactly when mu = 3 (mu = {mu})")
 
 
 def _check_census(field: FiniteField):
@@ -159,12 +170,16 @@ def _check_census(field: FiniteField):
                              f"for n_complex = {c.n_complex}")
 
 
+# (name, check, directed graphs only) in the order they run; each check takes
+# (graph, half), half the GP(k/2, q) of a directed graph and None otherwise
 _GRAPH_CHECKS = (
     ("nature", _check_nature, False),
     ("trace-identities", _check_moments, False),
     ("period-law", _check_period_law, False),
-    ("mu-directed", spectra.detect_three_ev_digraph, True),  # checks mu >= 3 and the 3-eigenvalue law
+    ("mu-directed", _check_three_eigenvalues, True),
     ("boundary-spectrum", _check_boundary, False),
+    ("waring-formula", _check_waring_formula, False),
+    ("two-re", _check_two_re, True),
 )
 
 
@@ -187,15 +202,10 @@ def verify_field(q: int) -> list[CheckOutcome]:
     # ascending k: the two-re check of GP(k, q) reads the cached spectrum of GP(k/2, q)
     graphs = {k: build_graph(field, k) for k in divisors(q - 1)}
     for k, graph in graphs.items():
-        context = f"q={q} k={k}"
+        half = graphs[k // 2] if graph.directed else None
         for name, fn, directed_only in _GRAPH_CHECKS:
-            if directed_only and not graph.directed:
-                continue
-            _record(outcomes[name], context, fn, graph)
-        half = graphs[k // 2] if graph.directed else None  # GP(k/2, q), for the directed reductions
-        _record(outcomes["waring-formula"], context, _check_waring_formula, graph, half)
-        if graph.directed:
-            _record(outcomes["two-re"], context, _check_two_re, graph, half)
+            if graph.directed or not directed_only:
+                _record(outcomes[name], f"q={q} k={k}", fn, graph, half)
     return [outcomes[name] for name in CHECK_NAMES]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumberDoesNotExist, check
 from .fields import FieldElement, FiniteField
-from .graphs import GPGraph, build_graph, components, log_bfs, quotient_bfs
+from .graphs import GPGraph, build_graph, components, log_bfs, quotient_bfs, signed_steps
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int,
     if target_idx == 0:
         return []
     step_logs = field.log[graph.connection].astype(np.int64)
-    if signed and graph.directed:  # -r = (-1) * r, and -1 has index p - 1
-        step_logs = np.concatenate([step_logs, (step_logs + field.log[field.p - 1]) % (field.q - 1)])
+    if signed and graph.directed:
+        step_logs = signed_steps(field, step_logs)
     goal = int(field.log[target_idx])
     dist, parent, step = log_bfs(field.zech, step_logs, field.q - 1, goal)
     if dist[goal] < 0:

@@ -19,7 +19,6 @@ import numpy as np
 from gpgraphs import (
     CyclotomicInteger,
     FieldElement,
-    NotDirected,
     NotPrime,
     SizeBudgetExceeded,
     build_field,
@@ -392,7 +391,7 @@ def verify_2re(field, k: int) -> bool:
     """Check that the symmetrized spectrum is {lam + conj(lam)} of the directed one."""
     graph = build_graph(field, k)
     if not graph.directed:
-        raise NotDirected(f"GP({graph.k},{field.q}) is undirected")
+        raise ValueError(f"GP({graph.k},{field.q}) is undirected")
     return two_re_holds(spectrum(graph), spectrum(build_graph(field, graph.k // 2)))
 
 

@@ -14,14 +14,15 @@ from gpgraphs import (
     build_field,
     build_graph,
     census,
+    classify_structure,
     components,
-    detect_three_ev_digraph,
     nature_for,
     period,
     spectrum,
     waring_result,
 )
 from gpgraphs.cli import build_report_rows, render_records, render_table
+from gpgraphs.graphs import PALEY_UNION
 from gpgraphs.numbertheory import divisors, prime_power, v2
 from gpgraphs.verify import _traversed_period
 from oracles import (
@@ -287,10 +288,10 @@ def test_criterion_10_three_eigenvalue_digraphs():
         for graph in graphs:
             if not graph.directed:
                 continue
-            found = detect_three_ev_digraph(graph)  # checks mu >= 3 internally
-            a = components(graph).a
+            labelled = classify_structure(graph).kind == PALEY_UNION
+            a, mu = components(graph).a, spectrum(graph).mu
             condition = (p ** a) % 4 == 3 and graph.k * (p ** a - 1) == 2 * (q - 1)
-            assert (found is not None) == condition == (spectrum(graph).mu == 3), (q, graph.k)
+            assert mu >= 3 and labelled == condition == (mu == 3), (q, graph.k)
 
 
 @criterion(11, "spectra do not depend on the modulus polynomial (q = 25, 49, 81)")

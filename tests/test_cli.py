@@ -293,3 +293,19 @@ def test_python_m_gpgraphs(package_env):
                           capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("OK: 8 check categories")
+
+
+def test_spectrum_output_does_not_depend_on_the_blas_thread_count(package_env):
+    # the float images of GP(10006, 10007) differ in their last bits between one
+    # and two BLAS threads; the printed values, rounded to six places, must not
+    def digest(threads):
+        env = dict(package_env, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        argv = [sys.executable, "-m", "gpgraphs", "spectrum", "--q", "10007", "--k", "10006"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env) as proc:
+            sha = hashlib.sha256()
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):  # about 890 MB of padded lines
+                sha.update(chunk)
+        assert proc.returncode == 0
+        return sha.hexdigest()
+
+    assert digest(1) == digest(2)

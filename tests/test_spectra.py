@@ -8,17 +8,17 @@ import pytest
 from gpgraphs import (
     FiniteField,
     Nature,
-    NotDirected,
     SizeBudgetExceeded,
     build_field,
     build_graph,
+    classify_structure,
     components,
-    detect_three_ev_digraph,
     nature_for,
     spectra,
     spectrum,
     srg_parameters,
 )
+from gpgraphs.graphs import PALEY_UNION
 from gpgraphs.numbertheory import divisors, is_prime, prime_power
 from gpgraphs.spectra import doubled_rows, moments
 from oracles import (
@@ -131,7 +131,7 @@ def test_two_re_examples():
 
 
 def test_two_re_requires_directed():
-    with pytest.raises(NotDirected):
+    with pytest.raises(ValueError):
         verify_2re(build_field(5, 2), 3)
 
 
@@ -144,15 +144,15 @@ def test_mu_examples():
 
 
 def test_three_eigenvalue_digraph_detection():
-    found = detect_three_ev_digraph(build_graph(build_field(7, 1), 2))
-    assert found is not None and (found.copies, found.part) == (1, 7)
-    found = detect_three_ev_digraph(build_graph(build_field(7, 2), 16))
-    assert found is not None and (found.copies, found.part) == (7, 7)
+    # the directed GP-graphs with three eigenvalues are the oriented Paley unions
+    for p, m, k, copies in ((7, 1, 2, 1), (7, 2, 16, 7)):
+        graph = build_graph(build_field(p, m), k)
+        label = classify_structure(graph)
+        assert (label.kind, label.directed, label.copies, label.part) == (PALEY_UNION, True, copies, 7)
+        assert spectrum(graph).mu == 3
     graph = build_graph(build_field(5, 2), 8)
-    assert detect_three_ev_digraph(graph) is None
+    assert classify_structure(graph).kind != PALEY_UNION
     assert spectrum(graph).mu > 3
-    with pytest.raises(NotDirected):
-        detect_three_ev_digraph(build_graph(build_field(5, 2), 2))
 
 
 def test_directed_paley_closed_form():

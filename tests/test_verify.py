@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpgraphs import CyclotomicInteger, build_field, build_graph, spectra, verify
+from gpgraphs.graphs import GENERIC, PALEY_UNION
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
 from oracles import Cyclotomic, boundary_values, index_neg, root_power
@@ -51,6 +52,17 @@ def _corrupt_multiplicity(report):
     return dataclasses.replace(report, _multiplicities=multiplicities)
 
 
+def _corrupt(monkeypatch, owner, name, corrupted_k, change):
+    """Replace owner.name(graph, ...) by one that passes its result on GP(corrupted_k, q) through change."""
+    honest = getattr(owner, name)
+
+    def corrupted(graph, *args, **kwargs):
+        result = honest(graph, *args, **kwargs)
+        return change(result) if graph.k == corrupted_k else result
+
+    monkeypatch.setattr(owner, name, corrupted)
+
+
 @pytest.mark.parametrize("check, corrupted_k, corrupt, failure", [
     ("trace-identities", 6, _corrupt_multiplicity, "q=25 k=6: sum of eigenvalues is 4, not 0"),
     ("boundary-spectrum", 6, _corrupt_rows, "q=25 k=6: boundary spectrum [] != expected"),
@@ -60,13 +72,7 @@ def _corrupt_multiplicity(report):
     ("two-re", 4, _corrupt_rows, "q=25 k=8: symmetrized spectrum is not twice the real parts"),
 ])
 def test_corrupted_rows_fail_their_check(monkeypatch, check, corrupted_k, corrupt, failure):
-    honest = spectra.spectrum
-
-    def corrupted(graph):
-        report = honest(graph)
-        return corrupt(report) if graph.k == corrupted_k else report
-
-    monkeypatch.setattr(spectra, "spectrum", corrupted)
+    _corrupt(monkeypatch, spectra, "spectrum", corrupted_k, corrupt)
     outcome = next(o for o in verify_field(25) if o.name == check)
     assert outcome.failed == 1
     assert outcome.first_failure == failure
@@ -93,16 +99,10 @@ TRADED_TRACE_FAILURES = [
 
 @pytest.mark.parametrize("q, corrupted_k, branch, failure", TRADED_TRACE_FAILURES)
 def test_a_traded_trace_fails_the_second_moment(monkeypatch, q, corrupted_k, branch, failure):
-    honest = spectra.spectrum
-    report = honest(build_graph(build_field(*prime_power(q)), corrupted_k))
+    report = spectra.spectrum(build_graph(build_field(*prime_power(q)), corrupted_k))
     assert (report.n ** 2 <= spectra.KRONECKER_RATIO * report._p) == (branch == "pairs")
     assert not spectra.moments(_trade_a_trace(report))[0].any()
-
-    def corrupted(graph):
-        report = honest(graph)
-        return _trade_a_trace(report) if graph.k == corrupted_k else report
-
-    monkeypatch.setattr(spectra, "spectrum", corrupted)
+    _corrupt(monkeypatch, spectra, "spectrum", corrupted_k, _trade_a_trace)
     outcome = next(o for o in verify_field(q) if o.name == "trace-identities")
     assert (outcome.failed, outcome.first_failure) == (1, failure)
 
@@ -179,7 +179,7 @@ def _boundary_by_norms(report):
     return tuple(value for value in values if value * value.conjugate() == n_squared)
 
 
-def _check_boundary_by_cyclotomic_sets(graph):
+def _check_boundary_by_cyclotomic_sets(graph, half):
     """The boundary check on sets of CyclotomicIntegers: the oracle of verify's check on rows."""
     field = graph.field
     found = set(_boundary_by_norms(spectra.spectrum(graph)))
@@ -193,7 +193,7 @@ def _check_boundary_by_cyclotomic_sets(graph):
 
 def _failure(check, graph):
     try:
-        check(graph)
+        check(graph, None)
     except AssertionError as exc:
         return str(exc)
     return None
@@ -320,13 +320,8 @@ def test_corrupted_directedness_fails_the_nature_check(monkeypatch, corrupted_k,
 
 def test_waring_check_compares_the_traversal_with_the_closed_form(monkeypatch):
     # the traversal of GP(4, 25) loses one of its 4 classes; components(graph) stays exact
-    honest = verify.quotient_bfs
-
-    def corrupted(graph, signed=False):
-        dist = honest(graph, signed)
-        return np.where(np.arange(dist.size) == 0, -1, dist) if graph.k == 4 else dist
-
-    monkeypatch.setattr(verify, "quotient_bfs", corrupted)
+    _corrupt(monkeypatch, verify, "quotient_bfs", 4,
+             lambda dist: np.where(np.arange(dist.size) == 0, -1, dist))
     waring = next(o for o in verify_field(25) if o.name == "waring-formula")
     assert (waring.passed, waring.failed) == (7, 1)
     assert waring.first_failure == (
@@ -345,13 +340,7 @@ def test_period_law_compares_the_traversal_with_the_closed_form(monkeypatch):
 
 def test_waring_check_compares_the_signed_traversal_with_the_reduction(monkeypatch):
     # a reduction that gives the directed GP(8, 25) w = g(8, 25) = 4; its signed traversal gives 3
-    honest = verify.graph_waring
-
-    def corrupted(graph, half_g=None):
-        result = honest(graph, half_g)
-        return dataclasses.replace(result, w=result.g) if graph.k == 8 else result
-
-    monkeypatch.setattr(verify, "graph_waring", corrupted)
+    _corrupt(monkeypatch, verify, "graph_waring", 8, lambda result: dataclasses.replace(result, w=result.g))
     waring = next(o for o in verify_field(25) if o.name == "waring-formula")
     assert (waring.passed, waring.failed) == (7, 1)
     assert waring.first_failure == "q=25 k=8: w = 3 by diameter != 4 by reduction to g"
@@ -359,13 +348,8 @@ def test_waring_check_compares_the_signed_traversal_with_the_reduction(monkeypat
 
 def test_nature_check_compares_with_the_arithmetic_rule_first(monkeypatch):
     # a real spectrum on the directed GP(8, 25) breaks both comparisons; the first is reported
-    honest = spectra.spectrum
-
-    def corrupted(graph):
-        report = honest(graph)
-        return dataclasses.replace(report, nature=spectra.Nature.INTEGRAL) if graph.k == 8 else report
-
-    monkeypatch.setattr(spectra, "spectrum", corrupted)
+    _corrupt(monkeypatch, spectra, "spectrum", 8,
+             lambda report: dataclasses.replace(report, nature=spectra.Nature.INTEGRAL))
     nature = next(o for o in verify_field(25) if o.name == "nature")
     assert nature.first_failure == "q=25 k=8: eigenvalue nature integral != arithmetic rule complex"
 
@@ -393,6 +377,36 @@ def test_nature_check_survives_python_O(run_optimized):
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "7 1 q=25 k=8: the directed connection set holds some r and -r\n", proc.stdout
+
+
+# GP(2, 7) is the directed Paley graph (mu = 3) and GP(6, 7) the directed 7-cycle (mu = 7)
+@pytest.mark.parametrize("corrupted_k, kind, mu", [(2, GENERIC, 3), (6, PALEY_UNION, 7)])
+def test_three_eigenvalue_check_compares_mu_with_the_label(monkeypatch, corrupted_k, kind, mu):
+    _corrupt(monkeypatch, verify, "classify_structure", corrupted_k,
+             lambda label: dataclasses.replace(label, kind=kind))
+    check = next(o for o in verify_field(7) if o.name == "mu-directed")
+    assert (check.passed, check.failed) == (1, 1)
+    assert check.first_failure == (
+        f"q=7 k={corrupted_k}: the oriented Paley union label must hold exactly when mu = 3 (mu = {mu})")
+
+
+def test_three_eigenvalue_check_survives_python_O(run_optimized):
+    # the label comparison raises explicitly, so -O keeps it
+    proc = run_optimized("""
+        import dataclasses
+        from gpgraphs import verify
+        from gpgraphs.graphs import GENERIC
+        from gpgraphs.verify import verify_field
+
+        honest = verify.classify_structure
+        verify.classify_structure = lambda graph: (
+            dataclasses.replace(honest(graph), kind=GENERIC) if graph.k == 2 else honest(graph))
+        check = next(o for o in verify_field(7) if o.name == "mu-directed")
+        print(check.passed, check.failed, check.first_failure)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("1 1 q=7 k=2: the oriented Paley union label must hold exactly "
+                           "when mu = 3 (mu = 3)\n"), proc.stdout
 
 
 def test_sequential_and_parallel_agree():
