@@ -121,8 +121,6 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_q < 2:
-        return _usage_error(f"--max-q {args.max_q} must be at least 2")
     if args.jobs < 1:
         return _usage_error(f"--jobs {args.jobs} must be at least 1")
     outcomes = run_verification(args.max_q, jobs=args.jobs)
@@ -248,6 +246,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code; every call parses with the one cached parser."""
     args = _parser().parse_args(argv)
+    if getattr(args, "max_q", 2) < 2:  # verify and families
+        return _usage_error(f"--max-q {args.max_q} must be at least 2")
     try:
         return args.fn(args)
     except InvariantViolated as exc:  # a law failed on computed data: not the caller's error

@@ -17,14 +17,9 @@ generates the whole Galois group of Q(zeta_p); both automorphisms shift
 the period index, so the tests compare periods, not coefficients.
 SpectrumReport.entries is the one view of the values: their order and
 float images are computed only when something reads it, and each value
-is kept as its nonzero terms. eta^2 is the histogram of trace sums over
-pairs from one row, eta + conj(eta) is the row merged with its negative,
-and a value has modulus n exactly when its row is constant, so no check
-multiplies coefficient vectors. The trace-zero law and the second moment
-are checked by verify, on `moments`, not on every spectrum; so is the
-three-eigenvalue law of digraphs, against the structure label. Cyclotomic
-arithmetic and a dense floating-point eigensolver, the tests' oracles for
-these rows, are in tests/oracles.py.
+is kept as its nonzero terms. No law is checked here: verify owns each
+one. Cyclotomic arithmetic and a dense floating-point eigensolver, the
+tests' oracles for these rows, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -42,11 +37,6 @@ from .cyclotomic import CyclotomicInteger, ValueClass, embed_coeffs
 from .errors import check
 from .fields import FiniteField
 from .graphs import GPGraph, components
-
-PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp
-# rows with n^2 > KRONECKER_RATIO * p are squared by Kronecker substitution: one
-# row took about as long either way at n^2 / p near 16 for p = 257 and 47 for p = 3001
-KRONECKER_RATIO = 32
 
 
 class Nature(IntEnum):
@@ -195,102 +185,6 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     return fixed
 
 
-def _groups(multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct multiplicities, ascending, and for each row the index of its own among them.
-
-    The distinct values come from a sort: np.unique without indices would
-    import numpy.ma, which costs a one-command process about 20 ms.
-    """
-    ordered = np.sort(multiplicities)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return distinct, np.searchsorted(distinct, multiplicities)
-
-
-def _value_sum(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
-    """The sum of mult * eta over the rows, as a canonical coefficient vector, in exact integers.
-
-    One bincount holds a trace histogram per multiplicity group (see
-    `_groups`), side by side, and the distinct multiplicities weight them
-    in one int64 product.
-    """
-    distinct, group = groups
-    counts = np.bincount((rows + group[:, None] * p).ravel(), minlength=len(distinct) * p)
-    total = distinct @ counts.reshape(-1, p)
-    return total - total[-1]
-
-
-def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, count: int) -> np.ndarray:
-    """The histogram of t + u over all pairs of traces t, u within each row, one per group.
-
-    Row r counts into group[r] < count; each group's 2p bins sum over its rows and
-    are not yet folded mod p. The pairs are formed in blocks of at most
-    PAIR_BLOCK, so the temporaries stay small whatever the row count.
-    """
-    n = rows.shape[1]
-    per_block = max(1, PAIR_BLOCK // (n * n))  # rows
-    step = max(1, min(n, PAIR_BLOCK // n))  # left-hand traces of one row
-    total = np.zeros(count * 2 * p, dtype=np.int64)
-    for start in range(0, len(rows), per_block):
-        block = rows[start:start + per_block]
-        right = block + group[start:start + per_block, None] * (2 * p)  # int64, in its group's bins
-        for left in range(0, n, step):
-            pairs = block[:, left:left + step, None] + right[:, None, :]
-            total += np.bincount(pairs.ravel(), minlength=count * 2 * p)
-    return total.reshape(count, 2 * p)
-
-
-def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
-    """The histogram of t + u over all pairs of traces t, u in one row, as `_pair_sums` gives it.
-
-    That histogram is the square of the row's trace histogram h as a
-    polynomial. Packed into fixed-width slots of one Python int, h squares
-    as that int (Kronecker substitution). A coefficient of the square is
-    at most max(h) * n <= n^2, which its slot holds, so no slot carries
-    into the next.
-    """
-    counts = np.bincount(row, minlength=p)
-    width = ((int(counts.max()) * len(row)).bit_length() + 7) // 8  # bytes per slot, at most 8
-    slots = counts.astype("<u8").view(np.uint8).reshape(p, 8)
-    packed = int.from_bytes(slots[:, :width].tobytes(), "little")
-    square = np.zeros((2 * p, 8), dtype=np.uint8)
-    square[:, :width] = np.frombuffer((packed * packed).to_bytes(2 * p * width, "little"),
-                                      dtype=np.uint8).reshape(2 * p, width)
-    return square.view("<u8").ravel().astype(np.int64)
-
-
-def _weighted_squares(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
-    """The sum of mult * eta^2 over the rows, as a length-p histogram folded mod p.
-
-    Rows of n traces are counted by pairs, in n^2 steps each, while
-    n^2 <= KRONECKER_RATIO * p, one histogram per multiplicity group,
-    weighted in one int64 product. Wider rows are squared one at a time by
-    `_kronecker_square`, whose cost grows with p alone, and weighted each.
-    """
-    distinct, group = groups
-    n = rows.shape[1]
-    if n * n <= KRONECKER_RATIO * p:
-        total = distinct @ _pair_sums(rows, p, group, len(distinct))
-    else:
-        total = np.zeros(2 * p, dtype=np.int64)
-        for row, mult in zip(rows, distinct[group].tolist()):
-            total += mult * _kronecker_square(row, p)
-    return total[:p] + total[p:]
-
-
-def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
-
-    Both are exact int64 vectors of length p; no mu x p array is built. An
-    entry of the second sum is at most q * n^2, so int64 holds it while
-    that bound is below 2^63.
-    """
-    p, q, n = report._p, report.q, report.n
-    check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
-    groups = _groups(report._multiplicities)
-    second = _weighted_squares(report._rows, groups, p)
-    return _value_sum(report._rows, groups, p), second - second[-1]
-
-
 def spectrum(graph: GPGraph) -> SpectrumReport:
     """The exact eigenvalue multiset of GP(k, q): n once, and every Gaussian period n times.
 
@@ -298,10 +192,8 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     bytes. A period equal to n, over a coset on which the trace vanishes,
     adds n to the principal multiplicity. A value is rational when it is
     fixed by zeta -> zeta^g, g = omega^((q-1)/(p-1)), and real when it is
-    fixed by zeta -> zeta^-1. The result is checked on every call: the
-    multiplicities sum to q, n occurs once per component, and the nature
-    matches the arithmetic rule. That the eigenvalues sum to zero is
-    checked by verify, on `moments`.
+    fixed by zeta -> zeta^-1. No law is checked here (see verify); the
+    multiplicities sum to (k + 1) n + 1 - n = q by construction.
     """
     if graph._spectrum is not None:
         return graph._spectrum
@@ -322,15 +214,6 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     classes[ids] = irrational.astype(np.int64) + nonreal
     nature = Nature(int(classes.max()))
 
-    count = components(graph).count
-    label = f"GP({k},{q})"
-    check(multiplicities.sum() == q, f"{label}: eigenvalue multiplicities must sum to q")
-    check(multiplicities[principal] == count,
-          f"{label}: principal multiplicity {multiplicities[principal]} "
-          f"must equal the component count {count}")
-    check(nature == nature_for(p, field.m, k),
-          f"{label}: eigenvalue nature {nature.render()} must match the arithmetic rule")
-
     report = SpectrumReport(
         q=q, k=k, n=n,
         nature=nature,
@@ -343,29 +226,6 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     )
     graph._spectrum = report
     return report
-
-
-def doubled_rows(report: SpectrumReport) -> np.ndarray:
-    """eta + conj(eta) for each distinct value, as the sorted row of its traces t and -t mod p."""
-    p, rows = report._p, report._rows
-    doubled = np.concatenate([rows, ((p - rows.astype(np.int64)) % p).astype(rows.dtype)], axis=1)
-    doubled.sort(axis=1)
-    return doubled
-
-
-def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
-    """Whether {lam + conj(lam)} over the directed spectrum is the spectrum of its symmetrization.
-
-    The coset of the symmetrized graph GP(k/2, q) is the directed coset and
-    its negative, so its period rows, 2n wide, are the `doubled_rows`. Rows
-    of equal width are equal values exactly when they are equal, so the two
-    multisets are compared by row bytes.
-    """
-    expected = Counter()
-    for row, mult in zip(doubled_rows(directed), directed._multiplicities.tolist()):
-        expected[row.tobytes()] += mult
-    return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows),
-                                        half._multiplicities.tolist())))
 
 
 def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
@@ -391,13 +251,3 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     check((q - n - 1) * d == n * (n - e - 1),
           f"GP({k},{q}): srg({q},{n},{e},{d}) must satisfy (v-r-1)d = r(r-e-1)")
     return (q, n, e, d)
-
-
-def boundary_rows(report: SpectrumReport) -> np.ndarray:
-    """Indices of the distinct values of maximum modulus n: the rows whose traces are all equal.
-
-    A sum of n roots of unity has modulus n exactly when its terms are all
-    the same root, so the row of a boundary value n * zeta^t is n copies of t.
-    """
-    rows = report._rows
-    return np.flatnonzero((rows == rows[:, :1]).all(axis=1))

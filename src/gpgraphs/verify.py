@@ -2,15 +2,19 @@
 
 Each check runs independently per (k, q) so a single failure is reported
 with its exact location instead of aborting the sweep. The graph checks are
-one table; mu-directed holds a digraph's mu = 3 to the oriented Paley label
-of classify_structure. Each field comes from fields.field_of_order, and the
-size budget in fields refuses a max_q before any field is built.
+one table, and each law of spectra.spectrum, which checks none, has one
+owner here, with the second method it compares with: eta^2 is summed from
+trace pairs (`moments`), eta + conj(eta) is a row merged with its negative
+(`doubled_rows`), and modulus n is a constant row (`boundary_rows`). Each
+field comes from fields.field_of_order, and the size budget in fields
+refuses a max_q before any field is built.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -18,12 +22,19 @@ import numpy as np
 
 from . import spectra
 from .cyclotomic import render_terms
+from .errors import check
 from .families import census
 from .fields import FiniteField, check_size_budget, field_of_order
 from .graphs import (PALEY_UNION, ComponentDecomposition, GPGraph, build_graph, classify_structure,
                      components, period, quotient_bfs)
 from .numbertheory import divisors, prime_power, v2
+from .spectra import SpectrumReport
 from .waring import _diameter, graph_waring
+
+PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp
+# rows with n^2 > KRONECKER_RATIO * p are squared by Kronecker substitution: one
+# row took about as long either way at n^2 / p near 16 for p = 257 and 47 for p = 3001
+KRONECKER_RATIO = 32
 
 CHECK_NAMES = (
     "nature",
@@ -69,12 +80,108 @@ def _check_nature(graph: GPGraph, half: GPGraph | None):
         raise AssertionError(f"the connection set is not the n = {graph.n} k-th powers")
 
 
+def _groups(multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct multiplicities, ascending, and for each row the index of its own among them.
+
+    The distinct values come from a sort: np.unique without indices would
+    import numpy.ma, which costs a one-command process about 20 ms.
+    """
+    ordered = np.sort(multiplicities)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return distinct, np.searchsorted(distinct, multiplicities)
+
+
+def _value_sum(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+    """The sum of mult * eta over the rows, as a canonical coefficient vector, in exact integers.
+
+    One bincount holds a trace histogram per multiplicity group (see
+    `_groups`), side by side, and the distinct multiplicities weight them
+    in one int64 product.
+    """
+    distinct, group = groups
+    counts = np.bincount((rows + group[:, None] * p).ravel(), minlength=len(distinct) * p)
+    total = distinct @ counts.reshape(-1, p)
+    return total - total[-1]
+
+
+def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, count: int) -> np.ndarray:
+    """The histogram of t + u over all pairs of traces t, u within each row, one per group.
+
+    Row r counts into group[r] < count; each group's 2p bins sum over its rows and
+    are not yet folded mod p. The pairs are formed in blocks of at most
+    PAIR_BLOCK, so the temporaries stay small whatever the row count.
+    """
+    n = rows.shape[1]
+    per_block = max(1, PAIR_BLOCK // (n * n))  # rows
+    step = max(1, min(n, PAIR_BLOCK // n))  # left-hand traces of one row
+    total = np.zeros(count * 2 * p, dtype=np.int64)
+    for start in range(0, len(rows), per_block):
+        block = rows[start:start + per_block]
+        right = block + group[start:start + per_block, None] * (2 * p)  # int64, in its group's bins
+        for left in range(0, n, step):
+            pairs = block[:, left:left + step, None] + right[:, None, :]
+            total += np.bincount(pairs.ravel(), minlength=count * 2 * p)
+    return total.reshape(count, 2 * p)
+
+
+def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
+    """The histogram of t + u over all pairs of traces t, u in one row, as `_pair_sums` gives it.
+
+    That histogram is the square of the row's trace histogram h as a
+    polynomial. Packed into fixed-width slots of one Python int, h squares
+    as that int (Kronecker substitution). A coefficient of the square is
+    at most max(h) * n <= n^2, which its slot holds, so no slot carries
+    into the next.
+    """
+    counts = np.bincount(row, minlength=p)
+    width = ((int(counts.max()) * len(row)).bit_length() + 7) // 8  # bytes per slot, at most 8
+    slots = counts.astype("<u8").view(np.uint8).reshape(p, 8)
+    packed = int.from_bytes(slots[:, :width].tobytes(), "little")
+    square = np.zeros((2 * p, 8), dtype=np.uint8)
+    square[:, :width] = np.frombuffer((packed * packed).to_bytes(2 * p * width, "little"),
+                                      dtype=np.uint8).reshape(2 * p, width)
+    return square.view("<u8").ravel().astype(np.int64)
+
+
+def _weighted_squares(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+    """The sum of mult * eta^2 over the rows, as a length-p histogram folded mod p.
+
+    Rows of n traces are counted by pairs, in n^2 steps each, while
+    n^2 <= KRONECKER_RATIO * p, one histogram per multiplicity group,
+    weighted in one int64 product. Wider rows are squared one at a time by
+    `_kronecker_square`, whose cost grows with p alone, and weighted each.
+    """
+    distinct, group = groups
+    n = rows.shape[1]
+    if n * n <= KRONECKER_RATIO * p:
+        total = distinct @ _pair_sums(rows, p, group, len(distinct))
+    else:
+        total = np.zeros(2 * p, dtype=np.int64)
+        for row, mult in zip(rows, distinct[group].tolist()):
+            total += mult * _kronecker_square(row, p)
+    return total[:p] + total[p:]
+
+
+def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
+
+    Both are exact int64 vectors of length p; no mu x p array is built. An
+    entry of the second sum is at most q * n^2, so int64 holds it while
+    that bound is below 2^63.
+    """
+    p, q, n = report._p, report.q, report.n
+    check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
+    groups = _groups(report._multiplicities)
+    second = _weighted_squares(report._rows, groups, p)
+    return _value_sum(report._rows, groups, p), second - second[-1]
+
+
 def _render(coeffs) -> str:
     return render_terms((j, c) for j, c in enumerate(coeffs.tolist()) if c)
 
 
 def _check_moments(graph: GPGraph, half: GPGraph | None):
-    first, second = spectra.moments(spectra.spectrum(graph))
+    first, second = moments(spectra.spectrum(graph))
     if first.any():
         raise AssertionError(f"sum of eigenvalues is {_render(first)}, not 0")
     expected = 0 if graph.directed else graph.field.q * graph.n
@@ -82,8 +189,31 @@ def _check_moments(graph: GPGraph, half: GPGraph | None):
         raise AssertionError(f"sum of squared eigenvalues is {_render(second)}, expected {expected}")
 
 
+def doubled_rows(report: SpectrumReport) -> np.ndarray:
+    """eta + conj(eta) for each distinct value, as the sorted row of its traces t and -t mod p."""
+    p, rows = report._p, report._rows
+    doubled = np.concatenate([rows, ((p - rows.astype(np.int64)) % p).astype(rows.dtype)], axis=1)
+    doubled.sort(axis=1)
+    return doubled
+
+
+def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
+    """Whether {lam + conj(lam)} over the directed spectrum is the spectrum of its symmetrization.
+
+    The coset of the symmetrized graph GP(k/2, q) is the directed coset and
+    its negative, so its period rows, 2n wide, are the `doubled_rows`. Rows
+    of equal width are equal values exactly when they are equal, so the two
+    multisets are compared by row bytes.
+    """
+    expected = Counter()
+    for row, mult in zip(doubled_rows(directed), directed._multiplicities.tolist()):
+        expected[row.tobytes()] += mult
+    return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows),
+                                        half._multiplicities.tolist())))
+
+
 def _check_two_re(graph: GPGraph, half: GPGraph):
-    if not spectra.two_re_holds(spectra.spectrum(graph), spectra.spectrum(half)):
+    if not two_re_holds(spectra.spectrum(graph), spectra.spectrum(half)):
         raise AssertionError("symmetrized spectrum is not twice the real parts")
 
 
@@ -120,6 +250,9 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     traversed, closed_form = _traversed_components(graph), components(graph)
     if traversed != closed_form:
         raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
+    principal = spectra.spectrum(graph).principal_multiplicity  # n occurs once per component
+    if principal != closed_form.count:
+        raise AssertionError(f"principal multiplicity {principal} != component count {closed_form.count}")
     # the library's w is the reduction: g(k, q) undirected, g(k/2, q) directed
     result = graph_waring(graph, _diameter(half) if graph.directed else None)
     g, by_formula = result.g, result.w
@@ -133,9 +266,19 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
         raise AssertionError(f"w = {w} inconsistent with g = {g}")
 
 
+def boundary_rows(report: SpectrumReport) -> np.ndarray:
+    """Indices of the distinct values of maximum modulus n: the rows whose traces are all equal.
+
+    A sum of n roots of unity has modulus n exactly when its terms are all
+    the same root, so the row of a boundary value n * zeta^t is n copies of t.
+    """
+    rows = report._rows
+    return np.flatnonzero((rows == rows[:, :1]).all(axis=1))
+
+
 def _check_boundary(graph: GPGraph, half: GPGraph | None):
     report = spectra.spectrum(graph)
-    boundary = spectra.boundary_rows(report)
+    boundary = boundary_rows(report)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
     found = sorted(set(report._rows[boundary, 0].tolist()))
     q, p = graph.field.q, graph.field.p

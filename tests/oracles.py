@@ -32,7 +32,8 @@ from gpgraphs.cyclotomic import ValueClass, embed_coeffs
 from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, is_prime
-from gpgraphs.spectra import Entry, _weighted_squares, boundary_rows, two_re_holds
+from gpgraphs.spectra import Entry
+from gpgraphs.verify import _weighted_squares, boundary_rows
 
 ORACLE_SIZE_LIMIT = 512
 
@@ -388,11 +389,19 @@ def square_histogram(row: np.ndarray, p: int) -> np.ndarray:
 
 
 def verify_2re(field, k: int) -> bool:
-    """Check that the symmetrized spectrum is {lam + conj(lam)} of the directed one."""
+    """Check that the symmetrized spectrum is {lam + conj(lam)} of the directed one.
+
+    The doubled real parts are summed in Z[zeta_p], weighted by multiplicity,
+    and compared with the eigenvalues of GP(k/2, q) as a multiset.
+    """
     graph = build_graph(field, k)
     if not graph.directed:
         raise ValueError(f"GP({graph.k},{field.q}) is undirected")
-    return two_re_holds(spectrum(graph), spectrum(build_graph(field, graph.k // 2)))
+    doubled = Counter()
+    for value, mult in spectrum(graph).eigenvalues:
+        value = Cyclotomic.of(value)
+        doubled[value + value.conjugate()] += mult
+    return doubled == Counter(dict(spectrum(build_graph(field, graph.k // 2)).eigenvalues))
 
 
 def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gpgraphs import (GPGraph, SizeBudgetExceeded, build_field, build_graph, cli, fields,
+from gpgraphs import (GPGraph, SizeBudgetExceeded, build_field, build_graph, cli, families, fields,
                       run_verification, spectra)
 from gpgraphs.cli import build_report_rows, render_records, render_table
 from gpgraphs.spectra import Nature
@@ -79,11 +79,13 @@ def test_cli_verify_reports_corrupted_nature_rule(monkeypatch, capsys):
 
 
 def test_cli_violated_law_exits_1_with_one_line(monkeypatch, capsys):
-    monkeypatch.setattr(spectra, "nature_for", lambda p, m, k: Nature.INTEGRAL)
-    assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 1
+    # families checks each emitted graph's nature in-call; spectrum checks nothing
+    monkeypatch.setattr(families, "nature_for", lambda p, m, k: Nature.COMPLEX)
+    assert cli.main(["families", "--kind", "SubfieldDivisor", "--p", "7", "--k", "3",
+                     "--max-q", "1000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: GP(8,25): eigenvalue nature complex must match the arithmetic rule\n"
+    assert captured.err == "error: SubfieldDivisor: GP(3,343) must be integral\n"
 
 
 def test_cli_spectrum(capsys):
@@ -153,6 +155,8 @@ def test_cli_waring_with_witness(capsys):
     ["verify", "--max-q", "5", "--jobs", "-2"],
     ["verify", "--max-q", "1"],
     ["verify", "--max-q", "-5"],
+    ["families", "--kind", "Tower", "--p", "2", "--k", "3", "--d", "2", "--max-q", "1"],
+    ["families", "--kind", "Tower", "--p", "2", "--k", "3", "--d", "2", "--max-q", "-5"],
 ])
 def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2

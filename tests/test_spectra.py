@@ -17,10 +17,11 @@ from gpgraphs import (
     spectra,
     spectrum,
     srg_parameters,
+    verify,
 )
 from gpgraphs.graphs import PALEY_UNION
 from gpgraphs.numbertheory import divisors, is_prime, prime_power
-from gpgraphs.spectra import doubled_rows, moments
+from gpgraphs.verify import doubled_rows, moments
 from oracles import (
     Cyclotomic,
     boundary_values,
@@ -334,8 +335,8 @@ def _canonical(histogram):
 def _check_row_squares(report, p):
     """Each row squared by pairs and by Kronecker substitution: the two methods agree."""
     for row in report._rows:
-        by_pairs = spectra._pair_sums(row[None], p, np.zeros(1, dtype=np.intp), 1)[0]
-        assert np.array_equal(by_pairs, spectra._kronecker_square(row, p)), (report.q, report.k)
+        by_pairs = verify._pair_sums(row[None], p, np.zeros(1, dtype=np.intp), 1)[0]
+        assert np.array_equal(by_pairs, verify._kronecker_square(row, p)), (report.q, report.k)
 
 
 def test_row_products_match_cyclotomic_products(monkeypatch):
@@ -343,7 +344,7 @@ def test_row_products_match_cyclotomic_products(monkeypatch):
     # eta + conj(eta) from the period rows, against Cyclotomic
     # arithmetic on every gaussian_period (with n once); with blocks of 4096
     # pairs, the rows of the larger fields take several steps
-    monkeypatch.setattr(spectra, "PAIR_BLOCK", 4096)
+    monkeypatch.setattr(verify, "PAIR_BLOCK", 4096)
     branches = Counter()
     for q in ORACLE_QS[:-3]:  # q <= 343
         field = build_field(*prime_power(q))
@@ -367,7 +368,7 @@ def test_row_products_match_cyclotomic_products(monkeypatch):
                 assert found == counts, (q, k)
             assert np.array_equal(moments(report)[1], second), (q, k)
             _check_row_squares(report, p)
-            branches["pairs" if report.n ** 2 <= spectra.KRONECKER_RATIO * p else "kronecker"] += 1
+            branches["pairs" if report.n ** 2 <= verify.KRONECKER_RATIO * p else "kronecker"] += 1
     assert branches == Counter(pairs=574, kronecker=155)
 
 
@@ -388,7 +389,7 @@ def test_row_squares_at_p_4093_match_cyclotomic_products():
             checked += 1
         assert checked >= min(k, 5), k
         _check_row_squares(report, 4093)
-        branches["pairs" if report.n ** 2 <= spectra.KRONECKER_RATIO * 4093 else "kronecker"] += 1
+        branches["pairs" if report.n ** 2 <= verify.KRONECKER_RATIO * 4093 else "kronecker"] += 1
     assert branches == Counter(pairs=1, kronecker=2)
 
 
@@ -461,22 +462,27 @@ def test_entries_break_float_ties_by_coefficients(monkeypatch):
 
 
 def test_spectrum_laws_survive_python_O(run_optimized):
-    # a corrupted component count must still be caught when asserts are stripped
+    # spectrum checks nothing; a corrupted principal multiplicity must still be
+    # caught by verify's waring-formula family when asserts are stripped
     proc = run_optimized("""
         import dataclasses
-        import sys
 
-        from gpgraphs import InvariantViolated, build_field, build_graph, spectra
+        from gpgraphs import spectra
+        from gpgraphs.verify import verify_field
 
-        honest = spectra.components
-        spectra.components = lambda graph: dataclasses.replace(
-            honest(graph), count=honest(graph).count + 1)
-        try:
-            spectra.spectrum(build_graph(build_field(5, 2), 6))
-        except InvariantViolated as exc:
-            print(exc)
-        else:
-            sys.exit("the corrupted component count went unnoticed")
+        honest = spectra.spectrum
+
+        def corrupted(graph):
+            report = honest(graph)
+            if graph.k != 6:
+                return report
+            return dataclasses.replace(report, principal_multiplicity=report.principal_multiplicity + 1)
+
+        spectra.spectrum = corrupted
+        for outcome in verify_field(25):
+            if outcome.failed:
+                print(outcome.name, outcome.failed, outcome.first_failure)
     """)
     assert proc.returncode == 0, proc.stderr
-    assert "component count" in proc.stdout
+    assert proc.stdout == ("waring-formula 1 q=25 k=6: principal multiplicity 6 "
+                           "!= component count 5\n"), proc.stdout

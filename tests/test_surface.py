@@ -6,6 +6,7 @@ bench/*.py references. The walk follows the names each reached definition
 references, so a helper that only test-only code calls is not reached; such
 code belongs in tests/oracles.py. Names are matched bare, without module or
 class, so two definitions that share a name pass as soon as either is reached.
+The library also holds no assert statement, which python -O would strip.
 """
 
 import ast
@@ -41,3 +42,10 @@ def test_every_library_name_is_reached_from_an_entry_point():
         reached |= frontier
         frontier = _references(n for _, name, nodes in definitions if name in frontier for n in nodes) - reached
     assert [qualified for qualified, name, _ in definitions if name not in reached] == []
+
+
+def test_the_library_has_no_assert():
+    # python -O strips asserts; every law raises InvariantViolated through errors.check instead
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -100,8 +100,8 @@ TRADED_TRACE_FAILURES = [
 @pytest.mark.parametrize("q, corrupted_k, branch, failure", TRADED_TRACE_FAILURES)
 def test_a_traded_trace_fails_the_second_moment(monkeypatch, q, corrupted_k, branch, failure):
     report = spectra.spectrum(build_graph(build_field(*prime_power(q)), corrupted_k))
-    assert (report.n ** 2 <= spectra.KRONECKER_RATIO * report._p) == (branch == "pairs")
-    assert not spectra.moments(_trade_a_trace(report))[0].any()
+    assert (report.n ** 2 <= verify.KRONECKER_RATIO * report._p) == (branch == "pairs")
+    assert not verify.moments(_trade_a_trace(report))[0].any()
     _corrupt(monkeypatch, spectra, "spectrum", corrupted_k, _trade_a_trace)
     outcome = next(o for o in verify_field(q) if o.name == "trace-identities")
     assert (outcome.failed, outcome.first_failure) == (1, failure)
@@ -407,6 +407,31 @@ def test_three_eigenvalue_check_survives_python_O(run_optimized):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("1 1 q=7 k=2: the oriented Paley union label must hold exactly "
                            "when mu = 3 (mu = 3)\n"), proc.stdout
+
+
+def _integral_nature_rule(monkeypatch):
+    monkeypatch.setattr(spectra, "nature_for", lambda p, m, k: spectra.Nature.INTEGRAL)
+
+
+def _extra_principal(monkeypatch):
+    _corrupt(monkeypatch, spectra, "spectrum", 6, lambda report: dataclasses.replace(
+        report, principal_multiplicity=report.principal_multiplicity + 1))
+
+
+def _extra_component(monkeypatch):
+    _corrupt(monkeypatch, verify, "components", 6, lambda dec: dataclasses.replace(dec, count=dec.count + 1))
+
+
+# spectrum checks no law, so each corruption fails only the families that own
+# its law; GP(6, 25) has 5 components
+@pytest.mark.parametrize("corrupt, owners", [
+    (_integral_nature_rule, {"nature", "census"}),
+    (_extra_principal, {"waring-formula"}),
+    (_extra_component, {"waring-formula"}),
+], ids=["nature_for", "principal-multiplicity", "component-count"])
+def test_a_corrupted_law_fails_only_its_owners(monkeypatch, corrupt, owners):
+    corrupt(monkeypatch)
+    assert {o.name for o in verify_field(25) if o.failed} == owners
 
 
 def test_sequential_and_parallel_agree():
