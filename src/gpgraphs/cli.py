@@ -21,7 +21,7 @@ from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
 from .fields import field_of_order
 from .graphs import build_graph, classify_structure, components, period
 from .numbertheory import divisors
-from .spectra import spectrum, srg_parameters
+from .spectra import eigenvalue_count, nature_for, spectrum, srg_parameters
 from .verify import run_verification
 from .waring import graph_waring, witness
 
@@ -50,14 +50,13 @@ ROW_FIELDS = tuple(f.name for f in fields(FieldReportRow))  # the report columns
 
 
 def build_report_rows(q: int) -> list[FieldReportRow]:
-    """One row per divisor k of q - 1, ascending."""
+    """One row per divisor k of q - 1, ascending, from the closed forms: no spectrum is built."""
     field = field_of_order(q)
     p, m = field.p, field.m
     rows = []
     g_of = {}  # w of a directed GP(k, q) is g(k/2, q), from an earlier row
     for k in divisors(q - 1):
         graph = build_graph(field, k)
-        report = spectrum(graph)
         wres = graph_waring(graph, g_of.get(k // 2))
         g_of[k] = wres.g
         rows.append(FieldReportRow(
@@ -65,8 +64,8 @@ def build_report_rows(q: int) -> list[FieldReportRow]:
             structure=classify_structure(graph).render(),
             directed=graph.directed,
             components=components(graph).count,
-            nature=report.nature.render(),
-            mu=report.mu,
+            nature=nature_for(p, m, k).render(),
+            mu=eigenvalue_count(graph),
             srg=srg_parameters(graph),
             period=period(graph),
             g=wres.g,
@@ -201,10 +200,15 @@ def _cmd_waring(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints "error: message" as one line, with no usage line
+        raise GPGraphError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call to main rather than at import."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpgraphs",
         description="Power-residue Cayley graphs over finite fields: exact spectra, "
                     "periods, integral families and Waring numbers.")
@@ -245,10 +249,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; every call parses with the one cached parser."""
-    args = _parser().parse_args(argv)
-    if getattr(args, "max_q", 2) < 2:  # verify and families
-        return _usage_error(f"--max-q {args.max_q} must be at least 2")
     try:
+        args = _parser().parse_args(argv)
+        if getattr(args, "max_q", 2) < 2:  # verify and families
+            return _usage_error(f"--max-q {args.max_q} must be at least 2")
         return args.fn(args)
     except InvariantViolated as exc:  # a law failed on computed data: not the caller's error
         print(f"error: {exc}", file=sys.stderr)

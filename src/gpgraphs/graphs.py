@@ -3,9 +3,9 @@
 The connection set is the subgroup of nonzero k-th powers, so there is an
 arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
-by the valuation rule. Components follow from the order of p modulo n,
-the period from its law, and g from one BFS over the k coset classes.
-That BFS and the witness search are one kernel, log_bfs, on discrete logs.
+by the valuation rule. Components follow from the order of p modulo n, the
+period from its law, and g (where waring has no closed form) from one BFS over
+the k coset classes, which shares its kernel, log_bfs, with the witness search.
 The set is listed on first read, by the witness search; verify's nature
 check compares it with the rule.
 """
@@ -41,6 +41,7 @@ class GPGraph:
 
         self._components: ComponentDecomposition | None = None
         self._spectrum = None  # filled lazily by spectra.spectrum
+        self._mu: int | None = None  # by spectra.eigenvalue_count
         self._traversal: np.ndarray | None = None  # by quotient_bfs
 
     @cached_property
@@ -76,19 +77,21 @@ def log_bfs(zech: np.ndarray, steps: np.ndarray, modulus: int,
     Step j adds omega^b, b = steps[j]: omega^a + omega^b = omega^(a + zech[b - a]),
     or the root 0 where zech is -1. Level 1 is the first occurrence of each
     b mod modulus; a later vertex takes as parent the first (a, j), a over
-    the level before in discovery order. It stops once goal is reached.
+    the level before in discovery order. It stops once goal, or every vertex, is reached.
     Returns (dist, parent, step) per vertex: -1 where unreached, parent -1 on level 1.
     """
     dist, parent, step = (np.full(modulus, -1, dtype=np.int32) for _ in range(3))
     first = _first_arrivals(steps % modulus, step).nonzero()[0]
     frontier = steps[first] % modulus
     dist[frontier], step[frontier] = 1, first
-    while frontier.size and (goal is None or dist[goal] < 0):
+    unreached = modulus - frontier.size  # an upper bound, as _python_levels returns only its last level
+    while frontier.size and unreached and (goal is None or dist[goal] < 0):
         if frontier.size * steps.size < _PYTHON_LEVEL_ARCS:
             frontier = _python_levels(frontier.tolist(), steps.tolist(), memoryview(zech),
                                       *map(memoryview, (dist, parent, step)), modulus, goal)
         else:
             frontier = _numpy_level(frontier, steps, zech, dist, parent, step, modulus, goal)
+        unreached -= frontier.size
     return dist, parent, step
 
 

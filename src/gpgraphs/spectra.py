@@ -17,9 +17,9 @@ generates the whole Galois group of Q(zeta_p); both automorphisms shift
 the period index, so the tests compare periods, not coefficients.
 SpectrumReport.entries is the one view of the values: their order and
 float images are computed only when something reads it, and each value
-is kept as its nonzero terms. No law is checked here: verify owns each
-one. Cyclotomic arithmetic and a dense floating-point eigensolver, the
-tests' oracles for these rows, are in tests/oracles.py.
+is kept as its nonzero terms; eigenvalue_count gives mu with no spectrum.
+No law is checked here: verify owns each one. Cyclotomic arithmetic and
+a dense eigensolver, the tests' oracles for these rows, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -228,6 +228,27 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     return report
 
 
+def eigenvalue_count(graph: GPGraph) -> int:
+    """mu, the number of distinct eigenvalues, kept on the graph; it never reads the spectrum.
+
+    At m = 1 the k periods sum zeta^j over disjoint j in {1, ..., p - 1}, a basis of Z[zeta_p]: mu = k + 1.
+    Else it counts distinct rows of n and the periods: trace histograms if p <= n, else _period_rows.
+    """
+    field, k, n, p = graph.field, graph.k, graph.n, graph.field.p
+    if graph._mu is None and field.m == 1:
+        graph._mu = k + 1
+    elif graph._mu is None:
+        if p <= n:  # class i = e mod k is column i; row 0 is n, all at trace 0
+            rows = np.bincount((field.trace_of_exp.reshape(n, k) + np.arange(p, (k + 1) * p, p)).ravel(),
+                               minlength=(k + 1) * p).astype(np.min_scalar_type(n)).reshape(k + 1, p)
+            rows[0, 0] = n
+        else:
+            rows = _period_rows(field, k, n)
+        keys = np.sort(_row_keys(rows))
+        graph._mu = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    return graph._mu
+
+
 def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     """Strong-regularity parameters (v, r, e, d), when the graph is one.
 
@@ -238,7 +259,7 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     is a k-th power when that log is a multiple of k. They are checked
     against (v-r-1)d = r(r-e-1).
     """
-    if graph.directed or components(graph).count > 1 or spectrum(graph).mu != 3:
+    if graph.directed or components(graph).count > 1 or eigenvalue_count(graph) != 3:
         return None
     field = graph.field
     q, k, n = field.q, graph.k, graph.n

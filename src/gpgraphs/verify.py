@@ -5,9 +5,9 @@ with its exact location instead of aborting the sweep. The graph checks are
 one table, and each law of spectra.spectrum, which checks none, has one
 owner here, with the second method it compares with: eta^2 is summed from
 trace pairs (`moments`), eta + conj(eta) is a row merged with its negative
-(`doubled_rows`), and modulus n is a constant row (`boundary_rows`). Each
-field comes from fields.field_of_order, and the size budget in fields
-refuses a max_q before any field is built.
+(`doubled_rows`), modulus n is a constant row (`boundary_rows`), and each closed
+form that report reads meets its own here. Each field comes from fields.field_of_order,
+and the size budget in fields refuses a max_q before any field is built.
 """
 
 from __future__ import annotations
@@ -57,12 +57,14 @@ class CheckOutcome:
 
 
 def _check_nature(graph: GPGraph, half: GPGraph | None):
-    """The nature against its rule, then the valuation rule against realness and the connection set."""
+    """Nature and mu against report's closed forms, then the valuation rule against realness and the set."""
     report = spectra.spectrum(graph)
     arithmetic = spectra.nature_for(graph.field.p, graph.field.m, graph.k)
     if report.nature != arithmetic:
         raise AssertionError(
             f"eigenvalue nature {report.nature.render()} != arithmetic rule {arithmetic.render()}")
+    if (counted := spectra.eigenvalue_count(graph)) != report.mu:
+        raise AssertionError(f"eigenvalue_count {counted} != mu = {report.mu} of the spectrum")
     shape = "directed" if graph.directed else "undirected"
     if (report.nature is spectra.Nature.COMPLEX) != graph.directed:
         raise AssertionError(f"{report.nature.render()} spectrum, but the valuation rule says {shape}")
@@ -258,8 +260,8 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     g, by_formula = result.g, result.w
     dist = quotient_bfs(graph, signed=True)  # the symmetrized graph, traversed
     w = None if (dist < 0).any() else int(dist.max())
-    if (g is not None) != (closed_form.count == 1):
-        raise AssertionError("existence of g must coincide with connectedness")
+    if g != (diameter := _diameter(graph)):  # the traversal period-law stored; g exists iff connected
+        raise AssertionError(f"g = {g} != {diameter}, the diameter of the traversal")
     if w != by_formula:
         raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
     if g is not None and w > g:

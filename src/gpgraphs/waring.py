@@ -1,9 +1,9 @@
 """Waring-type numbers over finite fields, computed as graph diameters.
 
 g(k, q) is the least s with every field element a sum of s k-th powers;
-it exists exactly when GP(k, q) is connected and then equals its diameter,
-which by vertex-transitivity is the forward eccentricity of 0 in the BFS
-over the coset classes that graphs.quotient_bfs keeps on the graph. The
+it exists exactly when GP(k, q) is connected and then is its diameter: k for
+the p-cycles GP(p - 1, p) and GP((p - 1)/2, p), else the eccentricity of 0 in
+the BFS over the coset classes that graphs.quotient_bfs keeps on the graph. The
 signed variant w(k, q) allows minus signs on the terms and is the
 diameter of the symmetrized graph, so by the paper's reduction it is g
 for undirected GP(k, q) and g(k/2, q) for directed GP(k, q). A witness
@@ -43,17 +43,17 @@ def waring_result(field: FiniteField, k: int) -> WaringResult:
 
 
 def graph_waring(graph: GPGraph, half_g: int | None = None) -> WaringResult:
-    """g and w of one graph; a directed graph's w = g(k/2, q) is half_g, or traversed here if None.
+    """g and w of one graph; a directed graph's w = g(k/2, q) is half_g, or computed here if None.
 
     GP(k/2, q) contains GP(k, q), so g(k/2, q) exists whenever w is read.
     """
-    g_value = _diameter(graph)
-    if g_value is None:
-        dec = components(graph)
-        return WaringResult(False, None, None,
-                            f"GP({graph.k},{graph.field.q}) splits into {dec.count} components")
+    field, dec = graph.field, components(graph)
+    if dec.count > 1:
+        return WaringResult(False, None, None, f"GP({graph.k},{field.q}) splits into {dec.count} components")
+    # k = p - 1 or (p - 1)/2: the p-cycles, whose diameter is k
+    g_value = graph.k if field.m == 1 and 2 * graph.k >= field.q - 1 else _diameter(graph)
     if graph.directed and half_g is None:
-        half_g = _diameter(build_graph(graph.field, graph.k // 2))
+        half_g = graph_waring(build_graph(field, graph.k // 2)).g
     return WaringResult(True, g_value, half_g if graph.directed else g_value, None)
 
 

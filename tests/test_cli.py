@@ -1,9 +1,7 @@
-import argparse
 import hashlib
 import json
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -11,6 +9,7 @@ import pytest
 from gpgraphs import (GPGraph, SizeBudgetExceeded, build_field, build_graph, cli, families, fields,
                       run_verification, spectra)
 from gpgraphs.cli import build_report_rows, render_records, render_table
+from gpgraphs.numbertheory import prime_power
 from gpgraphs.spectra import Nature
 from oracles import parse_records
 
@@ -26,6 +25,38 @@ def test_report_rows_are_sorted_by_k():
 def test_report_rows_tiny_field():
     rows = build_report_rows(4)
     assert [(row.k, row.structure) for row in rows] == [(1, "K(4)"), (3, "2xK(2)")]
+
+
+# sha256 of `report --q Q` stdout for every prime power 2 <= Q <= 343, ascending,
+# as the spectrum and the traversal of every graph gave it
+REPORT_DIGESTS = {
+    "table": "64092a3aa14094b4ce039910bac828666bc4944e78bf748764424f0fee2dcdf7",
+    "records": "f9a7aaf7518b4a7fe451f15452887f22f8e15ba8129c7a0d79da985ee9327c4a",
+}
+
+
+def test_report_of_every_field_up_to_343_is_pinned(capsys):
+    digests = {fmt: hashlib.sha256() for fmt in REPORT_DIGESTS}
+    for q in range(2, 344):
+        if prime_power(q) is None:
+            continue
+        for fmt, digest in digests.items():
+            assert cli.main(["report", "--q", str(q), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert {fmt: digest.hexdigest() for fmt, digest in digests.items()} == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("q, digest", [
+    (2401, "402a1017f315fcf366ed14f947af11c1d75693dce0862518ea2ed5edb4beaca9"),
+    (2399, "ec218b59a92896289be288ace4f1b137eefc84216de2b2abf04139f26baf89c8"),
+])
+def test_report_builds_no_spectrum(monkeypatch, q, digest):
+    def refuse(graph):
+        raise AssertionError(f"report built the spectrum of GP({graph.k},{graph.field.q})")
+
+    monkeypatch.setattr(spectra, "spectrum", refuse)
+    monkeypatch.setattr(cli, "spectrum", refuse)
+    assert hashlib.sha256(render_table(build_report_rows(q)).encode()).hexdigest() == digest
 
 
 def test_records_round_trip():
@@ -157,6 +188,9 @@ def test_cli_waring_with_witness(capsys):
     ["verify", "--max-q", "-5"],
     ["families", "--kind", "Tower", "--p", "2", "--k", "3", "--d", "2", "--max-q", "1"],
     ["families", "--kind", "Tower", "--p", "2", "--k", "3", "--d", "2", "--max-q", "-5"],
+    ["report", "--q", "abc"],
+    ["bogus"],
+    ["report"],
 ])
 def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
@@ -256,8 +290,9 @@ def test_tower_family_with_d_beyond_max_q_returns_at_once(package_env, k, d, cod
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):
     built = []
-    counting = lambda *args, **kwargs: built.append(1) or argparse.ArgumentParser(*args, **kwargs)
-    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+    parser_class = cli._Parser  # the subcommand parsers are built as type(parser), uncounted
+    counting = lambda *args, **kwargs: built.append(1) or parser_class(*args, **kwargs)
+    monkeypatch.setattr(cli, "_Parser", counting)
     cli._parser.cache_clear()
     assert built == []  # nothing is built before the first call
     for argv in (["spectrum", "--q", "25", "--k", "8"], ["waring", "--q", "25", "--k", "8"],
@@ -271,18 +306,16 @@ def test_no_argument_carries_over_between_calls(capsys):
     capsys.readouterr()
     assert cli.main(["report", "--q", "25"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "report_q25.txt").read_text()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--q", "25"])  # missing --k
-    assert exc.value.code == 2
+    assert cli.main(["spectrum", "--q", "25"]) == 2  # missing --k
     capsys.readouterr()
     assert cli.main(["spectrum", "--q", "25", "--k", "8"]) == 0
     assert capsys.readouterr().out.startswith("q=25 k=8 n=3 nature=complex mu=7 components=1\n")
 
 
-def test_cli_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["report"])  # missing --q
-    assert exc.value.code == 2
+def test_cli_usage_error_exit_code(capsys):
+    # a parse error prints one line and no usage line
+    assert cli.main(["report"]) == 2
+    assert capsys.readouterr() == ("", "error: the following arguments are required: --q\n")
 
 
 def test_console_script_installed(package_env):

@@ -216,6 +216,20 @@ def test_quotient_traversal_matches_vertex_bfs_in_every_kernel_mode(kernel_mode,
         assert [a.tolist() for a in got] == list(reference), (field.q, graph.k, signed)
 
 
+def test_traversal_expands_no_level_once_every_class_is_reached(monkeypatch):
+    monkeypatch.setattr(graphs, "_PYTHON_LEVEL_ARCS", 0)  # every level in numpy, one call each
+    expanded = []
+    kernel = graphs._numpy_level
+    monkeypatch.setattr(graphs, "_numpy_level", lambda *args: expanded.append(1) or kernel(*args))
+    field = build_field(7, 4)
+    for k in divisors(2400):
+        expanded.clear()
+        dist = graphs._traverse(build_graph(field, k), False)
+        # expanding levels 1, ..., g - 1 reaches every class of a connected graph; a
+        # disconnected one expands its last level too, and finds nothing
+        assert len(expanded) == dist.max() - (dist >= 0).all(), k
+
+
 def test_quotient_traversal_memory_over_every_k_of_gf_2_16():
     # measured tracemalloc peak (numpy 2.4): 1.6 MB, at k = 1, where one row
     # of 65,535 arcs expands in numpy; the bound leaves about 25 % headroom.
@@ -257,18 +271,21 @@ def test_verify_traverses_undirected_graphs_once_and_directed_twice(monkeypatch)
     assert sum(runs.values()) == 8 + 2
 
 
-def test_report_traverses_each_graph_once_and_never_signed(monkeypatch):
+def test_report_traverses_each_connected_noncycle_graph_once_and_never_signed(monkeypatch):
     runs = _count_traversals(monkeypatch)
     rows = build_report_rows(2401)
-    # w of a directed graph is the g of its row k/2
-    assert runs == Counter((row.k, False) for row in rows)
+    # a disconnected graph has no g, by components alone; w of a directed graph is the g of its row k/2
+    assert runs == Counter((row.k, False) for row in rows if row.components == 1)
+    assert len(rows) == 36 and len(runs) == 26
     directed = [row for row in rows if row.directed]
-    assert len(rows) == 36 and len(directed) == 6
+    assert len(directed) == 6
     # 343 directed Paley graphs on 7 vertices (k = 800) and 343 directed 7-cycles (k = 2400)
     assert [row.k for row in directed if row.g is None] == [800, 2400]
     runs.clear()
     rows = build_report_rows(2399)  # prime, 2398 = 2 * 11 * 109
-    assert runs == Counter((row.k, False) for row in rows)
+    # the 2399-cycles GP(1199, 2399) and GP(2398, 2399) have g = k by the closed form
+    assert runs == Counter((row.k, False) for row in rows if row.k not in (1199, 2398))
+    assert [(row.k, row.g) for row in rows if row.k in (1199, 2398)] == [(1199, 1199), (2398, 2398)]
     # every directed graph is connected, and its w is the g of row k/2
     assert [(row.k, row.w) for row in rows if row.directed] == [(2, 1), (22, 2), (218, 4), (2398, 1199)]
 

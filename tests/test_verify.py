@@ -434,6 +434,43 @@ def test_a_corrupted_law_fails_only_its_owners(monkeypatch, corrupt, owners):
     assert {o.name for o in verify_field(25) if o.failed} == owners
 
 
+# report reads mu, the g of the cycles and disconnectedness from closed forms, and each
+# has one owner here: over GF(13), GP(6, 13) and GP(12, 13) are the 13-cycles and
+# GP(4, 13) is connected
+CLOSED_FORM_CORRUPTIONS = {
+    "mu-off-by-one": (
+        "honest = spectra.eigenvalue_count\n"
+        "spectra.eigenvalue_count = lambda graph: honest(graph) + (graph.field.m == 1)",
+        {"nature": (6, "q=13 k=1: eigenvalue_count 3 != mu = 2 of the spectrum")}),
+    # g = k + 1 on both cycles, and so w = g on the undirected one; verify passes the directed one its w
+    "cycle-g-off-by-one": (
+        "honest = verify.graph_waring\n"
+        "verify.graph_waring = lambda graph, half_g: (\n"
+        "    dataclasses.replace(honest(graph, half_g), g=graph.k + 1, w=half_g or graph.k + 1)\n"
+        "    if 2 * graph.k >= 12 else honest(graph, half_g))",
+        {"waring-formula": (2, "q=13 k=6: g = 7 != 6, the diameter of the traversal")}),
+    "two-components": (
+        "honest = waring.components\n"
+        "waring.components = lambda graph: (\n"
+        "    dataclasses.replace(honest(graph), count=2) if graph.k == 4 else honest(graph))",
+        {"waring-formula": (1, "q=13 k=4: g = None != 3, the diameter of the traversal")}),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_CORRUPTIONS))
+def test_a_wrong_closed_form_fails_only_its_owner_under_python_O(run_optimized, name):
+    corruption, failures = CLOSED_FORM_CORRUPTIONS[name]
+    proc = run_optimized("\n".join([
+        "import dataclasses",
+        "from gpgraphs import spectra, verify, waring",
+        "from gpgraphs.verify import verify_field",
+        corruption,
+        "print({o.name: (o.failed, o.first_failure) for o in verify_field(13) if o.failed})",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{failures}\n", proc.stdout
+
+
 def test_sequential_and_parallel_agree():
     seq = run_verification(27, jobs=1)
     par = run_verification(27, jobs=2)
