@@ -4,7 +4,6 @@ Exact spectra as cyclotomic integers, nature classification, digraph
 periods, integral-family enumeration and Waring numbers via BFS diameters.
 """
 
-from .cyclotomic import CyclotomicInteger, ValueClass
 from .errors import (
     GPGraphError,
     HypothesisViolated,
@@ -42,6 +41,7 @@ from .graphs import (
 from .spectra import (
     Nature,
     SpectrumReport,
+    ValueClass,
     nature_for,
     spectrum,
     srg_parameters,

@@ -15,13 +15,12 @@ import json
 import sys
 from dataclasses import dataclass, fields
 
-from .cyclotomic import ValueClass, render_terms
 from .errors import GPGraphError, InvariantViolated
 from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
 from .fields import field_of_order
 from .graphs import build_graph, classify_structure, components, period
 from .numbertheory import divisors
-from .spectra import eigenvalue_count, nature_for, spectrum, srg_parameters
+from .spectra import ValueClass, eigenvalue_count, nature_for, spectrum, srg_parameters
 from .verify import run_verification
 from .waring import graph_waring, witness
 
@@ -158,7 +157,7 @@ def _cmd_spectrum(args) -> int:
     report = spectrum(build_graph(field, args.k))
     print(f"q={report.q} k={report.k} n={report.n} nature={report.nature.render()} "
           f"mu={report.mu} components={report.principal_multiplicity}")
-    exact = [render_terms(entry.terms) for entry in report.entries]
+    exact = [str(entry) for entry in report.entries]
     exact_width = max(map(len, exact))
     for text, entry in zip(exact, report.entries):
         numeric = _format_numeric(entry.numeric, entry.value_class)

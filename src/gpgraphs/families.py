@@ -132,7 +132,7 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         if math.gcd(k, p * (p - 1)) != 1:
             raise HypothesisViolated(f"gcd({k}, p(p-1)) = {math.gcd(k, p * (p - 1))} != 1")
         # past this bound phi(k) >= sqrt(k/2) > log2(max_q), so p^phi(k) > max_q and
-        # nothing is emitted; factoring k, which Pollard rho can stall on, would go unused
+        # nothing is emitted; factoring k, which factorize may refuse past 10^12, would go unused
         if k > 2 * max_q.bit_length() ** 2:
             return
         phi = _totient(k)
@@ -140,7 +140,7 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
     elif kind == CYCLOTOMIC_VALUE:
         if descriptor.d is None or descriptor.d < 2:
             raise HypothesisViolated("CyclotomicValue needs d >= 2")
-        if descriptor.d > max_q.bit_length():  # p^d >= 2^d > max_q: Phi_d(p) would go unused
+        if descriptor.d * (p.bit_length() - 1) >= max_q.bit_length():  # p^d > max_q: Phi_d(p) goes unused
             return
         k = _cyclotomic_value(descriptor.d, p)
         pairs = ((k, descriptor.d * t) for t in itertools.count(1))
@@ -149,8 +149,9 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         if descriptor.d is None or descriptor.d < 1:
             raise HypothesisViolated("Tower needs d >= 1 (the base field is GF(p^d))")
         d = descriptor.d
-        # past max_q's bit length p^d >= 2^d > max_q, so p^d is not built
-        base_q = p ** d if d <= max_q.bit_length() else None
+        # p^d past max_q is neither built nor printed (it may have more digits than str() allows)
+        base_q = p ** d if d * (p.bit_length() - 1) < max_q.bit_length() else None
+        base_q = base_q if base_q is not None and base_q <= max_q else None
         if pow(p, d, k) != 1 % k:
             raise HypothesisViolated(
                 f"base k = {k} does not divide q - 1 = {base_q - 1 if base_q else f'{p}^{d} - 1'}")
@@ -161,7 +162,7 @@ def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple
         pairs = ((k * (base_q ** a - 1) // (base_q - 1), d * a) for a in itertools.count(1))
 
     for k_out, m_out in pairs:
-        if m_out > max_q.bit_length():  # p^m >= 2^m > max_q, and p^m itself may be huge
+        if m_out * (p.bit_length() - 1) >= max_q.bit_length():  # p^m > max_q, and may be huge
             return
         q_out = p ** m_out
         if q_out > max_q:

@@ -1,8 +1,10 @@
 """Small number-theoretic helpers shared across the package.
 
-Factorization uses deterministic trial division up to 10^6 with a
-deterministic Miller-Rabin / Pollard rho fallback, which is exact for
-every input this package can see.
+Factorization is trial division up to 10^6, which factors every n below
+10^12 completely; a cofactor left over is accepted when a deterministic
+Miller-Rabin test proves it prime, and refused otherwise. Every argument
+an entry point can pass is below the size budget, or below
+2 * bitlen(max_q)^2 < 5 * 10^8 for the TotientPower family.
 """
 
 from __future__ import annotations
@@ -37,25 +39,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, n):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable for composite n
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}; ValueError past trial division's reach."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -66,15 +51,9 @@ def factorize(n: int) -> dict[int, int]:
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        stack = [n]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                out[v] = out.get(v, 0) + 1
-            else:
-                f = _pollard_rho(v)
-                stack.append(f)
-                stack.append(v // f)
+        if not is_prime(n):
+            raise ValueError(f"{n} has no prime factor up to {_TRIAL_LIMIT} and is not prime")
+        out[n] = 1
     return out
 
 

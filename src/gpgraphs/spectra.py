@@ -15,11 +15,15 @@ and counts them. A value is real when it is fixed by zeta -> zeta^-1 and
 rational when it is fixed by zeta -> zeta^g, g a generator of F_p*, which
 generates the whole Galois group of Q(zeta_p); both automorphisms shift
 the period index, so the tests compare periods, not coefficients.
+A value is written in the canonical basis of Z[zeta_p]: the relation
+1 + zeta + ... + zeta^(p-1) = 0 makes the coefficient of zeta^(p-1) zero,
+so two values are equal exactly when their coefficients agree.
 SpectrumReport.entries is the one view of the values: their order and
 float images are computed only when something reads it, and each value
-is kept as its nonzero terms; eigenvalue_count gives mu with no spectrum.
-No law is checked here: verify owns each one. Cyclotomic arithmetic and
-a dense eigensolver, the tests' oracles for these rows, are in tests/oracles.py.
+is kept as its nonzero canonical terms; eigenvalue_count gives mu with no
+spectrum. No law is checked here: verify owns each one. Ring arithmetic
+on Z[zeta_p] and a dense eigensolver, the tests' oracles for these rows,
+are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,13 +31,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from enum import IntEnum
-from functools import cached_property
-from typing import NamedTuple
+from enum import Enum, IntEnum
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInteger, ValueClass, embed_coeffs
 from .errors import check
 from .fields import FiniteField
 from .graphs import GPGraph, components
@@ -50,13 +53,65 @@ class Nature(IntEnum):
         return {0: "integral", 1: "real-nonintegral", 2: "complex"}[self.value]
 
 
+class ValueClass(Enum):
+    """Classification of a single eigenvalue in Z[zeta_p]."""
+
+    RATIONAL = "rational"
+    REAL_IRRATIONAL = "real-irrational"
+    NONREAL = "nonreal"
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(p: int) -> np.ndarray:
+    return np.exp(2j * math.pi * np.arange(p) / p)
+
+
+def embed_coeffs(p: int, coeffs) -> complex:
+    """The image of a coefficient vector under zeta -> exp(2*pi*i/p).
+
+    The single place that rounds a value to a complex double, so every
+    caller agrees bit for bit on the image of the same coefficients.
+    """
+    return complex(np.asarray(coeffs, dtype=np.float64) @ _unit_roots(p))
+
+
+def render_terms(terms: Iterable[tuple[int, int]]) -> str:
+    """A value from its nonzero canonical terms (j, c_j), ascending in j, as `spectrum` prints it."""
+    parts = []
+    for j, c in terms:
+        mag = abs(c)
+        if j == 0:
+            body = str(mag)
+        else:
+            var = "z" if j == 1 else f"z^{j}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 class Entry(NamedTuple):
-    """One distinct eigenvalue as its nonzero canonical terms (j, c_j), ascending in j."""
+    """One distinct eigenvalue as its nonzero canonical terms (j, c_j), ascending in j.
+
+    `str`, `embed` and `classify` answer from the stored fields: the
+    rendering, the float image and the value class.
+    """
 
     terms: tuple[tuple[int, int], ...]
     multiplicity: int
     value_class: ValueClass
     numeric: complex
+
+    def embed(self) -> complex:
+        return self.numeric
+
+    def classify(self) -> ValueClass:
+        return self.value_class
+
+    def __str__(self):
+        return render_terms(self.terms)
 
 
 @dataclass(frozen=True)
@@ -120,11 +175,10 @@ class SpectrumReport:
 
         return tuple(entries[i] for i in sorted(range(len(entries)), key=order))
 
-    @cached_property
-    def eigenvalues(self) -> tuple[tuple[CyclotomicInteger, int], ...]:
-        """(value, multiplicity) pairs in the order of `entries`, each value a CyclotomicInteger."""
-        return tuple((CyclotomicInteger.from_terms(self._p, e.terms), e.multiplicity)
-                     for e in self.entries)
+    @property
+    def eigenvalues(self) -> tuple[tuple[Entry, int], ...]:
+        """(entry, multiplicity) pairs in the order of `entries`."""
+        return tuple((e, e.multiplicity) for e in self.entries)
 
 
 def nature_for(p: int, m: int, k: int) -> Nature:

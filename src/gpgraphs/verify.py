@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .cyclotomic import render_terms
 from .errors import check
 from .families import census
 from .fields import FiniteField, check_size_budget, field_of_order
 from .graphs import (PALEY_UNION, ComponentDecomposition, GPGraph, build_graph, classify_structure,
                      components, period, quotient_bfs)
 from .numbertheory import divisors, prime_power, v2
-from .spectra import SpectrumReport
+from .spectra import SpectrumReport, render_terms
 from .waring import _diameter, graph_waring
 
 PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp

@@ -17,7 +17,6 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from gpgraphs import (
-    CyclotomicInteger,
     FieldElement,
     NotPrime,
     SizeBudgetExceeded,
@@ -28,11 +27,10 @@ from gpgraphs import (
     waring_result,
 )
 from gpgraphs.cli import FieldReportRow
-from gpgraphs.cyclotomic import ValueClass, embed_coeffs
 from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, is_prime
-from gpgraphs.spectra import Entry
+from gpgraphs.spectra import Entry, ValueClass, embed_coeffs, render_terms
 from gpgraphs.verify import _weighted_squares, boundary_rows
 
 ORACLE_SIZE_LIMIT = 512
@@ -255,18 +253,36 @@ def parse_records(text: str) -> list[FieldReportRow]:
     return rows
 
 
-class Cyclotomic(CyclotomicInteger):
-    """A CyclotomicInteger with ring arithmetic, in which an int acts as a rational value.
+class Cyclotomic:
+    """A value in Z[zeta_p] with ring arithmetic, in which an int acts as a rational value.
 
-    It compares and hashes as the library's values do, so the two mix in
-    sets, dicts and equality tests.
+    A value is a length-p integer coefficient vector over the redundant
+    basis 1, zeta, ..., zeta^(p-1). The relation 1 + zeta + ... + zeta^(p-1)
+    = 0 forces the last coefficient to zero, so two values are equal exactly
+    when their vectors agree. Coefficients are Python ints and never
+    overflow. `embed`, `classify` and `str` give what the library's
+    `Entry` of the same value gives.
     """
 
-    __slots__ = ()
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs):
+        coeffs = list(coeffs)
+        if len(coeffs) != p:
+            raise ValueError(f"need exactly {p} coefficients, got {len(coeffs)}")
+        last = coeffs[p - 1]
+        if last:
+            coeffs = [c - last for c in coeffs]
+        self.p = p
+        self.coeffs = tuple(coeffs)
 
     @classmethod
-    def of(cls, value: CyclotomicInteger) -> "Cyclotomic":
-        return cls(value.p, value.coeffs)
+    def from_terms(cls, p: int, terms) -> "Cyclotomic":
+        """The value with coefficient c_j at zeta^j for each term (j, c_j), zero elsewhere."""
+        coeffs = [0] * p
+        for j, c in terms:
+            coeffs[j] = c
+        return cls(p, coeffs)
 
     @classmethod
     def from_int(cls, p: int, value: int) -> "Cyclotomic":
@@ -278,7 +294,7 @@ class Cyclotomic(CyclotomicInteger):
     def zero(cls, p: int) -> "Cyclotomic":
         return cls.from_int(p, 0)
 
-    def _operand(self, other) -> CyclotomicInteger:
+    def _operand(self, other) -> "Cyclotomic":
         """other, an int or a value of the same root order, as a value."""
         if isinstance(other, int):
             return Cyclotomic.from_int(self.p, other)
@@ -309,6 +325,40 @@ class Cyclotomic(CyclotomicInteger):
                 for j, b in nonzero:
                     out[(i + j) % p] += a * b
         return Cyclotomic(p, out)
+
+    def conjugate(self) -> "Cyclotomic":
+        """Complex conjugation zeta -> zeta^(-1): coefficient j moves to -j mod p."""
+        c = self.coeffs
+        return Cyclotomic(self.p, (c[0],) + c[:0:-1])
+
+    def classify(self) -> ValueClass:
+        if self.is_rational():
+            return ValueClass.RATIONAL
+        if self == self.conjugate():
+            return ValueClass.REAL_IRRATIONAL
+        return ValueClass.NONREAL
+
+    def is_rational(self) -> bool:
+        # canonical form: rational exactly when every coefficient but the first is zero
+        return not any(self.coeffs[1:self.p - 1])
+
+    def embed(self) -> complex:
+        """Double-precision image under zeta -> exp(2*pi*i/p), as spectra.embed_coeffs rounds it."""
+        return embed_coeffs(self.p, self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        return self.p == other.p and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs))
+
+    def __str__(self):
+        return render_terms((j, c) for j, c in enumerate(self.coeffs) if c)
+
+    def __repr__(self):
+        return f"Cyclotomic(p={self.p}, {self})"
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -350,6 +400,11 @@ def gaussian_period(field, k: int, i: int) -> Cyclotomic:
     if not 0 <= i < k:
         raise ValueError(f"coset index {i} outside [0, {k})")
     return Cyclotomic(field.p, np.bincount(field.trace_of_exp[i::k], minlength=field.p).tolist())
+
+
+def exact_values(report) -> tuple[tuple[Cyclotomic, int], ...]:
+    """(value, multiplicity) pairs in the order of `report.entries`, each value lifted to Cyclotomic."""
+    return tuple((Cyclotomic.from_terms(report._p, e.terms), e.multiplicity) for e in report.entries)
 
 
 def boundary_values(report) -> tuple[Cyclotomic, ...]:
@@ -398,10 +453,9 @@ def verify_2re(field, k: int) -> bool:
     if not graph.directed:
         raise ValueError(f"GP({graph.k},{field.q}) is undirected")
     doubled = Counter()
-    for value, mult in spectrum(graph).eigenvalues:
-        value = Cyclotomic.of(value)
+    for value, mult in exact_values(spectrum(graph)):
         doubled[value + value.conjugate()] += mult
-    return doubled == Counter(dict(spectrum(build_graph(field, graph.k // 2)).eigenvalues))
+    return doubled == Counter(dict(exact_values(spectrum(build_graph(field, graph.k // 2)))))
 
 
 def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:

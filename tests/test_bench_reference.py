@@ -2,8 +2,9 @@
 
 bench/reference.json holds a digest of each op's output, untraced and
 traced. The traced outputs read the library through names that no CLI
-command prints: the CyclotomicInteger values of `SpectrumReport.eigenvalues`
-and `str` of witness terms. The untraced ones pinned here are the CLI's
+command prints: the (entry, multiplicity) pairs of
+`SpectrumReport.eigenvalues`, whose entries answer `embed`, `classify` and
+`str`, and `str` of witness terms. The untraced ones pinned here are the CLI's
 `waring --witness` output and the JSON of `run_verification`'s outcomes.
 """
 

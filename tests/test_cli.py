@@ -1,10 +1,14 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpgraphs import (GPGraph, SizeBudgetExceeded, build_field, build_graph, cli, families, fields,
                       run_verification, spectra)
@@ -191,6 +195,9 @@ def test_cli_waring_with_witness(capsys):
     ["report", "--q", "abc"],
     ["bogus"],
     ["report"],
+    # p^133 has over 5000 digits, more than str() prints: the message names it as a power
+    ["families", "--kind", "Tower", "--p", str(10 ** 39 + 3), "--k", "4", "--d", "133",
+     "--max-q", str(10 ** 43)],
 ])
 def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
@@ -200,7 +207,49 @@ def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-# a 61-digit semiprime: factoring it by Pollard rho would take far longer than any timeout here
+def _command_options() -> dict[str, list[argparse.Action]]:
+    """Each command's own options, read from the parser that main uses."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in parser._actions if a.option_strings and a.dest != "help"]
+            for name, parser in sub.choices.items()}
+
+
+BUDGET = fields.DEFAULT_SIZE_BUDGET
+LONG = st.integers(10 ** 39, 10 ** 80) | st.sampled_from([10 ** 39 + 3, 10 ** 60 + 7])  # two are prime
+INTEGERS = (st.integers(-10 ** 6, -1) | st.sampled_from([0, 1])
+            | st.sampled_from([q for q in range(2, 257) if prime_power(q)])
+            | st.sampled_from([n for n in range(6, 257) if not prime_power(n)])
+            | st.just(BUDGET + 1) | LONG).map(str) | st.just("9" * 5000)  # past int()'s digit limit
+# verify at the budget would run for hours: --max-q is small or refused
+MAX_Q = (st.integers(-3, 64) | st.just(BUDGET + 1) | LONG).map(str)
+
+
+@st.composite
+def argvs(draw):
+    command, options = draw(st.sampled_from(sorted(_command_options().items())))
+    argv = [command]
+    for action in options:
+        if action.required or draw(st.booleans()):
+            values = (st.sampled_from(action.choices) if action.choices
+                      else MAX_Q if action.dest == "max_q" else INTEGERS)
+            argv += [action.option_strings[0], draw(values)]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argvs())
+def test_every_generated_argv_exits_0_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        lines = err.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (argv, code, lines)
+
+
+# a 61-digit semiprime with no factor below 10^6: factorize would refuse it, so the budget must come first
 SEMIPRIME = 1000000000000000000000000000057 * 1000000000000000000000000000099
 
 

@@ -11,7 +11,7 @@ from gpgraphs import (
     nature_for,
 )
 from gpgraphs.families import _cyclotomic_value
-from gpgraphs.numbertheory import divisors, prime_power
+from gpgraphs.numbertheory import divisors, factorize, prime_power
 from oracles import _poly_mul, cyclotomic_poly, integrality_reasons
 
 
@@ -99,12 +99,20 @@ def test_enumerators():
     # composite k: the totient is multiplicative, so k = 7 * 11 lifts at phi = 60
     got = list(enumerate_family(FamilyDescriptor("TotientPower", p=2, k=77), 2 ** 60))
     assert got == [(77, 2 ** 60)]
-    # k is an odd semiprime with two 63-bit factors, on which Pollard rho stalls
-    # (over 20 s); phi(k) > log2(max_q), so nothing is emitted and k is not factored
+    # k is an odd semiprime with two 63-bit factors, which factorize refuses;
+    # phi(k) > log2(max_q), so nothing is emitted and k is not factored
     start = time.perf_counter()
     k = 42535295865121361738670918221525633983
     assert list(enumerate_family(FamilyDescriptor("TotientPower", p=2, k=k), 10 ** 41)) == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_refuses_a_composite_past_trial_division():
+    # trial division runs to 10^6: a cofactor left over is either prime or refused
+    assert factorize(1000000000039) == {1000000000039: 1}
+    assert factorize(2 ** 3 * 999983 * 1000000000039) == {2: 3, 999983: 1, 1000000000039: 1}
+    with pytest.raises(ValueError, match="1000036000099 has no prime factor up to 1000000"):
+        factorize(1000003 * 1000033)
 
 
 def test_enumerator_hypotheses():

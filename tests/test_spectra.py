@@ -26,6 +26,7 @@ from oracles import (
     Cyclotomic,
     boundary_values,
     dense_entries,
+    exact_values,
     gaussian_period,
     index_add,
     numeric_oracle_check,
@@ -38,7 +39,7 @@ from oracles import (
 
 
 def as_multiset(report):
-    return {value: mult for value, mult in report.eigenvalues}
+    return dict(exact_values(report))
 
 
 def test_gaussian_period_whole_group():
@@ -165,10 +166,9 @@ def test_directed_paley_closed_form():
         report = spectrum(build_graph(field, 2))
         scaled_gauss = quadratic_gauss_sum(p) * p ** ((m - 1) // 2)
         principal = Cyclotomic.from_int(p, (field.q - 1) // 2)
-        non_principal = [Cyclotomic.of(v) for v, _ in report.eigenvalues if v != principal]
-        assert {v * 2 + 1 for v in non_principal} == {scaled_gauss, -scaled_gauss}
-        assert all(mult == (field.q - 1) // 2
-                   for v, mult in report.eigenvalues if v != principal)
+        non_principal = [(v, mult) for v, mult in exact_values(report) if v != principal]
+        assert {v * 2 + 1 for v, _ in non_principal} == {scaled_gauss, -scaled_gauss}
+        assert all(mult == (field.q - 1) // 2 for _, mult in non_principal)
 
 
 def test_hamming_closed_form():
@@ -432,14 +432,18 @@ def test_prime_field_spectrum_memory_is_linear_in_p():
 
 
 def test_report_table_agrees_with_values():
+    # every entry answers embed, classify and str as the exact value does;
     # GP(5, 256) over p = 2 and GP(16, 2401) are integral: every value is rational
-    for q, k in ((25, 8), (49, 16), (343, 38), (2401, 30), (13, 4), (2399, 11), (256, 5),
-                 (2401, 16)):
+    graphs = [(q, k) for q in range(2, 344) if prime_power(q) for k in divisors(q - 1)]
+    for q, k in graphs + [(25, 8), (49, 16), (343, 38), (2401, 30), (13, 4), (2399, 11), (256, 5),
+                          (2401, 16)]:
         report = spectrum(build_graph(build_field(*prime_power(q)), k))
-        for entry, (value, mult) in zip(report.entries, report.eigenvalues, strict=True):
-            assert mult == entry.multiplicity
-            assert entry.numeric == value.embed()
-            assert entry.value_class is value.classify()
+        assert report.eigenvalues == tuple((entry, entry.multiplicity) for entry in report.entries)
+        for entry in report.entries:
+            value = Cyclotomic.from_terms(report._p, entry.terms)
+            assert entry.embed() == entry.numeric == value.embed(), (q, k)
+            assert entry.classify() is entry.value_class is value.classify(), (q, k)
+            assert str(entry) == str(value), (q, k)
 
 
 def test_entries_match_the_dense_decode():
@@ -456,7 +460,7 @@ def test_entries_break_float_ties_by_coefficients(monkeypatch):
     # so force every image to 0: the order must be that of the coefficients
     monkeypatch.setattr(spectra, "embed_coeffs", lambda p, coeffs: 0j)
     report = spectrum(build_graph(build_field(5, 2), 8))
-    values = [value for value, _ in report.eigenvalues]
+    values = [value for value, _ in exact_values(report)]
     assert [v.coeffs for v in values] == sorted(v.coeffs for v in values)
     assert len(values) == report.mu == 7
 

@@ -6,10 +6,14 @@ bench/*.py references. The walk follows the names each reached definition
 references, so a helper that only test-only code calls is not reached; such
 code belongs in tests/oracles.py. Names are matched bare, without module or
 class, so two definitions that share a name pass as soon as either is reached.
-The library also holds no assert statement, which python -O would strip.
+The library also holds no assert statement, which python -O would strip,
+and the README's library example runs as printed.
 """
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +53,14 @@ def test_the_library_has_no_assert():
     asserts = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "3 (3+0j) 1"  # the principal eigenvalue: str(entry) is the exact value
+    assert lines[-1] == "3"

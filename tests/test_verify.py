@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gpgraphs import CyclotomicInteger, build_field, build_graph, spectra, verify
+from gpgraphs import build_field, build_graph, spectra, verify
 from gpgraphs.graphs import GENERIC, PALEY_UNION
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
@@ -76,7 +76,7 @@ def test_corrupted_rows_fail_their_check(monkeypatch, check, corrupted_k, corrup
     outcome = next(o for o in verify_field(25) if o.name == check)
     assert outcome.failed == 1
     assert outcome.first_failure == failure
-    if check == "boundary-spectrum":  # the message is the one the CyclotomicInteger sets gave
+    if check == "boundary-spectrum":  # the message is the one the Cyclotomic sets gave
         graph = build_graph(build_field(5, 2), corrupted_k)
         assert f"q=25 k={corrupted_k}: {_failure(_check_boundary_by_cyclotomic_sets, graph)}" == failure
 
@@ -180,7 +180,7 @@ def _boundary_by_norms(report):
 
 
 def _check_boundary_by_cyclotomic_sets(graph, half):
-    """The boundary check on sets of CyclotomicIntegers: the oracle of verify's check on rows."""
+    """The boundary check on sets of Cyclotomic values: the oracle of verify's check on rows."""
     field = graph.field
     found = set(_boundary_by_norms(spectra.spectrum(graph)))
     if graph.k == field.q - 1:
@@ -217,14 +217,15 @@ def test_boundary_on_rows_matches_cyclotomic_sets_and_norms_for_every_q_up_to_34
 
 @pytest.mark.parametrize("q", [25, 64, 81, 337])
 def test_passing_verify_builds_no_cyclotomic_integer(monkeypatch, q):
-    built = []
-    init = CyclotomicInteger.__init__
-    monkeypatch.setattr(CyclotomicInteger, "__init__",
-                        lambda self, p, coeffs: built.append(p) or init(self, p, coeffs))
+    # verify works on period rows: a passing sweep decodes no row into an Entry
+    decoded = []
+    entries = spectra.SpectrumReport._entries
+    monkeypatch.setattr(spectra.SpectrumReport, "_entries",
+                        lambda self, indices: decoded.append(self.k) or entries(self, indices))
     assert all(o.failed == 0 for o in verify_field(q))
-    assert built == []
-    spectra.spectrum(build_graph(build_field(*prime_power(q)), 1)).eigenvalues  # the count works
-    assert built == [prime_power(q)[0]] * 2  # q - 1 and -1
+    assert decoded == []
+    spectra.spectrum(build_graph(build_field(*prime_power(q)), 1)).entries  # the count works
+    assert decoded == [1]
 
 
 def test_census_check_survives_python_O(run_optimized):
