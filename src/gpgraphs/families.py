@@ -9,13 +9,12 @@ integral graph over GF(q) to one over every GF(q^a).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import HypothesisViolated, check
-from .numbertheory import factorize, is_prime
+from .errors import HypothesisViolated, InvariantViolated, check
+from .numbertheory import factorize, is_prime, max_exponent
 from .spectra import Nature, nature_for
 
 
@@ -96,81 +95,70 @@ class FamilyDescriptor:
     d: int | None = None
 
 
-def _totient(k: int) -> int:
-    out = k
-    for prime in factorize(k):
-        out -= out // prime
-    return out
-
-
 def enumerate_family(descriptor: FamilyDescriptor, max_q: int) -> Iterator[tuple[int, int]]:
     """Emit the family's (k, q) pairs with q <= max_q, in increasing q.
 
-    Hypotheses are checked up front (HypothesisViolated names the failure)
-    and every emitted pair is checked integral by the arithmetic rule.
+    Hypotheses are checked up front (HypothesisViolated names the failure).
+    The reach is then decided once, before any power of p is built: top =
+    max_exponent(p, max_q), and the fields are p^m for m = step, 2*step, ...
+    up to top. Every emitted pair is checked integral by the arithmetic rule.
     """
     p, kind = descriptor.p, descriptor.kind
     if kind not in FAMILY_KINDS:
         raise HypothesisViolated(f"unknown family kind {kind!r}")
-    if not is_prime(p):
-        raise HypothesisViolated(f"p = {p} is not prime")
+    try:
+        if not is_prime(p):
+            raise HypothesisViolated(f"p = {p} is not prime")
+    except ValueError as exc:
+        raise HypothesisViolated(f"p is too large: {exc}") from None
+    top = max_exponent(p, max_q)
 
     if kind == SUBFIELD_DIVISOR:
-        k = _require_k(descriptor)
+        k = step = _require_k(descriptor)
         if (p - 1) % k != 0:
             raise HypothesisViolated(f"k = {k} does not divide p - 1 = {p - 1}")
-        pairs = ((k, k * t) for t in itertools.count(1))
     elif kind == SEMIPRIMITIVE_DIVISOR:
-        k = _require_k(descriptor)
+        k, step = _require_k(descriptor), 2
         if (p + 1) % k != 0:
             raise HypothesisViolated(f"k = {k} does not divide p + 1 = {p + 1}")
-        pairs = ((k, 2 * t) for t in itertools.count(1))
     elif kind == TOTIENT_POWER:
         k = _require_k(descriptor)
         if k % 2 == 0:
             raise HypothesisViolated(f"k = {k} must be odd")
         if math.gcd(k, p * (p - 1)) != 1:
             raise HypothesisViolated(f"gcd({k}, p(p-1)) = {math.gcd(k, p * (p - 1))} != 1")
-        # past this bound phi(k) >= sqrt(k/2) > log2(max_q), so p^phi(k) > max_q and
-        # nothing is emitted; factoring k, which factorize may refuse past 10^12, would go unused
-        if k > 2 * max_q.bit_length() ** 2:
+        # past this bound phi(k) >= sqrt(k/2) > top, so p^phi(k) > max_q and nothing is
+        # emitted; factoring k, which factorize may refuse past 10^12, would go unused
+        if k > 2 * top ** 2:
             return
-        phi = _totient(k)
-        pairs = ((k, phi * t) for t in itertools.count(1))
+        step = k  # phi(k) = k * prod(1 - 1/prime) over the primes dividing k
+        for prime in factorize(k):
+            step -= step // prime
     elif kind == CYCLOTOMIC_VALUE:
-        if descriptor.d is None or descriptor.d < 2:
+        step = descriptor.d
+        if step is None or step < 2:
             raise HypothesisViolated("CyclotomicValue needs d >= 2")
-        if descriptor.d * (p.bit_length() - 1) >= max_q.bit_length():  # p^d > max_q: Phi_d(p) goes unused
-            return
-        k = _cyclotomic_value(descriptor.d, p)
-        pairs = ((k, descriptor.d * t) for t in itertools.count(1))
+        k = _cyclotomic_value(step, p) if step <= top else None  # unused when p^d > max_q
     else:  # TOWER
-        k = _require_k(descriptor)
-        if descriptor.d is None or descriptor.d < 1:
+        k, step = _require_k(descriptor), descriptor.d
+        if step is None or step < 1:
             raise HypothesisViolated("Tower needs d >= 1 (the base field is GF(p^d))")
-        d = descriptor.d
-        # p^d past max_q is neither built nor printed (it may have more digits than str() allows)
-        base_q = p ** d if d * (p.bit_length() - 1) < max_q.bit_length() else None
-        base_q = base_q if base_q is not None and base_q <= max_q else None
-        if pow(p, d, k) != 1 % k:
+        base_q = p ** step if step <= top else None  # past max_q, p^d is neither built nor printed
+        if pow(p, step, k) != 1 % k:
             raise HypothesisViolated(
-                f"base k = {k} does not divide q - 1 = {base_q - 1 if base_q else f'{p}^{d} - 1'}")
-        if nature_for(p, d, k) is not Nature.INTEGRAL:
-            raise HypothesisViolated(f"tower base GP({k},{base_q or f'{p}^{d}'}) is not integral")
-        if base_q is None:
-            return
-        pairs = ((k * (base_q ** a - 1) // (base_q - 1), d * a) for a in itertools.count(1))
+                f"base k = {k} does not divide q - 1 = {base_q - 1 if base_q else f'{p}^{step} - 1'}")
+        if nature_for(p, step, k) is not Nature.INTEGRAL:
+            raise HypothesisViolated(f"tower base GP({k},{base_q or f'{p}^{step}'}) is not integral")
 
-    for k_out, m_out in pairs:
-        if m_out * (p.bit_length() - 1) >= max_q.bit_length():  # p^m > max_q, and may be huge
-            return
-        q_out = p ** m_out
-        if q_out > max_q:
-            return
-        check((q_out - 1) % k_out == 0, f"{kind}: k = {k_out} must divide q - 1 = {q_out - 1}")
-        check(nature_for(p, m_out, k_out) is Nature.INTEGRAL,
-              f"{kind}: GP({k_out},{q_out}) must be integral")
-        yield k_out, q_out
+    q = 1
+    for m in range(step, top + 1, step):
+        q *= p ** step  # p^m
+        k_out = k * (q - 1) // (base_q - 1) if kind == TOWER else k
+        if (q - 1) % k_out != 0:
+            raise InvariantViolated(f"{kind}: k = {k_out} must divide q - 1 = {q - 1}")
+        if nature_for(p, m, k_out) is not Nature.INTEGRAL:
+            raise InvariantViolated(f"{kind}: GP({k_out},{q}) must be integral")
+        yield k_out, q
 
 
 def _require_k(descriptor: FamilyDescriptor) -> int:

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NotPrime, NotPrimePower, SizeBudgetExceeded, check
-from .numbertheory import factorize, is_prime, prime_power
+from .numbertheory import factorize, is_prime, max_exponent, prime_power
 
 DEFAULT_SIZE_BUDGET = 2 ** 20
 
@@ -231,14 +231,14 @@ def check_size_budget(q: int, name: str) -> None:
 
 
 def _check_field_size(p: int, m: int) -> int:
-    """q = p^m, after checking that p is prime, m >= 1 and q is within the size budget."""
+    """q = p^m, after the size budget (checked before p is tested or p^m built), p prime and m >= 1."""
+    if p >= 2 and m > max_exponent(p, DEFAULT_SIZE_BUDGET):
+        raise SizeBudgetExceeded(f"q = {p}^{m} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree m = {m} must be positive")
-    q = p ** m
-    check_size_budget(q, f"q = {p}^{m} = {q}")
-    return q
+    return p ** m
 
 
 class FiniteField:

@@ -3,8 +3,8 @@
 Factorization is trial division up to 10^6, which factors every n below
 10^12 completely; a cofactor left over is accepted when a deterministic
 Miller-Rabin test proves it prime, and refused otherwise. Every argument
-an entry point can pass is below the size budget, or below
-2 * bitlen(max_q)^2 < 5 * 10^8 for the TotientPower family.
+an entry point can pass is below the size budget, or below 2 * top^2 <
+5 * 10^8 for TotientPower, where top = max_exponent(p, max_q) is the bound.
 """
 
 from __future__ import annotations
@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 
 _TRIAL_LIMIT = 10 ** 6
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # the least strong pseudoprime to all of _MR_BASES
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed bases, exact below 3.3e24)."""
+    """Deterministic Miller-Rabin, exact below _MR_EXACT_BELOW; ValueError from there on, never a guess."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality is decided only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -55,6 +58,14 @@ def factorize(n: int) -> dict[int, int]:
             raise ValueError(f"{n} has no prime factor up to {_TRIAL_LIMIT} and is not prime")
         out[n] = 1
     return out
+
+
+def max_exponent(p: int, limit: int) -> int:
+    """The largest m >= 0 with p^m <= limit, for p >= 2 (0 when p > limit); builds no power past limit."""
+    m, power, bound = 0, 1, limit // p
+    while power <= bound:
+        power, m = power * p, m + 1
+    return m
 
 
 def divisors(n: int) -> list[int]:

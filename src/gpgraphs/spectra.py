@@ -61,7 +61,7 @@ class ValueClass(Enum):
     NONREAL = "nonreal"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # one report reads one p; a table per p seen would grow without bound
 def _unit_roots(p: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(p) / p)
 

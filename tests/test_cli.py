@@ -182,6 +182,10 @@ def test_cli_waring_with_witness(capsys):
     assert "do not exist" in capsys.readouterr().out
 
 
+PSEUDOPRIME = 318665857834031151167461   # 399165290221 * 798330580441
+EXACT_BOUND = 3317044064679887385961981  # is_prime refuses from here on
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--q", "25", "--k", "0"],
     ["spectrum", "--q", "25", "--k", "-3"],
@@ -195,9 +199,14 @@ def test_cli_waring_with_witness(capsys):
     ["report", "--q", "abc"],
     ["bogus"],
     ["report"],
-    # p^133 has over 5000 digits, more than str() prints: the message names it as a power
+    # p^133 has over 5000 digits, more than str() prints; p is past is_prime's exact range
     ["families", "--kind", "Tower", "--p", str(10 ** 39 + 3), "--k", "4", "--d", "133",
      "--max-q", str(10 ** 43)],
+    # a strong pseudoprime to the bases 2 .. 37, and the least one to 2 .. 41
+    ["families", "--kind", "SubfieldDivisor", "--p", str(PSEUDOPRIME), "--k", "1",
+     "--max-q", str(10 ** 50)],
+    ["families", "--kind", "SubfieldDivisor", "--p", str(EXACT_BOUND), "--k", "1",
+     "--max-q", str(10 ** 50)],
 ])
 def test_cli_bad_values_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
@@ -216,7 +225,7 @@ def _command_options() -> dict[str, list[argparse.Action]]:
 
 BUDGET = fields.DEFAULT_SIZE_BUDGET
 LONG = st.integers(10 ** 39, 10 ** 80) | st.sampled_from([10 ** 39 + 3, 10 ** 60 + 7])  # two are prime
-INTEGERS = (st.integers(-10 ** 6, -1) | st.sampled_from([0, 1])
+INTEGERS = (st.integers(-10 ** 6, -1) | st.sampled_from([0, 1, PSEUDOPRIME, EXACT_BOUND])
             | st.sampled_from([q for q in range(2, 257) if prime_power(q)])
             | st.sampled_from([n for n in range(6, 257) if not prime_power(n)])
             | st.just(BUDGET + 1) | LONG).map(str) | st.just("9" * 5000)  # past int()'s digit limit

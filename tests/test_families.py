@@ -11,7 +11,7 @@ from gpgraphs import (
     nature_for,
 )
 from gpgraphs.families import _cyclotomic_value
-from gpgraphs.numbertheory import divisors, factorize, prime_power
+from gpgraphs.numbertheory import divisors, factorize, is_prime, max_exponent, prime_power
 from oracles import _poly_mul, cyclotomic_poly, integrality_reasons
 
 
@@ -115,6 +115,48 @@ def test_factorize_refuses_a_composite_past_trial_division():
         factorize(1000003 * 1000033)
 
 
+def test_max_exponent_is_the_largest_power_within_the_limit():
+    for p, m in ((2, 1), (2, 60), (3, 7), (7, 10), (65521, 3), (10 ** 60 + 7, 2)):
+        assert max_exponent(p, p ** m) == m
+        assert max_exponent(p, p ** m - 1) == m - 1
+        assert max_exponent(p, p ** m * p - 1) == m
+    assert max_exponent(5, 4) == max_exponent(10 ** 60 + 7, 10 ** 60) == 0  # p > limit
+    assert max_exponent(2, 1) == max_exponent(3, 1) == 0
+    assert max_exponent(2, 10 ** 4400) == 14616  # 2^14616 < 10^4400 < 2^14617
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # the least strong pseudoprime to the bases 2 .. 37 is 399165290221 * 798330580441;
+    # base 41 exposes it, and the least one to 2 .. 41 is refused
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    with pytest.raises(ValueError, match="primality is decided only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        is_prime(10 ** 60 + 7)
+
+
+@pytest.mark.parametrize("descriptor, first_q", [
+    (FamilyDescriptor("SubfieldDivisor", p=5, k=2), 25),
+    (FamilyDescriptor("SemiprimitiveDivisor", p=3, k=4), 9),
+    (FamilyDescriptor("TotientPower", p=5, k=7), 5 ** 6),
+    (FamilyDescriptor("CyclotomicValue", p=7, d=3), 343),
+    (FamilyDescriptor("Tower", p=3, k=2, d=2), 9),
+], ids=lambda value: getattr(value, "kind", value))
+def test_each_family_reaches_its_first_q_exactly(descriptor, first_q):
+    assert [q for _, q in enumerate_family(descriptor, first_q)] == [first_q]
+    assert list(enumerate_family(descriptor, first_q - 1)) == []
+
+
+def test_family_past_str_digit_limit_formats_nothing_that_passes():
+    # 10^4400 has more digits than str() prints: a message built for a passing
+    # check raised ValueError, and formatting every pair took seconds
+    start = time.perf_counter()
+    pairs = list(enumerate_family(FamilyDescriptor("SubfieldDivisor", p=2, k=1), 10 ** 4400))
+    assert time.perf_counter() - start < 2.0
+    assert len(pairs) == 14616 and pairs[-1] == (1, 2 ** 14616)
+
+
 def test_enumerator_hypotheses():
     bad = [
         FamilyDescriptor("SubfieldDivisor", p=5, k=3),
@@ -125,6 +167,8 @@ def test_enumerator_hypotheses():
         FamilyDescriptor("CyclotomicValue", p=5, d=1),
         FamilyDescriptor("Tower", p=5, k=4, d=1),       # GP(4,5) is not integral
         FamilyDescriptor("Nonsense", p=5, k=1),
+        FamilyDescriptor("SubfieldDivisor", p=318665857834031151167461, k=1),   # composite
+        FamilyDescriptor("SubfieldDivisor", p=3317044064679887385961981, k=1),  # past is_prime
     ]
     for descriptor in bad:
         with pytest.raises(HypothesisViolated):

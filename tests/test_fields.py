@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,19 @@ def test_size_budget(monkeypatch):
         build_field(3, 2)
     monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 9)
     assert build_field(3, 2).q == 9
+
+
+def test_size_budget_is_decided_before_p_is_tested_or_p_to_the_m_built():
+    # 2^(10^8) took 0.7 s to build and then failed to print, and a 61-digit p ran
+    # Miller-Rabin first; m = 10^12 comes last, so a field that builds p^m first
+    # fails at 10^8 and never tries to build 2^(10^12)
+    for p, m in ((2, 10 ** 8), (10 ** 60 + 7, 1), (2, 10 ** 12)):
+        start = time.perf_counter()
+        with pytest.raises(SizeBudgetExceeded, match=rf"^q = {p}\^{m} exceeds the size budget 1048576$"):
+            build_field(p, m)
+        assert time.perf_counter() - start < 0.1, (p, m)
+    with pytest.raises(NotPrime):
+        build_field(1, 10 ** 12)  # p < 2 has no budget to check
 
 
 def test_canonical_field_is_deterministic():

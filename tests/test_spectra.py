@@ -455,6 +455,13 @@ def test_entries_match_the_dense_decode():
         assert report.entries == dense_entries(report), (q, k)
 
 
+def test_unit_roots_keep_one_table():
+    # a table of length p per prime seen held 697 MB after the primes below 30,000
+    for p in (101, 103, 107, 109):
+        spectrum(build_graph(build_field(p, 1), 2)).entries
+    assert spectra._unit_roots.cache_info().currsize <= 1
+
+
 def test_entries_break_float_ties_by_coefficients(monkeypatch):
     # no two distinct eigenvalues are known to tie on their rounded images,
     # so force every image to 0: the order must be that of the coefficients
