@@ -231,13 +231,15 @@ def check_size_budget(q: int, name: str) -> None:
 
 
 def _check_field_size(p: int, m: int) -> int:
-    """q = p^m, after the size budget (checked before p is tested or p^m built), p prime and m >= 1."""
+    """q = p^m for m >= 1, |p| and q within the budget (checked before p is tested or q built), p prime."""
+    if m < 1:
+        raise NotPrimePower("p^m with m < 1 is not a prime power")
+    if abs(p) > DEFAULT_SIZE_BUDGET:  # named, not printed: p may pass str()'s 4,300 digits
+        raise SizeBudgetExceeded(f"|p| exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     if p >= 2 and m > max_exponent(p, DEFAULT_SIZE_BUDGET):
         raise SizeBudgetExceeded(f"q = {p}^{m} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree m = {m} must be positive")
     return p ** m
 
 

@@ -3,11 +3,11 @@
 The connection set is the subgroup of nonzero k-th powers, so there is an
 arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
-by the valuation rule. Components follow from the order of p modulo n, the
-period from its law, and g (where waring has no closed form) from one BFS over
-the k coset classes, which shares its kernel, log_bfs, with the witness search.
-The set is listed on first read, by the witness search; verify's nature
-check compares it with the rule.
+by the valuation rule. Components follow from a, the least divisor of m with
+n | p^a - 1, the period from its law, and g (where waring has no closed form)
+from one BFS over the k coset classes, which shares its kernel, log_bfs, with
+the witness search. The set is listed on first read, by the witness search;
+verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check
 from .fields import FiniteField
-from .numbertheory import divisors, multiplicative_order, v2
+from .numbertheory import divisors, v2
 
 
 class GPGraph:
@@ -189,20 +188,18 @@ def signed_steps(field: FiniteField, steps: np.ndarray) -> np.ndarray:
 class ComponentDecomposition:
     """Connected components: `count` copies of GP(component_k, component_q)."""
 
-    a: int               # ord of p modulo n; the graph is connected iff a = m
+    a: int               # the least divisor of m with n | p^a - 1; the graph is connected iff a = m
     count: int           # p^(m - a)
     component_k: int     # (p^a - 1) / n
     component_q: int     # p^a
 
 
 def components(graph: GPGraph) -> ComponentDecomposition:
-    """The component of 0 is the subfield of order p^a, a = ord of p mod n; the rest translate it."""
+    """The component of 0 is the subfield of order p^a, a | m as n | p^m - 1; the rest translate it."""
     if graph._components is not None:
         return graph._components
-    field = graph.field
-    p, m, n = field.p, field.m, graph.n
-    a = multiplicative_order(p, n)
-    check(m % a == 0, f"GP({graph.k},{field.q}): ord of p mod n = {a} must divide m = {m}")
+    p, m, n = graph.field.p, graph.field.m, graph.n
+    a = next(d for d in range(1, m + 1) if m % d == 0 and pow(p, d, n) == 1 % n)  # 1 % n = 0 when n = 1
     dec = ComponentDecomposition(
         a=a,
         count=p ** (m - a),
@@ -229,7 +226,6 @@ def period(graph: GPGraph) -> int:
 COMPLETE_UNION = "complete-union"
 PALEY_UNION = "paley-union"
 CYCLE_UNION = "cycle-union"
-K2_UNION = "k2-union"
 HAMMING = "hamming"
 SEMIPRIMITIVE = "semiprimitive"
 GENERIC = "generic"
@@ -252,8 +248,6 @@ class StructureLabel:
             body = f"{'dP' if self.directed else 'P'}({self.part})"
         elif self.kind == CYCLE_UNION:
             body = f"{'dC' if self.directed else 'C'}({self.part})"
-        elif self.kind == K2_UNION:
-            body = "K(2)"
         elif self.kind == HAMMING:
             base = f"H({self.hamming_b},{self.hamming_q})"
             return base + (f"=L({self.hamming_q},{self.hamming_q})" if self.hamming_b == 2 else "")
@@ -265,34 +259,22 @@ class StructureLabel:
 
 
 def classify_structure(graph: GPGraph) -> StructureLabel:
-    """First matching label in a fixed precedence order (deterministic reports)."""
-    field = graph.field
-    q, p, m, k = field.q, field.p, field.m, graph.k
-    dec = components(graph)
+    """First matching label in a fixed order; a union label is `count` copies of its component."""
+    field, k, dec = graph.field, graph.k, components(graph)
+    p, m = field.p, field.m
 
-    if k * (dec.component_q - 1) == q - 1:
+    if dec.component_k == 1:
         return StructureLabel(COMPLETE_UNION, copies=dec.count, part=dec.component_q)
-    if k * (dec.component_q - 1) == 2 * (q - 1):
+    if dec.component_k == 2:
         return StructureLabel(PALEY_UNION, copies=dec.count, part=dec.component_q, directed=graph.directed)
-    if q % 2 == 1 and k in (q - 1, (q - 1) // 2):
-        return StructureLabel(CYCLE_UNION, copies=q // p, part=p, directed=graph.directed)
-    if q % 2 == 0 and k == q - 1:
-        return StructureLabel(K2_UNION, copies=q // 2)
-    for b in divisors(m)[1:]:
-        q0 = p ** (m // b)
-        if k * b * (q0 - 1) == q - 1 and dec.count == 1:  # then (q - 1)/(q0 - 1) = kb
-            return StructureLabel(HAMMING, hamming_b=b, hamming_q=q0)
-    if _is_semiprimitive(p, m, k, q):
-        return StructureLabel(SEMIPRIMITIVE)
+    if dec.component_q == p and 2 * dec.component_k >= p - 1:  # GP(p - 1, p) or GP((p - 1)/2, p)
+        return StructureLabel(CYCLE_UNION, copies=dec.count, part=dec.component_q, directed=graph.directed)
+    if dec.count == 1:
+        for b in divisors(m)[1:]:
+            q0 = p ** (m // b)
+            if k * b * (q0 - 1) == field.q - 1:  # then (q - 1)/(q0 - 1) = kb
+                return StructureLabel(HAMMING, hamming_b=b, hamming_q=q0)
+        if m % 2 == 0 and any((p ** t + 1) % k == 0 for t in divisors(m // 2)):
+            return StructureLabel(SEMIPRIMITIVE)
     return StructureLabel(GENERIC, copies=dec.count, part=dec.component_q, directed=graph.directed,
                           component_k=dec.component_k)
-
-
-def _is_semiprimitive(p: int, m: int, k: int, q: int) -> bool:
-    if k == 2:
-        return q % 4 == 1
-    if k > 2 and m % 2 == 0:
-        if k == p ** (m // 2) + 1:
-            return False
-        return any((p ** t + 1) % k == 0 for t in divisors(m // 2))
-    return False

@@ -9,8 +9,6 @@ an entry point can pass is below the size budget, or below 2 * top^2 <
 
 from __future__ import annotations
 
-import math
-
 _TRIAL_LIMIT = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # the least strong pseudoprime to all of _MR_BASES
@@ -85,20 +83,6 @@ def prime_power(n: int) -> tuple[int, int] | None:
         return None
     ((p, m),) = fac.items()
     return p, m
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n, by direct search; requires gcd(a, n) = 1."""
-    if n == 1:
-        return 1
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    x = a % n
-    order = 1
-    while x != 1:
-        x = x * a % n
-        order += 1
-    return order
 
 
 def v2(n: int) -> int:

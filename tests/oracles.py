@@ -2,10 +2,10 @@
 
 The field model (elements with their arithmetic), vertex-level traversal
 and adjacency on element indices, ring arithmetic in Z[zeta_p], Gaussian
-periods one coset at a time, a dense floating-point eigensolver,
-cyclotomic polynomials over Z, and the paper's results that the CLI does
-not serve: the weak-Waring reduction and the sufficient integrality
-criteria.
+periods one coset at a time, a dense floating-point eigensolver (for the
+spectrum, and for mu and nature), cyclotomic polynomials over Z, and the
+paper's results that the CLI does not serve: the weak-Waring reduction and
+the sufficient integrality criteria.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from gpgraphs.cli import FieldReportRow
 from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, is_prime
-from gpgraphs.spectra import Entry, ValueClass, embed_coeffs, render_terms
+from gpgraphs.spectra import Entry, Nature, ValueClass, embed_coeffs, render_terms
 from gpgraphs.verify import _weighted_squares, boundary_rows
 
 ORACLE_SIZE_LIMIT = 512
@@ -458,12 +458,8 @@ def verify_2re(field, k: int) -> bool:
     return doubled == Counter(dict(exact_values(spectrum(build_graph(field, graph.k // 2)))))
 
 
-def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:
-    """Compare the exact spectrum against a dense floating-point eigensolver.
-
-    Both eigenvalue lists are sorted by (real, imaginary) and paired off;
-    the check passes when every pair is within the tolerance.
-    """
+def dense_eigenvalues(graph) -> np.ndarray:
+    """The q eigenvalues of the adjacency matrix, from a dense floating-point eigensolver."""
     field = graph.field
     q = field.q
     if q > ORACLE_SIZE_LIMIT:
@@ -471,7 +467,32 @@ def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:
     adj = np.zeros((q, q), dtype=np.float64)
     vertices = np.arange(q, dtype=np.int64)
     adj[vertices[:, None], add_outer(field, vertices, graph.connection)] = 1.0
-    numeric = np.linalg.eigvals(adj)
+    return np.linalg.eigvals(adj)
+
+
+def dense_mu_and_nature(graph, tolerance: float = 1e-6) -> tuple[int, Nature]:
+    """The number of distinct eigenvalues and the spectrum's nature, from dense_eigenvalues.
+
+    Eigenvalues within the tolerance of one another count as one.
+    """
+    distinct: list[complex] = []
+    for z in dense_eigenvalues(graph).tolist():
+        if all(abs(z - d) > tolerance for d in distinct):
+            distinct.append(z)
+    if all(abs(z - round(z.real)) <= tolerance for z in distinct):
+        return len(distinct), Nature.INTEGRAL
+    if all(abs(z.imag) <= tolerance for z in distinct):
+        return len(distinct), Nature.REAL_NONINTEGRAL
+    return len(distinct), Nature.COMPLEX
+
+
+def numeric_oracle_check(graph, tolerance: float = 1e-8) -> bool:
+    """Compare the exact spectrum against a dense floating-point eigensolver.
+
+    Both eigenvalue lists are sorted by (real, imaginary) and paired off;
+    the check passes when every pair is within the tolerance.
+    """
+    numeric = dense_eigenvalues(graph)
 
     exact: list[complex] = []
     for entry in spectrum(graph).entries:

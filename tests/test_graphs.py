@@ -4,6 +4,7 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpgraphs import cli, graphs
 from gpgraphs import (
@@ -18,7 +19,8 @@ from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
-from oracles import add_outer, bfs_distances, has_arc, index_add, symmetric_connection, symmetrize
+from oracles import (ORACLE_SIZE_LIMIT, add_outer, bfs_distances, dense_mu_and_nature, has_arc, index_add,
+                     symmetric_connection, symmetrize)
 
 
 def test_build_examples():
@@ -82,8 +84,6 @@ def test_components_examples():
 
 
 def test_components_bfs_count_small_sweep():
-    from gpgraphs.numbertheory import multiplicative_order
-
     for q in (9, 16, 25, 27, 49, 81):
         p, m = prime_power(q)
         field = build_field(p, m)
@@ -91,7 +91,8 @@ def test_components_bfs_count_small_sweep():
             graph = build_graph(field, k)
             dec = components(graph)
             assert dec == _traversed_components(graph)
-            assert dec.a == multiplicative_order(p, graph.n) if graph.n > 1 else dec.a == 1
+            # the order of p modulo n by direct search over every exponent, not only the divisors of m
+            assert dec.a == next(e for e in range(1, graph.n + 1) if pow(p, e, graph.n) == 1 % graph.n)
             assert dec.count * dec.component_q == q
             # explicit weak-component count: one vertex-level BFS per unlabelled vertex
             labelled = np.zeros(q, dtype=bool)
@@ -120,6 +121,23 @@ def _vertex_oracle(field, graph):
     else:
         w = g
     return field.q // reached.size, cycle_gcd, g, w
+
+
+ORACLE_FIELDS = [q for q in range(2, ORACLE_SIZE_LIMIT + 1) if prime_power(q) is not None]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS).flatmap(lambda q: st.tuples(st.just(q), st.sampled_from(divisors(q - 1)))))
+def test_report_row_agrees_with_vertex_bfs_and_dense_eigensolver(qk):
+    # the report's closed forms against the oracles: components, period, g and w by vertex-level
+    # BFS over the k-th powers and their negatives, mu and nature by a dense eigensolver
+    q, k = qk
+    row = next(row for row in build_report_rows(q) if row.k == k)
+    field = build_field(*prime_power(q))
+    graph = build_graph(field, k)
+    assert (row.components, row.period, row.g, row.w) == _vertex_oracle(field, graph), (q, k)
+    mu, nature = dense_mu_and_nature(graph)
+    assert (row.mu, row.nature) == (mu, nature.render()), (q, k)
 
 
 def test_quotient_matches_vertex_bfs_sweep():
@@ -387,8 +405,9 @@ def test_classification():
 
 
 def test_classification_full_sweep_is_consistent():
-    kinds = {"complete-union", "paley-union", "cycle-union", "k2-union",
-             "hamming", "semiprimitive", "generic"}
+    kinds = {"complete-union", "paley-union", "cycle-union", "hamming", "semiprimitive", "generic"}
+    assert kinds == {value for name, value in vars(graphs).items() if name.isupper() and isinstance(value, str)}
+    seen = set()
     for q in range(2, 344):
         pm = prime_power(q)
         if pm is None:
@@ -398,11 +417,13 @@ def test_classification_full_sweep_is_consistent():
             graph = build_graph(field, k)
             label = classify_structure(graph)
             assert label.kind in kinds
+            seen.add(label.kind)
             assert label.render()
             if label.kind in ("complete-union", "paley-union", "generic"):
                 assert label.copies == components(graph).count
             if label.kind in ("hamming", "semiprimitive"):
                 assert components(graph).count == 1
+    assert seen == kinds  # no label kind is dead
 
 
 def test_hamming_label_requires_connectivity():
