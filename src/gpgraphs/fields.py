@@ -236,8 +236,8 @@ def _check_field_size(p: int, m: int) -> int:
         raise NotPrimePower("p^m with m < 1 is not a prime power")
     if abs(p) > DEFAULT_SIZE_BUDGET:  # named, not printed: p may pass str()'s 4,300 digits
         raise SizeBudgetExceeded(f"|p| exceeds the size budget {DEFAULT_SIZE_BUDGET}")
-    if p >= 2 and m > max_exponent(p, DEFAULT_SIZE_BUDGET):
-        raise SizeBudgetExceeded(f"q = {p}^{m} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
+    if p >= 2 and m > (top := max_exponent(p, DEFAULT_SIZE_BUDGET)):  # m, like p, may pass str()'s limit
+        raise SizeBudgetExceeded(f"{p}^m with m > {top} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     return p ** m

@@ -4,10 +4,11 @@ The connection set is the subgroup of nonzero k-th powers, so there is an
 arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from a, the least divisor of m with
-n | p^a - 1, the period from its law, and g (where waring has no closed form)
-from one BFS over the k coset classes, which shares its kernel, log_bfs, with
-the witness search. The set is listed on first read, by the witness search;
-verify's nature check compares it with the rule.
+n | p^a - 1, the period from its law, and the structure label from the
+components; each is kept on the graph. g of a generic graph comes from one BFS
+over the k coset classes (waring reads mu - 1 off any other label), whose
+kernel, log_bfs, the witness search shares. The set is listed on first read,
+by the witness search; verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class GPGraph:
         self.directed = q % 2 == 1 and v2(self.k) == v2(q - 1) > 0
 
         self._components: ComponentDecomposition | None = None
+        self._structure: StructureLabel | None = None  # by classify_structure
         self._spectrum = None  # filled lazily by spectra.spectrum
         self._mu: int | None = None  # by spectra.eigenvalue_count
         self._traversal: np.ndarray | None = None  # by quotient_bfs
@@ -83,22 +85,19 @@ def log_bfs(zech: np.ndarray, steps: np.ndarray, modulus: int,
     first = _first_arrivals(steps % modulus, step).nonzero()[0]
     frontier = steps[first] % modulus
     dist[frontier], step[frontier] = 1, first
-    unreached = modulus - frontier.size  # an upper bound, as _python_levels returns only its last level
+    unreached = modulus - frontier.size
     while frontier.size and unreached and (goal is None or dist[goal] < 0):
-        if frontier.size * steps.size < _PYTHON_LEVEL_ARCS:
-            frontier = _python_levels(frontier.tolist(), steps.tolist(), memoryview(zech),
-                                      *map(memoryview, (dist, parent, step)), modulus, goal)
-        else:
-            frontier = _numpy_level(frontier, steps, zech, dist, parent, step, modulus, goal)
-        unreached -= frontier.size
+        kernel = _python_levels if frontier.size * steps.size < _PYTHON_LEVEL_ARCS else _numpy_level
+        frontier, unreached = kernel(frontier, steps, zech, dist, parent, step, modulus, goal, unreached)
     return dist, parent, step
 
 
-def _python_levels(level: list[int], steps: list[int], zech, dist, parent, step,
-                   modulus: int, goal: int | None) -> np.ndarray:
-    """Expand levels of under _PYTHON_LEVEL_ARCS arcs one arc at a time; returns the next level."""
-    numbered_steps = list(enumerate(steps))
-    while level and len(level) * len(steps) < _PYTHON_LEVEL_ARCS:
+def _python_levels(frontier: np.ndarray, steps: np.ndarray, zech, dist, parent, step, modulus: int,
+                   goal: int | None, unreached: int) -> tuple[np.ndarray, int]:
+    """Expand levels of under _PYTHON_LEVEL_ARCS arcs one arc at a time; returns (next level, unreached)."""
+    zech, dist, parent, step = map(memoryview, (zech, dist, parent, step))  # Python ints by index
+    level, numbered_steps = frontier.tolist(), list(enumerate(steps.tolist()))
+    while level and len(level) * len(numbered_steps) < _PYTHON_LEVEL_ARCS:
         d = dist[level[0]] + 1
         found = []
         for a in level:
@@ -109,15 +108,16 @@ def _python_levels(level: list[int], steps: list[int], zech, dist, parent, step,
                     if dist[v] < 0:
                         dist[v], parent[v], step[v] = d, a, j
                         found.append(v)
-            if goal is not None and dist[goal] >= 0:
-                return np.empty(0, dtype=np.int64)
+                        if len(found) == unreached or v == goal:
+                            return np.empty(0, dtype=np.int64), unreached - len(found)
+        unreached -= len(found)
         level = found
-    return np.array(level, dtype=np.int64)
+    return np.array(level, dtype=np.int64), unreached
 
 
-def _numpy_level(frontier: np.ndarray, steps: np.ndarray, zech: np.ndarray, dist: np.ndarray,
-                 parent: np.ndarray, step: np.ndarray, modulus: int, goal: int | None) -> np.ndarray:
-    """Expand one level in row blocks of up to _BLOCK_ARCS arcs; returns the next level.
+def _numpy_level(frontier: np.ndarray, steps: np.ndarray, zech, dist, parent, step, modulus: int,
+                 goal: int | None, unreached: int) -> tuple[np.ndarray, int]:
+    """Expand one level in row blocks of up to _BLOCK_ARCS arcs; returns (next level, unreached).
 
     Row-major order is the FIFO order. With a goal the blocks double from
     one row, and the level stops after the block that reaches it.
@@ -142,7 +142,8 @@ def _numpy_level(frontier: np.ndarray, steps: np.ndarray, zech: np.ndarray, dist
         found.append(new)
         i += rows
         rows = min(2 * rows, most)
-    return np.concatenate(found)
+    found = np.concatenate(found)
+    return found, unreached - found.size
 
 
 def _first_arrivals(new: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -259,8 +260,13 @@ class StructureLabel:
 
 
 def classify_structure(graph: GPGraph) -> StructureLabel:
-    """First matching label in a fixed order; a union label is `count` copies of its component."""
-    field, k, dec = graph.field, graph.k, components(graph)
+    """First matching label in a fixed order, kept on the graph; a union is `count` copies of a component."""
+    if graph._structure is None:
+        graph._structure = _first_label(graph, graph.field, graph.k, components(graph))
+    return graph._structure
+
+
+def _first_label(graph: GPGraph, field: FiniteField, k: int, dec: ComponentDecomposition) -> StructureLabel:
     p, m = field.p, field.m
 
     if dec.component_k == 1:

@@ -255,12 +255,13 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
     if principal != closed_form.count:
         raise AssertionError(f"principal multiplicity {principal} != component count {closed_form.count}")
     # the library's w is the reduction: g(k, q) undirected, g(k/2, q) directed
-    result = graph_waring(graph, _diameter(half) if graph.directed else None)
+    result = graph_waring(graph, _diameter(quotient_bfs(half)) if graph.directed else None)
     g, by_formula = result.g, result.w
-    dist = quotient_bfs(graph, signed=True)  # the symmetrized graph, traversed
-    w = None if (dist < 0).any() else int(dist.max())
-    if g != (diameter := _diameter(graph)):  # the traversal period-law stored; g exists iff connected
+    w = _diameter(quotient_bfs(graph, signed=True))  # the symmetrized graph, traversed
+    if g != (diameter := _diameter(quotient_bfs(graph))):  # the stored traversal; g exists iff connected
         raise AssertionError(f"g = {g} != {diameter}, the diameter of the traversal")
+    if diameter is not None and diameter >= (mu := spectra.spectrum(graph).mu):  # A is diagonalizable
+        raise AssertionError(f"diameter {diameter} is not below mu = {mu} of the spectrum")
     if w != by_formula:
         raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
     if g is not None and w > g:

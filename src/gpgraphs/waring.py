@@ -1,13 +1,19 @@
 """Waring-type numbers over finite fields, computed as graph diameters.
 
-g(k, q) is the least s with every field element a sum of s k-th powers;
-it exists exactly when GP(k, q) is connected and then is its diameter: k for
-the p-cycles GP(p - 1, p) and GP((p - 1)/2, p), else the eccentricity of 0 in
-the BFS over the coset classes that graphs.quotient_bfs keeps on the graph. The
-signed variant w(k, q) allows minus signs on the terms and is the
-diameter of the symmetrized graph, so by the paper's reduction it is g
-for undirected GP(k, q) and g(k/2, q) for directed GP(k, q). A witness
-is the path of graphs.log_bfs over all q - 1 logs.
+g(k, q), the least s with every field element a sum of s k-th powers, exists
+exactly when GP(k, q) is connected and is then its diameter, at most mu - 1 as an
+abelian Cayley digraph has a diagonalizable adjacency matrix (Brouwer and Haemers,
+Spectra of Graphs, Prop. 1.3.3). Each label of graphs.classify_structure meets the
+bound, as (mu, g): complete (2, 1); Paley and oriented Paley (3, 2), three
+eigenvalues and a missing arc; semiprimitive (3, 2), strongly regular; Hamming
+H(b, q0) (b + 1, b), eigenvalues b(q0 - 1) - i q0 for i = 0..b; the p-cycles
+GP(p - 1, p) and GP((p - 1)/2, p) (k + 1, k), p-th roots of unity or
+2 cos(2 pi j / p). So g is mu - 1 on a labelled graph, and on a generic one the
+eccentricity of 0 in the BFS over the coset classes that graphs.quotient_bfs
+keeps on the graph. The signed variant w(k, q) allows minus signs on the terms
+and is the diameter of the symmetrized graph, so by the paper's reduction it is
+g for undirected GP(k, q) and g(k/2, q) for directed GP(k, q). A witness is the
+path of graphs.log_bfs over all q - 1 logs.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 
 from .errors import NumberDoesNotExist, check
 from .fields import FieldElement, FiniteField
-from .graphs import GPGraph, build_graph, components, log_bfs, quotient_bfs, signed_steps
+from .graphs import GENERIC, GPGraph, build_graph, classify_structure, log_bfs, quotient_bfs, signed_steps
+from .spectra import eigenvalue_count
 
 
 @dataclass(frozen=True)
@@ -29,12 +36,9 @@ class WaringResult:
     reason_if_absent: str | None
 
 
-def _diameter(graph: GPGraph) -> int | None:
-    """Largest distance from 0; None if some vertex is unreached."""
-    dist = quotient_bfs(graph)
-    if (dist < 0).any():
-        return None
-    return int(dist.max())
+def _diameter(dist: np.ndarray) -> int | None:
+    """The largest of the distances from 0; None if some vertex is unreached."""
+    return None if (dist < 0).any() else int(dist.max())
 
 
 def waring_result(field: FiniteField, k: int) -> WaringResult:
@@ -47,11 +51,10 @@ def graph_waring(graph: GPGraph, half_g: int | None = None) -> WaringResult:
 
     GP(k/2, q) contains GP(k, q), so g(k/2, q) exists whenever w is read.
     """
-    field, dec = graph.field, components(graph)
-    if dec.count > 1:
-        return WaringResult(False, None, None, f"GP({graph.k},{field.q}) splits into {dec.count} components")
-    # k = p - 1 or (p - 1)/2: the p-cycles, whose diameter is k
-    g_value = graph.k if field.m == 1 and 2 * graph.k >= field.q - 1 else _diameter(graph)
+    field, label = graph.field, classify_structure(graph)
+    if (count := label.copies) > 1:  # the copies of a label are its components
+        return WaringResult(False, None, None, f"GP({graph.k},{field.q}) splits into {count} components")
+    g_value = _diameter(quotient_bfs(graph)) if label.kind == GENERIC else eigenvalue_count(graph) - 1
     if graph.directed and half_g is None:
         half_g = graph_waring(build_graph(field, graph.k // 2)).g
     return WaringResult(True, g_value, half_g if graph.directed else g_value, None)

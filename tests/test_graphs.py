@@ -246,6 +246,27 @@ def test_traversal_expands_no_level_once_every_class_is_reached(monkeypatch):
         # expanding levels 1, ..., g - 1 reaches every class of a connected graph; a
         # disconnected one expands its last level too, and finds nothing
         assert len(expanded) == dist.max() - (dist >= 0).all(), k
+    monkeypatch.undo()
+    # the Python loop stops inside a level, at the arc that reaches the last class: GP(2, 343)
+    # reaches class 0 on level 1, and level 2 walks its 171 arcs only up to the first into class 1
+    reads = []
+
+    class CountedZech:  # the loop reads zech once per arc
+        def __init__(self, zech):
+            self.zech = zech
+
+        def __getitem__(self, i):
+            reads.append(i)
+            return self.zech[i]
+
+    field = build_field(7, 3)
+    # the loop takes its tables as memoryviews; the view of zech counts its reads
+    monkeypatch.setattr(graphs, "memoryview", lambda table: CountedZech(memoryview(table))
+                        if table is field.zech else memoryview(table), raising=False)
+    assert graphs._traverse(build_graph(field, 2), False).tolist() == [1, 2]
+    steps = range(0, 342, 2)  # 1 + omega^b = omega^zech[b], in class 1 when zech[b] is odd
+    first = next(j for j, b in enumerate(steps) if field.zech[b] >= 0 and field.zech[b] % 2 == 1)
+    assert len(reads) == 1 + first < len(steps)
 
 
 def test_quotient_traversal_memory_over_every_k_of_gf_2_16():
@@ -289,21 +310,28 @@ def test_verify_traverses_undirected_graphs_once_and_directed_twice(monkeypatch)
     assert sum(runs.values()) == 8 + 2
 
 
-def test_report_traverses_each_connected_noncycle_graph_once_and_never_signed(monkeypatch):
+def test_report_traverses_each_connected_generic_graph_once_and_never_signed(monkeypatch):
     runs = _count_traversals(monkeypatch)
-    rows = build_report_rows(2401)
-    # a disconnected graph has no g, by components alone; w of a directed graph is the g of its row k/2
-    assert runs == Counter((row.k, False) for row in rows if row.components == 1)
-    assert len(rows) == 36 and len(runs) == 26
+    # a labelled connected graph has g = mu - 1 and a disconnected one no g, by components
+    # alone; w of a directed graph is the g of its row k/2. Of the 10 connected graphs over
+    # GF(729) 5 are generic, and of the 26 over GF(2401) 19
+    for q, traversed in ((729, 5), (2401, 19)):
+        runs.clear()
+        rows = build_report_rows(q)
+        generic = [row for row in rows if row.components == 1 and row.structure == "generic"]
+        assert runs == Counter((row.k, False) for row in generic)
+        assert len(runs) == traversed, q
+    assert len(rows) == 36
     directed = [row for row in rows if row.directed]
     assert len(directed) == 6
     # 343 directed Paley graphs on 7 vertices (k = 800) and 343 directed 7-cycles (k = 2400)
     assert [row.k for row in directed if row.g is None] == [800, 2400]
     runs.clear()
     rows = build_report_rows(2399)  # prime, 2398 = 2 * 11 * 109
-    # the 2399-cycles GP(1199, 2399) and GP(2398, 2399) have g = k by the closed form
-    assert runs == Counter((row.k, False) for row in rows if row.k not in (1199, 2398))
-    assert [(row.k, row.g) for row in rows if row.k in (1199, 2398)] == [(1199, 1199), (2398, 2398)]
+    # K(2399), the directed Paley graph and the 2399-cycles GP(1199, 2399) and GP(2398, 2399) are labelled
+    assert runs == Counter((row.k, False) for row in rows if row.k not in (1, 2, 1199, 2398))
+    assert [(row.k, row.mu, row.g) for row in rows if row.k in (1, 2, 1199, 2398)] \
+        == [(1, 2, 1), (2, 3, 2), (1199, 1200, 1199), (2398, 2399, 2398)]
     # every directed graph is connected, and its w is the g of row k/2
     assert [(row.k, row.w) for row in rows if row.directed] == [(2, 1), (22, 2), (218, 4), (2398, 1199)]
 

@@ -330,6 +330,15 @@ def test_waring_check_compares_the_traversal_with_the_closed_form(monkeypatch):
         "order of p mod n gives ComponentDecomposition(a=2, count=1, component_k=4, component_q=25)")
 
 
+def test_waring_check_bounds_the_diameter_by_mu(monkeypatch):
+    # a diagonalizable graph's diameter is below mu; a spectrum of GP(4, 25) that gives mu 3,
+    # not 5, meets its traversal diameter 3 there, and so fails the nature check as well
+    _corrupt(monkeypatch, spectra, "spectrum", 4, lambda report: dataclasses.replace(report, mu=3))
+    failed = {o.name: (o.failed, o.first_failure) for o in verify_field(25) if o.failed}
+    assert failed == {"nature": (1, "q=25 k=4: eigenvalue_count 5 != mu = 3 of the spectrum"),
+                      "waring-formula": (1, "q=25 k=4: diameter 3 is not below mu = 3 of the spectrum")}
+
+
 def test_period_law_compares_the_traversal_with_the_closed_form(monkeypatch):
     # a closed form that gives the directed GP(8, 25) period 2; the traversal still finds 1
     honest = verify.period
@@ -435,38 +444,45 @@ def test_a_corrupted_law_fails_only_its_owners(monkeypatch, corrupt, owners):
     assert {o.name for o in verify_field(25) if o.failed} == owners
 
 
-# report reads mu, the g of the cycles and disconnectedness from closed forms, and each
-# has one owner here: over GF(13), GP(6, 13) and GP(12, 13) are the 13-cycles and
-# GP(4, 13) is connected
+# report reads mu, the g of the labelled graphs and disconnectedness from closed forms,
+# and each has one owner here: over GF(13), GP(6, 13) and GP(12, 13) are the 13-cycles and
+# GP(4, 13) is connected; over GF(81), GP(5, 81) is the Hamming graph H(2, 9), mu = 3 and g = 2
 CLOSED_FORM_CORRUPTIONS = {
-    "mu-off-by-one": (
+    "mu-off-by-one": (13,
         "honest = spectra.eigenvalue_count\n"
         "spectra.eigenvalue_count = lambda graph: honest(graph) + (graph.field.m == 1)",
         {"nature": (6, "q=13 k=1: eigenvalue_count 3 != mu = 2 of the spectrum")}),
     # g = k + 1 on both cycles, and so w = g on the undirected one; verify passes the directed one its w
-    "cycle-g-off-by-one": (
+    "cycle-g-off-by-one": (13,
         "honest = verify.graph_waring\n"
         "verify.graph_waring = lambda graph, half_g: (\n"
         "    dataclasses.replace(honest(graph, half_g), g=graph.k + 1, w=half_g or graph.k + 1)\n"
         "    if 2 * graph.k >= 12 else honest(graph, half_g))",
         {"waring-formula": (2, "q=13 k=6: g = 7 != 6, the diameter of the traversal")}),
-    "two-components": (
-        "honest = waring.components\n"
-        "waring.components = lambda graph: (\n"
-        "    dataclasses.replace(honest(graph), count=2) if graph.k == 4 else honest(graph))",
+    # waring reads the components off the label, whose copies they are
+    "two-components": (13,
+        "honest = waring.classify_structure\n"
+        "waring.classify_structure = lambda graph: (\n"
+        "    dataclasses.replace(honest(graph), copies=2) if graph.k == 4 else honest(graph))",
         {"waring-formula": (1, "q=13 k=4: g = None != 3, the diameter of the traversal")}),
+    # the law g = mu - 1 read as g = mu on the Hamming graphs only
+    "hamming-g-off-by-one": (81,
+        "honest = waring.eigenvalue_count\n"
+        "waring.eigenvalue_count = lambda graph: (\n"
+        "    honest(graph) + (waring.classify_structure(graph).kind == 'hamming'))",
+        {"waring-formula": (1, "q=81 k=5: g = 3 != 2, the diameter of the traversal")}),
 }
 
 
 @pytest.mark.parametrize("name", list(CLOSED_FORM_CORRUPTIONS))
 def test_a_wrong_closed_form_fails_only_its_owner_under_python_O(run_optimized, name):
-    corruption, failures = CLOSED_FORM_CORRUPTIONS[name]
+    q, corruption, failures = CLOSED_FORM_CORRUPTIONS[name]
     proc = run_optimized("\n".join([
         "import dataclasses",
         "from gpgraphs import spectra, verify, waring",
         "from gpgraphs.verify import verify_field",
         corruption,
-        "print({o.name: (o.failed, o.first_failure) for o in verify_field(13) if o.failed})",
+        f"print({{o.name: (o.failed, o.first_failure) for o in verify_field({q}) if o.failed}})",
     ]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{failures}\n", proc.stdout
