@@ -4,7 +4,7 @@ exact spectra and Waring numbers.
 A command gets its field from fields.field_of_order, which refuses a q
 past the size budget before factoring it.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -258,6 +259,11 @@ def main(argv=None) -> int:
         return 1
     except GPGraphError as exc:
         return _usage_error(str(exc))
+    except BrokenPipeError:  # the reader closed stdout; the exit flush writes to devnull instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 if __name__ == "__main__":

@@ -5,17 +5,19 @@ arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from a, the least divisor of m with
 n | p^a - 1, the period from its law, and the structure label from the
-components; each is kept on the graph. g of a generic graph comes from one BFS
-over the k coset classes (waring reads mu - 1 off any other label), whose
-kernel, log_bfs, the witness search shares. The set is listed on first read,
-by the witness search; verify's nature check compares it with the rule.
+components. g of a generic graph comes from one BFS over the k coset classes
+(waring reads mu - 1 off any other label), whose kernel, log_bfs, the witness
+search shares. A function marked kept (components, the label, the unsigned BFS,
+and spectra's spectrum and mu) runs once per graph, which holds its result in
+one dict. The set is listed on first read, by the witness search; verify's
+nature check compares it with the rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -38,12 +40,7 @@ class GPGraph:
         self.n = (q - 1) // self.k
         # -1 = omega^((q-1)/2) is a k-th power unless k takes the whole 2-part of q - 1
         self.directed = q % 2 == 1 and v2(self.k) == v2(q - 1) > 0
-
-        self._components: ComponentDecomposition | None = None
-        self._structure: StructureLabel | None = None  # by classify_structure
-        self._spectrum = None  # filled lazily by spectra.spectrum
-        self._mu: int | None = None  # by spectra.eigenvalue_count
-        self._traversal: np.ndarray | None = None  # by quotient_bfs
+        self.kept = {}  # the results of kept functions, each keyed by the function that computes it
 
     @cached_property
     def connection(self) -> np.ndarray:
@@ -59,6 +56,19 @@ class GPGraph:
 
 def build_graph(field: FiniteField, k: int) -> GPGraph:
     return GPGraph(field, k)
+
+
+def kept(compute):
+    """compute(graph), run on the first call and kept in graph.kept; a kept array is read-only."""
+    @wraps(compute)
+    def read(graph: GPGraph):
+        value = graph.kept.get(compute)
+        if value is None:
+            value = graph.kept[compute] = compute(graph)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return value
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +130,14 @@ def _numpy_level(frontier: np.ndarray, steps: np.ndarray, zech, dist, parent, st
     """Expand one level in row blocks of up to _BLOCK_ARCS arcs; returns (next level, unreached).
 
     Row-major order is the FIFO order. With a goal the blocks double from
-    one row, and the level stops after the block that reaches it.
+    one row. The level stops after the block that reaches the goal or the last unreached class.
     """
     found = []
     d = int(dist[frontier[0]]) + 1
     most = max(1, _BLOCK_ARCS // steps.size)
     rows = most if goal is None else 1
     i = 0
-    while i < frontier.size and (goal is None or dist[goal] < 0):
+    while i < frontier.size and unreached and (goal is None or dist[goal] < 0):
         block = frontier[i:i + rows, None]
         z = zech[steps - block]  # a negative index wraps, which takes b - a mod q - 1
         v = block + z
@@ -140,10 +150,10 @@ def _numpy_level(frontier: np.ndarray, steps: np.ndarray, zech, dist, parent, st
         row, j = np.divmod(hit, steps.size)
         dist[new], parent[new], step[new] = d, block[row, 0], j
         found.append(new)
+        unreached -= new.size
         i += rows
         rows = min(2 * rows, most)
-    found = np.concatenate(found)
-    return found, unreached - found.size
+    return np.concatenate(found), unreached
 
 
 def _first_arrivals(new: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -166,12 +176,12 @@ def quotient_bfs(graph: GPGraph, signed: bool = False) -> np.ndarray:
     verify's second method for w, is not; an undirected graph holds -1
     among its k-th powers, so its signed steps are its unsigned ones.
     """
-    if signed and graph.directed:
-        return _traverse(graph, True)
-    if graph._traversal is None:
-        graph._traversal = _traverse(graph, False)
-        graph._traversal.setflags(write=False)
-    return graph._traversal
+    return _traverse(graph, True) if signed and graph.directed else _unsigned_traversal(graph)
+
+
+@kept
+def _unsigned_traversal(graph: GPGraph) -> np.ndarray:
+    return _traverse(graph, False)
 
 
 def _traverse(graph: GPGraph, signed: bool) -> np.ndarray:
@@ -195,20 +205,17 @@ class ComponentDecomposition:
     component_q: int     # p^a
 
 
+@kept
 def components(graph: GPGraph) -> ComponentDecomposition:
     """The component of 0 is the subfield of order p^a, a | m as n | p^m - 1; the rest translate it."""
-    if graph._components is not None:
-        return graph._components
     p, m, n = graph.field.p, graph.field.m, graph.n
     a = next(d for d in range(1, m + 1) if m % d == 0 and pow(p, d, n) == 1 % n)  # 1 % n = 0 when n = 1
-    dec = ComponentDecomposition(
+    return ComponentDecomposition(
         a=a,
         count=p ** (m - a),
         component_k=(p ** a - 1) // n,
         component_q=p ** a,
     )
-    graph._components = dec
-    return dec
 
 
 def period(graph: GPGraph) -> int:
@@ -259,14 +266,10 @@ class StructureLabel:
         return body if self.copies == 1 else f"{self.copies}x{body}"
 
 
+@kept
 def classify_structure(graph: GPGraph) -> StructureLabel:
     """First matching label in a fixed order, kept on the graph; a union is `count` copies of a component."""
-    if graph._structure is None:
-        graph._structure = _first_label(graph, graph.field, graph.k, components(graph))
-    return graph._structure
-
-
-def _first_label(graph: GPGraph, field: FiniteField, k: int, dec: ComponentDecomposition) -> StructureLabel:
+    field, k, dec = graph.field, graph.k, components(graph)
     p, m = field.p, field.m
 
     if dec.component_k == 1:

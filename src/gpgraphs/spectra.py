@@ -21,9 +21,9 @@ so two values are equal exactly when their coefficients agree.
 SpectrumReport.entries is the one view of the values: their order and
 float images are computed only when something reads it, and each value
 is kept as its nonzero canonical terms; eigenvalue_count gives mu with no
-spectrum. No law is checked here: verify owns each one. Ring arithmetic
-on Z[zeta_p] and a dense eigensolver, the tests' oracles for these rows,
-are in tests/oracles.py.
+spectrum. Both run once per graph, which keeps each result (graphs.kept).
+No law is checked here: verify owns each one. Ring arithmetic on Z[zeta_p]
+and a dense eigensolver, the tests' oracles for these rows, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import check
 from .fields import FiniteField
-from .graphs import GPGraph, components
+from .graphs import GPGraph, components, kept
 
 
 class Nature(IntEnum):
@@ -239,6 +239,7 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     return fixed
 
 
+@kept
 def spectrum(graph: GPGraph) -> SpectrumReport:
     """The exact eigenvalue multiset of GP(k, q): n once, and every Gaussian period n times.
 
@@ -249,8 +250,6 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     fixed by zeta -> zeta^-1. No law is checked here (see verify); the
     multiplicities sum to (k + 1) n + 1 - n = q by construction.
     """
-    if graph._spectrum is not None:
-        return graph._spectrum
     field = graph.field
     p, q, k, n = field.p, field.q, graph.k, graph.n
     rows = _period_rows(field, k, n)
@@ -268,7 +267,7 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     classes[ids] = irrational.astype(np.int64) + nonreal
     nature = Nature(int(classes.max()))
 
-    report = SpectrumReport(
+    return SpectrumReport(
         q=q, k=k, n=n,
         nature=nature,
         mu=len(values),
@@ -278,10 +277,9 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
         _multiplicities=multiplicities,
         _classes=classes,
     )
-    graph._spectrum = report
-    return report
 
 
+@kept
 def eigenvalue_count(graph: GPGraph) -> int:
     """mu, the number of distinct eigenvalues, kept on the graph; it never reads the spectrum.
 
@@ -289,18 +287,16 @@ def eigenvalue_count(graph: GPGraph) -> int:
     Else it counts distinct rows of n and the periods: trace histograms if p <= n, else _period_rows.
     """
     field, k, n, p = graph.field, graph.k, graph.n, graph.field.p
-    if graph._mu is None and field.m == 1:
-        graph._mu = k + 1
-    elif graph._mu is None:
-        if p <= n:  # class i = e mod k is column i; row 0 is n, all at trace 0
-            rows = np.bincount((field.trace_of_exp.reshape(n, k) + np.arange(p, (k + 1) * p, p)).ravel(),
-                               minlength=(k + 1) * p).astype(np.min_scalar_type(n)).reshape(k + 1, p)
-            rows[0, 0] = n
-        else:
-            rows = _period_rows(field, k, n)
-        keys = np.sort(_row_keys(rows))
-        graph._mu = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-    return graph._mu
+    if field.m == 1:
+        return k + 1
+    if p <= n:  # class i = e mod k is column i; row 0 is n, all at trace 0
+        rows = np.bincount((field.trace_of_exp.reshape(n, k) + np.arange(p, (k + 1) * p, p)).ravel(),
+                           minlength=(k + 1) * p).astype(np.min_scalar_type(n)).reshape(k + 1, p)
+        rows[0, 0] = n
+    else:
+        rows = _period_rows(field, k, n)
+    keys = np.sort(_row_keys(rows))
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:

@@ -277,6 +277,17 @@ def test_over_budget_input_is_refused_before_any_work(package_env, argv, message
     assert proc.stdout == "" and proc.stderr == message + "\n"
 
 
+def test_a_closed_stdout_exits_141_with_no_traceback(package_env):
+    # about 24 MB of output, far past a pipe's buffer, so the writer meets the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "gpgraphs", "spectrum", "--q", "2399", "--k", "1199"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=package_env)
+    assert proc.stdout.readline().startswith("q=2399 k=1199 n=2 ")
+    proc.stdout.close()  # as `| head -1` does
+    assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE; 1 is a failed verification
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 def test_every_command_reads_the_budget_from_fields(monkeypatch, capsys):
     monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 8)
     monkeypatch.setattr(fields, "_FIELD_CACHE", {})

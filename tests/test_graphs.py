@@ -18,6 +18,7 @@ from gpgraphs import (
 from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
+from gpgraphs.spectra import eigenvalue_count, spectrum
 from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
 from oracles import (ORACLE_SIZE_LIMIT, add_outer, bfs_distances, dense_mu_and_nature, has_arc, index_add,
                      symmetric_connection, symmetrize)
@@ -180,6 +181,18 @@ def test_stored_traversal_is_shared_and_read_only():
         stored[0] = 7
 
 
+def test_a_graph_holds_its_facts_and_keeps_each_result_once():
+    graph = build_graph(build_field(2399, 1), 2398)  # the directed 2399-cycle
+    assert vars(graph) == {"field": graph.field, "k": 2398, "n": 1, "directed": True, "kept": {}}
+    kept = [components, classify_structure, spectrum, eigenvalue_count, quotient_bfs]
+    first = [read(graph) for read in kept]
+    assert all(read(graph) is value for read, value in zip(kept, first))
+    # mu = 2399 is an int above 256, which Python does not cache: a second computation
+    # would give an equal but distinct object
+    assert first[3] == 2399 and len(graph.kept) == len(kept)
+    assert set(vars(graph)) == {"field", "k", "n", "directed", "kept"}
+
+
 def _quotient_steps(field, graph, signed):
     """The steps of the quotient BFS: the logs of the k-th powers, then their negatives if signed."""
     steps = np.arange(0, field.q - 1, graph.k)
@@ -267,6 +280,34 @@ def test_traversal_expands_no_level_once_every_class_is_reached(monkeypatch):
     steps = range(0, 342, 2)  # 1 + omega^b = omega^zech[b], in class 1 when zech[b] is odd
     first = next(j for j, b in enumerate(steps) if field.zech[b] >= 0 and field.zech[b] % 2 == 1)
     assert len(reads) == 1 + first < len(steps)
+
+
+def test_numpy_level_stops_at_the_block_that_reaches_the_last_class(monkeypatch):
+    monkeypatch.setattr(graphs, "_PYTHON_LEVEL_ARCS", 0)  # every level in numpy, one call each
+    monkeypatch.setattr(graphs, "_BLOCK_ARCS", 16)  # as KERNEL_MODES["tiny_blocks"]
+    levels, blocks = [], []
+    kernel, first_arrivals = graphs._numpy_level, graphs._first_arrivals
+    monkeypatch.setattr(graphs, "_numpy_level",
+                        lambda frontier, *args: levels.append(frontier.tolist()) or blocks.clear()
+                        or kernel(frontier, *args))
+    # level 1 takes one call, before any kernel, and then each block one
+    monkeypatch.setattr(graphs, "_first_arrivals", lambda *args: blocks.append(1) or first_arrivals(*args))
+    field = build_field(7, 4)
+    stopped = []
+    for k in divisors(2400):
+        levels.clear()
+        dist, parent, _ = graphs.log_bfs(field.zech, np.arange(0, 2400, k), k)
+        if not levels or (dist < 0).any():  # reached on level 1, or disconnected
+            continue
+        # the last call expands level g - 1 in blocks of `rows` rows, and the last class
+        # found has the latest parent among the classes on level g
+        frontier, rows = levels[-1], max(1, 16 // (2400 // k))
+        last = max(frontier.index(a) for a in parent[dist == dist.max()].tolist()) // rows
+        assert len(blocks) == last + 1, k
+        if last + 1 < math.ceil(len(frontier) / rows):
+            stopped.append(k)
+    # 14 of the 25 connected graphs find their last class before the last row of level g - 1
+    assert stopped == [16, 24, 30, 32, 40, 48, 60, 75, 80, 96, 120, 160, 240, 480]
 
 
 def test_quotient_traversal_memory_over_every_k_of_gf_2_16():
