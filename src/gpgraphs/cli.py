@@ -1,8 +1,10 @@
 """Command-line surface: per-field reports, verification sweeps, families,
 exact spectra and Waring numbers.
 
-A command gets its field from fields.field_of_order, which refuses a q
-past the size budget before factoring it.
+It parses, calls the library, renders and sets exit codes, and defines no
+closed form: report prints verify.report_rows, the rows that verify checks.
+A command gets its field from fields.field_of_order, which refuses a q past
+the size budget before factoring it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout closed.
 """
@@ -14,64 +16,19 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from .errors import GPGraphError, InvariantViolated
 from .families import FAMILY_KINDS, FamilyDescriptor, enumerate_family
 from .fields import field_of_order
-from .graphs import build_graph, classify_structure, components, period
-from .numbertheory import divisors
-from .spectra import ValueClass, eigenvalue_count, nature_for, spectrum, srg_parameters
-from .verify import run_verification
+from .graphs import build_graph
+from .spectra import ValueClass, spectrum
+from .verify import ROW_FIELDS, FieldReportRow, report_rows, run_verification
 from .waring import graph_waring, witness
-
-@dataclass(frozen=True)
-class FieldReportRow:
-    q: int
-    p: int
-    m: int
-    k: int
-    n: int
-    structure: str
-    directed: bool
-    components: int
-    nature: str
-    mu: int
-    srg: tuple[int, int, int, int] | None
-    period: int
-    g: int | None
-    w: int | None
-
-    def to_record(self) -> dict:
-        return {name: getattr(self, name) for name in ROW_FIELDS}  # json writes srg as a list
-
-
-ROW_FIELDS = tuple(f.name for f in fields(FieldReportRow))  # the report columns, in order
 
 
 def build_report_rows(q: int) -> list[FieldReportRow]:
-    """One row per divisor k of q - 1, ascending, from the closed forms: no spectrum is built."""
-    field = field_of_order(q)
-    p, m = field.p, field.m
-    rows = []
-    g_of = {}  # w of a directed GP(k, q) is g(k/2, q), from an earlier row
-    for k in divisors(q - 1):
-        graph = build_graph(field, k)
-        wres = graph_waring(graph, g_of.get(k // 2))
-        g_of[k] = wres.g
-        rows.append(FieldReportRow(
-            q=q, p=p, m=m, k=k, n=graph.n,
-            structure=classify_structure(graph).render(),
-            directed=graph.directed,
-            components=components(graph).count,
-            nature=nature_for(p, m, k).render(),
-            mu=eigenvalue_count(graph),
-            srg=srg_parameters(graph),
-            period=period(graph),
-            g=wres.g,
-            w=wres.w,
-        ))
-    return rows
+    """The rows report prints for GF(q): verify.report_rows, whose rows verify checks."""
+    return [row for _, row in report_rows(field_of_order(q))]
 
 
 def _cell(value) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import HypothesisViolated, InvariantViolated, check
+from .fields import _check_field_size
 from .numbertheory import factorize, is_prime, max_exponent
 from .spectra import Nature, nature_for
 
@@ -30,12 +31,11 @@ class FieldCensus:
 
 def census(p: int, m: int) -> FieldCensus:
     """Counts of GP-graphs over GF(p^m) by spectrum nature, from the factorizations
-    of q - 1 and (q - 1)/(p - 1).
+    of q - 1 and (q - 1)/(p - 1), once p and m pass the field size check.
 
-    verify's census check recounts them by classifying every divisor k of
-    q - 1 arithmetically.
+    verify's census check recounts them from the natures of the report rows.
     """
-    q = p ** m
+    q = _check_field_size(p, m)
     sigma = 1
     odd_part_sigma = 1
     for prime, e in factorize(q - 1).items():

@@ -37,7 +37,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import check
 from .fields import FiniteField
 from .graphs import GPGraph, components, kept
 
@@ -306,8 +305,8 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     The common-neighbor counts are measured on the Zech table, for the
     adjacent pair (0, 1) and the pair (0, w), w = omega^l the least index
     outside the k-th powers: omega^(jk) + omega^l = omega^(l + zech[jk - l])
-    is a k-th power when that log is a multiple of k. They are checked
-    against (v-r-1)d = r(r-e-1).
+    is a k-th power when that log is a multiple of k. verify checks them
+    against (v-r-1)d = r(r-e-1), and their presence against the spectrum.
     """
     if graph.directed or components(graph).count > 1 or eigenvalue_count(graph) != 3:
         return None
@@ -319,6 +318,4 @@ def srg_parameters(graph: GPGraph) -> tuple[int, int, int, int] | None:
     log_w = int(field.log[1 + np.argmax(field.log[1:] % k != 0)])
     z = field.zech[(powers - log_w) % (q - 1)]
     d = int(np.count_nonzero((z >= 0) & ((log_w + z) % k == 0)))
-    check((q - n - 1) * d == n * (n - e - 1),
-          f"GP({k},{q}): srg({q},{n},{e},{d}) must satisfy (v-r-1)d = r(r-e-1)")
     return (q, n, e, d)

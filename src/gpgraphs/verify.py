@@ -1,13 +1,14 @@
-"""Verification sweeps: re-derive every structural law on all graphs up to a bound.
+"""The report rows, and verification sweeps that check them on all graphs up to a bound.
 
-Each check runs independently per (k, q) so a single failure is reported
-with its exact location instead of aborting the sweep. The graph checks are
-one table, and each law of spectra.spectrum, which checks none, has one
-owner here, with the second method it compares with: eta^2 is summed from
-trace pairs (`moments`), eta + conj(eta) is a row merged with its negative
-(`doubled_rows`), modulus n is a constant row (`boundary_rows`), and each closed
-form that report reads meets its own here. Each field comes from fields.field_of_order,
-and the size budget in fields refuses a max_q before any field is built.
+`report_rows` builds the row that `report` prints for each GP(k, q) from the
+closed forms. Each check family compares that row, or the graph, with a
+second method (the spectrum, the traversals, the sets) and owns its laws,
+as spectra.spectrum checks none: eta^2 is summed from trace pairs
+(`moments`), eta + conj(eta) is a row merged with its negative (`doubled_rows`),
+modulus n is a constant row (`boundary_rows`). A failing check is recorded with
+its (k, q) and the sweep goes on; building a row checks no law, so a raise there
+is a defect that would end `report` too, and it ends `verify_field`. Each field
+comes from fields.field_of_order, whose size budget refuses a max_q before any field is built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +49,45 @@ CHECK_NAMES = (
 )
 
 
+@dataclass(frozen=True)
+class FieldReportRow:
+    q: int
+    p: int
+    m: int
+    k: int
+    n: int
+    structure: str
+    directed: bool
+    components: int
+    nature: str
+    mu: int
+    srg: tuple[int, int, int, int] | None
+    period: int
+    g: int | None
+    w: int | None
+
+    def to_record(self) -> dict:
+        return {name: getattr(self, name) for name in ROW_FIELDS}  # json writes srg as a list
+
+
+ROW_FIELDS = tuple(f.name for f in fields(FieldReportRow))  # the report columns, in order
+
+
+def report_rows(field: FiniteField) -> Iterator[tuple[GPGraph, FieldReportRow]]:
+    """Each GP(k, q), k | q - 1 ascending, with the row report prints: closed forms, no spectrum."""
+    p, m, q = field.p, field.m, field.q
+    g_of = {}  # w of a directed GP(k, q) is g(k/2, q), from an earlier row
+    for k in divisors(q - 1):
+        graph = build_graph(field, k)
+        wres = graph_waring(graph, g_of.get(k // 2))
+        g_of[k] = wres.g
+        yield graph, FieldReportRow(
+            q=q, p=p, m=m, k=k, n=graph.n, structure=classify_structure(graph).render(),
+            directed=graph.directed, components=components(graph).count,
+            nature=spectra.nature_for(p, m, k).render(), mu=spectra.eigenvalue_count(graph),
+            srg=spectra.srg_parameters(graph), period=period(graph), g=wres.g, w=wres.w)
+
+
 @dataclass
 class CheckOutcome:
     name: str
@@ -55,15 +96,13 @@ class CheckOutcome:
     first_failure: str | None = None
 
 
-def _check_nature(graph: GPGraph, half: GPGraph | None):
-    """Nature and mu against report's closed forms, then the valuation rule against realness and the set."""
+def _check_nature(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
+    """The row's nature, mu and srg against the spectrum; the valuation rule against realness and the set."""
     report = spectra.spectrum(graph)
-    arithmetic = spectra.nature_for(graph.field.p, graph.field.m, graph.k)
-    if report.nature != arithmetic:
-        raise AssertionError(
-            f"eigenvalue nature {report.nature.render()} != arithmetic rule {arithmetic.render()}")
-    if (counted := spectra.eigenvalue_count(graph)) != report.mu:
-        raise AssertionError(f"eigenvalue_count {counted} != mu = {report.mu} of the spectrum")
+    if report.nature.render() != row.nature:
+        raise AssertionError(f"eigenvalue nature {report.nature.render()} != arithmetic rule {row.nature}")
+    if row.mu != report.mu:
+        raise AssertionError(f"eigenvalue_count {row.mu} != mu = {report.mu} of the spectrum")
     shape = "directed" if graph.directed else "undirected"
     if (report.nature is spectra.Nature.COMPLEX) != graph.directed:
         raise AssertionError(f"{report.nature.render()} spectrum, but the valuation rule says {shape}")
@@ -79,6 +118,15 @@ def _check_nature(graph: GPGraph, half: GPGraph | None):
     # n distinct logs that are multiples of k are 0, k, ..., q - 1 - k; the zero element's log is -1
     if not np.array_equal(np.sort(field.log[connection]), np.arange(0, field.q - 1, graph.k)):
         raise AssertionError(f"the connection set is not the n = {graph.n} k-th powers")
+    # a connected undirected graph is strongly regular exactly when it has three eigenvalues
+    connected_undirected = not graph.directed and report.principal_multiplicity == 1
+    if (row.srg is not None) != (connected_undirected and report.mu == 3):
+        raise AssertionError(f"srg {row.srg}, but the spectrum has mu = {report.mu} and principal "
+                             f"multiplicity {report.principal_multiplicity} ({shape})")
+    if row.srg is not None:
+        v, r, e, d = row.srg
+        if (v - r - 1) * d != r * (r - e - 1):
+            raise AssertionError(f"srg{row.srg} breaks (v-r-1)d = r(r-e-1)")
 
 
 def _groups(multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +229,7 @@ def _render(coeffs) -> str:
     return render_terms((j, c) for j, c in enumerate(coeffs.tolist()) if c)
 
 
-def _check_moments(graph: GPGraph, half: GPGraph | None):
+def _check_moments(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
     first, second = moments(spectra.spectrum(graph))
     if first.any():
         raise AssertionError(f"sum of eigenvalues is {_render(first)}, not 0")
@@ -213,7 +261,7 @@ def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
                                         half._multiplicities.tolist())))
 
 
-def _check_two_re(graph: GPGraph, half: GPGraph):
+def _check_two_re(graph: GPGraph, half: GPGraph, row: FieldReportRow):
     if not two_re_holds(spectra.spectrum(graph), spectra.spectrum(half)):
         raise AssertionError("symmetrized spectrum is not twice the real parts")
 
@@ -234,10 +282,9 @@ def _traversed_period(graph: GPGraph) -> int:
     return int(np.gcd.reduce(np.abs(src[reached] + 1 - dst[reached])))
 
 
-def _check_period_law(graph: GPGraph, half: GPGraph | None):
-    traversed, closed_form = _traversed_period(graph), period(graph)
-    if traversed != closed_form:
-        raise AssertionError(f"period {traversed} by traversal != closed form {closed_form}")
+def _check_period_law(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
+    if (traversed := _traversed_period(graph)) != row.period:
+        raise AssertionError(f"period {traversed} by traversal != closed form {row.period}")
 
 
 def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
@@ -247,25 +294,22 @@ def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
     return ComponentDecomposition(round(math.log(size, graph.field.p)), graph.field.q // size, reached, size)
 
 
-def _check_waring_formula(graph: GPGraph, half: GPGraph | None):
+def _check_waring_formula(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
     traversed, closed_form = _traversed_components(graph), components(graph)
     if traversed != closed_form:
         raise AssertionError(f"traversal gives {traversed}, order of p mod n gives {closed_form}")
     principal = spectra.spectrum(graph).principal_multiplicity  # n occurs once per component
-    if principal != closed_form.count:
-        raise AssertionError(f"principal multiplicity {principal} != component count {closed_form.count}")
-    # the library's w is the reduction: g(k, q) undirected, g(k/2, q) directed
-    result = graph_waring(graph, _diameter(quotient_bfs(half)) if graph.directed else None)
-    g, by_formula = result.g, result.w
+    if principal != row.components:
+        raise AssertionError(f"principal multiplicity {principal} != component count {row.components}")
     w = _diameter(quotient_bfs(graph, signed=True))  # the symmetrized graph, traversed
-    if g != (diameter := _diameter(quotient_bfs(graph))):  # the stored traversal; g exists iff connected
-        raise AssertionError(f"g = {g} != {diameter}, the diameter of the traversal")
+    if row.g != (diameter := _diameter(quotient_bfs(graph))):  # the stored traversal; g exists iff connected
+        raise AssertionError(f"g = {row.g} != {diameter}, the diameter of the traversal")
     if diameter is not None and diameter >= (mu := spectra.spectrum(graph).mu):  # A is diagonalizable
         raise AssertionError(f"diameter {diameter} is not below mu = {mu} of the spectrum")
-    if w != by_formula:
-        raise AssertionError(f"w = {w} by diameter != {by_formula} by reduction to g")
-    if g is not None and w > g:
-        raise AssertionError(f"w = {w} inconsistent with g = {g}")
+    if w != row.w:  # the reduction: w is g(k, q) undirected, g(k/2, q) directed
+        raise AssertionError(f"w = {w} by diameter != {row.w} by reduction to g")
+    if row.g is not None and w > row.g:
+        raise AssertionError(f"w = {w} inconsistent with g = {row.g}")
 
 
 def boundary_rows(report: SpectrumReport) -> np.ndarray:
@@ -278,7 +322,7 @@ def boundary_rows(report: SpectrumReport) -> np.ndarray:
     return np.flatnonzero((rows == rows[:, :1]).all(axis=1))
 
 
-def _check_boundary(graph: GPGraph, half: GPGraph | None):
+def _check_boundary(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
     report = spectra.spectrum(graph)
     boundary = boundary_rows(report)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
@@ -290,7 +334,7 @@ def _check_boundary(graph: GPGraph, half: GPGraph | None):
         raise AssertionError(f"boundary spectrum {values} != expected")
 
 
-def _check_three_eigenvalues(graph: GPGraph, half: GPGraph):
+def _check_three_eigenvalues(graph: GPGraph, half: GPGraph, row: FieldReportRow):
     """A digraph has mu >= 3, and mu = 3 exactly when its label is a union of oriented Paley graphs."""
     mu = spectra.spectrum(graph).mu
     if mu < 3:
@@ -299,11 +343,10 @@ def _check_three_eigenvalues(graph: GPGraph, half: GPGraph):
         raise AssertionError(f"the oriented Paley union label must hold exactly when mu = 3 (mu = {mu})")
 
 
-def _check_census(field: FiniteField):
-    p, m, q = field.p, field.m, field.q
-    c = census(p, m)
-    by_nature = [spectra.nature_for(p, m, k) for k in divisors(q - 1)]
-    counted = tuple(by_nature.count(nature) for nature in spectra.Nature)
+def _check_census(field: FiniteField, natures: list[str]):
+    q = field.q
+    c = census(field.p, field.m)
+    counted = tuple(natures.count(nature.render()) for nature in spectra.Nature)
     by_formula = (c.n_integral, c.n_real_nonintegral, c.n_complex)
     if counted != by_formula:
         raise AssertionError(f"(integral, real-nonintegral, complex) = {by_formula} by formula, "
@@ -316,7 +359,7 @@ def _check_census(field: FiniteField):
 
 
 # (name, check, directed graphs only) in the order they run; each check takes
-# (graph, half), half the GP(k/2, q) of a directed graph and None otherwise
+# (graph, half, row), half the GP(k/2, q) of a directed graph and None otherwise
 _GRAPH_CHECKS = (
     ("nature", _check_nature, False),
     ("trace-identities", _check_moments, False),
@@ -340,17 +383,19 @@ def _record(outcome: CheckOutcome, context: str, fn, *args):
 
 
 def verify_field(q: int) -> list[CheckOutcome]:
-    """Run every check category on every GP-graph over GF(q)."""
+    """Run every check category on every report row over GF(q), and the census on their natures."""
     outcomes = {name: CheckOutcome(name) for name in CHECK_NAMES}
     field = field_of_order(q)
-    _record(outcomes["census"], f"q={q}", _check_census, field)
-    # ascending k: the two-re check of GP(k, q) reads the cached spectrum of GP(k/2, q)
-    graphs = {k: build_graph(field, k) for k in divisors(q - 1)}
-    for k, graph in graphs.items():
-        half = graphs[k // 2] if graph.directed else None
+    graphs, natures = {}, []
+    # ascending k: the two-re check of GP(k, q) reads the kept spectrum of GP(k/2, q)
+    for graph, row in report_rows(field):
+        graphs[row.k] = graph
+        half = graphs[row.k // 2] if graph.directed else None
         for name, fn, directed_only in _GRAPH_CHECKS:
             if graph.directed or not directed_only:
-                _record(outcomes[name], f"q={q} k={k}", fn, graph, half)
+                _record(outcomes[name], f"q={q} k={row.k}", fn, graph, half, row)
+        natures.append(row.nature)
+    _record(outcomes["census"], f"q={q}", _check_census, field, natures)
     return [outcomes[name] for name in CHECK_NAMES]
 
 

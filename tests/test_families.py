@@ -6,6 +6,9 @@ from gpgraphs import (
     FamilyDescriptor,
     HypothesisViolated,
     Nature,
+    NotPrime,
+    NotPrimePower,
+    SizeBudgetExceeded,
     census,
     enumerate_family,
     nature_for,
@@ -24,6 +27,18 @@ def test_census_values():
     assert (c.sigma, c.n_complex, c.n_integral) == (10, 2, 4)
     c = census(2, 8)
     assert (c.n_complex, c.n_integral, c.n_real_nonintegral) == (0, 8, 0)
+
+
+# without the field size check, census(9, 1) counts a "GF(9)" with p = 9 (1 integral and 2 real
+# non-integral graphs, where census(3, 2) has 3, 0 and 1 complex), census(4, 1) a GF(4) with
+# (1, 1) for (2, 0), census(2, 0) fails inside factorize and census(2, 60) factors 2^60 - 1
+# past the size budget
+@pytest.mark.parametrize("p, m, error", [
+    (9, 1, NotPrime), (4, 1, NotPrime), (2, 0, NotPrimePower), (2, 60, SizeBudgetExceeded),
+])
+def test_census_refuses_what_is_no_field_within_the_budget(p, m, error):
+    with pytest.raises(error):
+        census(p, m)
 
 
 def test_census_matches_enumeration_sweep():

@@ -209,7 +209,7 @@ def test_boundary_on_rows_matches_cyclotomic_sets_and_norms_for_every_q_up_to_34
             graph = build_graph(field, k)
             report = spectra.spectrum(graph)
             assert boundary_values(report) == _boundary_by_norms(report), (q, k)
-            assert _failure(verify._check_boundary, graph) is None, (q, k)
+            assert _failure(lambda g, half: verify._check_boundary(g, half, None), graph) is None, (q, k)
             assert _failure(_check_boundary_by_cyclotomic_sets, graph) is None, (q, k)
             graphs += 1
     assert graphs == 729
@@ -486,6 +486,31 @@ def test_a_wrong_closed_form_fails_only_its_owner_under_python_O(run_optimized, 
     ]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{failures}\n", proc.stdout
+
+
+# GP(2, 25) is the Paley graph srg(25, 12, 5, 6): one srg column breaks the identity, the
+# other says no srg where the spectrum has three eigenvalues on a connected undirected graph
+SRG_CORRUPTIONS = {
+    "identity": ("srg[:3] + (srg[3] + 1,)", "srg(25, 12, 5, 7) breaks (v-r-1)d = r(r-e-1)"),
+    "presence": ("None", "srg None, but the spectrum has mu = 3 and principal multiplicity 1 (undirected)"),
+}
+
+
+@pytest.mark.parametrize("name", list(SRG_CORRUPTIONS))
+def test_a_wrong_srg_column_fails_only_the_nature_check_under_python_O(run_optimized, name):
+    change, failure = SRG_CORRUPTIONS[name]
+    proc = run_optimized(f"""
+        from gpgraphs import spectra
+        from gpgraphs.verify import verify_field
+
+        honest = spectra.srg_parameters
+        spectra.srg_parameters = lambda graph: (
+            (lambda srg: {change})(honest(graph)) if graph.k == 2 else honest(graph))
+        print({{o.name: (o.failed, o.first_failure) for o in verify_field(25) if o.failed}})
+    """)
+    assert proc.returncode == 0, proc.stderr
+    expected = {"nature": (1, f"q=25 k=2: {failure}")}
+    assert proc.stdout == f"{expected}\n", proc.stdout
 
 
 def test_sequential_and_parallel_agree():
