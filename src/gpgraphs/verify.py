@@ -4,8 +4,10 @@
 closed forms. Each check family compares that row, or the graph, with a
 second method (the spectrum, the traversals, the sets) and owns its laws,
 as spectra.spectrum checks none: eta^2 is summed from trace pairs
-(`moments`), eta + conj(eta) is a row merged with its negative (`doubled_rows`),
-modulus n is a constant row (`boundary_rows`). A failing check is recorded with
+(`moments`; both square kernels end in one histogram per multiplicity group,
+and one int64 product weights them), eta + conj(eta) is a row merged with its
+negative (`doubled_rows`), modulus n is a constant row (`boundary_rows`), and
+the srg column is checked against counts on the connection set. A failing check is recorded with
 its (k, q) and the sweep goes on; building a row checks no law, so a raise there
 is a defect that would end `report` too, and it ends `verify_field`. Each field
 comes from fields.field_of_order, whose size budget refuses a max_q before any field is built.
@@ -111,8 +113,8 @@ def _check_nature(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
     held[connection] = True
     if held[p - 1] == graph.directed:  # -1 has the coefficients (p - 1, 0, ..., 0)
         raise AssertionError(f"membership of -1 disagrees with the valuation rule ({shape})")
+    pows = p ** np.arange(field.m)  # an index's base-p digits are its coefficients
     if graph.directed:  # -r coefficient by coefficient
-        pows = p ** np.arange(field.m)
         if held[(p - connection[:, None] // pows % p) % p @ pows].any():
             raise AssertionError("the directed connection set holds some r and -r")
     # n distinct logs that are multiples of k are 0, k, ..., q - 1 - k; the zero element's log is -1
@@ -127,30 +129,12 @@ def _check_nature(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
         v, r, e, d = row.srg
         if (v - r - 1) * d != r * (r - e - 1):
             raise AssertionError(f"srg{row.srg} breaks (v-r-1)d = r(r-e-1)")
-
-
-def _groups(multiplicities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct multiplicities, ascending, and for each row the index of its own among them.
-
-    The distinct values come from a sort: np.unique without indices would
-    import numpy.ma, which costs a one-command process about 20 ms.
-    """
-    ordered = np.sort(multiplicities)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return distinct, np.searchsorted(distinct, multiplicities)
-
-
-def _value_sum(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
-    """The sum of mult * eta over the rows, as a canonical coefficient vector, in exact integers.
-
-    One bincount holds a trace histogram per multiplicity group (see
-    `_groups`), side by side, and the distinct multiplicities weight them
-    in one int64 product.
-    """
-    distinct, group = groups
-    counts = np.bincount((rows + group[:, None] * p).ravel(), minlength=len(distinct) * p)
-    total = distinct @ counts.reshape(-1, p)
-    return total - total[-1]
+        # e and d count the common neighbours x of 0 and u (x and x - u in the set), for the
+        # adjacent u = 1 and the non-adjacent w, the least nonzero index outside the set
+        w = int(np.argmin(held[1:])) + 1
+        common = [int(held[(connection[:, None] // pows - u // pows) % p @ pows].sum()) for u in (1, w)]
+        if row.srg != (counted := (field.q, graph.n, *common)):
+            raise AssertionError(f"srg{row.srg} != srg{counted} counted on the connection set")
 
 
 def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, count: int) -> np.ndarray:
@@ -192,37 +176,32 @@ def _kronecker_square(row: np.ndarray, p: int) -> np.ndarray:
     return square.view("<u8").ravel().astype(np.int64)
 
 
-def _weighted_squares(rows: np.ndarray, groups: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
-    """The sum of mult * eta^2 over the rows, as a length-p histogram folded mod p.
-
-    Rows of n traces are counted by pairs, in n^2 steps each, while
-    n^2 <= KRONECKER_RATIO * p, one histogram per multiplicity group,
-    weighted in one int64 product. Wider rows are squared one at a time by
-    `_kronecker_square`, whose cost grows with p alone, and weighted each.
-    """
-    distinct, group = groups
-    n = rows.shape[1]
-    if n * n <= KRONECKER_RATIO * p:
-        total = distinct @ _pair_sums(rows, p, group, len(distinct))
-    else:
-        total = np.zeros(2 * p, dtype=np.int64)
-        for row, mult in zip(rows, distinct[group].tolist()):
-            total += mult * _kronecker_square(row, p)
-    return total[:p] + total[p:]
-
-
 def moments(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
     """The sums of mult * eta and of mult * eta^2 over the distinct values, canonical.
 
-    Both are exact int64 vectors of length p; no mu x p array is built. An
-    entry of the second sum is at most q * n^2, so int64 holds it while
-    that bound is below 2^63.
+    The rows are grouped by multiplicity, and each sum is one histogram per
+    group: the traces for eta, and for eta^2 the pairs t + u of `_pair_sums`
+    while n^2 <= KRONECKER_RATIO * p, else each row's `_kronecker_square`
+    added into its group's row. One int64 product with the distinct
+    multiplicities weights each; no mu x p array is built. An entry of the
+    second sum is at most q * n^2, so int64 holds it while that bound is
+    below 2^63.
     """
-    p, q, n = report._p, report.q, report.n
+    p, q, n, rows = report._p, report.q, report.n, report._rows
     check(q * n * n < 2 ** 63, f"GP({report.k},{q}): q * n^2 must fit in int64 for exact products")
-    groups = _groups(report._multiplicities)
-    second = _weighted_squares(report._rows, groups, p)
-    return _value_sum(report._rows, groups, p), second - second[-1]
+    # with its indices np.unique imports no numpy.ma (about 20 ms of a one-command process)
+    distinct, group = np.unique(report._multiplicities, return_inverse=True)
+    count = len(distinct)
+    traces = np.bincount((rows + group[:, None] * p).ravel(), minlength=count * p).reshape(count, p)
+    if n * n <= KRONECKER_RATIO * p:
+        squares = _pair_sums(rows, p, group, count)
+    else:
+        squares = np.zeros((count, 2 * p), dtype=np.int64)
+        for row, g in zip(rows, group.tolist()):
+            squares[g] += _kronecker_square(row, p)
+    first, second = distinct @ traces, distinct @ squares
+    second = second[:p] + second[p:]
+    return first - first[-1], second - second[-1]
 
 
 def _render(coeffs) -> str:

@@ -31,7 +31,7 @@ from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
 from gpgraphs.numbertheory import divisors, is_prime
 from gpgraphs.spectra import Entry, Nature, ValueClass, embed_coeffs, render_terms
-from gpgraphs.verify import _weighted_squares, boundary_rows
+from gpgraphs.verify import KRONECKER_RATIO, _kronecker_square, _pair_sums, boundary_rows
 
 ORACLE_SIZE_LIMIT = 512
 
@@ -440,7 +440,11 @@ def square_histogram(row: np.ndarray, p: int) -> np.ndarray:
 
     Entry x counts the pairs of traces t, u in the row with t + u = x mod p.
     """
-    return _weighted_squares(row[None], (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.intp)), p)
+    if len(row) ** 2 <= KRONECKER_RATIO * p:  # the kernel that `moments` picks
+        pairs = _pair_sums(row[None], p, np.zeros(1, dtype=np.intp), 1)[0]
+    else:
+        pairs = _kronecker_square(row, p)
+    return pairs[:p] + pairs[p:]
 
 
 def verify_2re(field, k: int) -> bool:

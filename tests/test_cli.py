@@ -401,6 +401,24 @@ def test_python_m_gpgraphs(package_env):
     assert proc.stdout.splitlines()[-1].startswith("OK: 8 check categories")
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--q", "81"],
+    ["spectrum", "--q", "81", "--k", "4"],
+    ["waring", "--q", "25", "--k", "8", "--witness", "16"],
+    ["verify", "--max-q", "32"],
+    ["families", "--kind", "SubfieldDivisor", "--p", "7", "--k", "3", "--max-q", "1000"],
+], ids=lambda argv: argv[0])
+def test_no_command_imports_numpy_ma(package_env, argv):
+    # numpy.ma costs a one-command process about 20 ms; np.isin and np.unique without
+    # indices import it, so verify keeps a membership table and asks np.unique for indices
+    script = ("import contextlib, io, sys\nfrom gpgraphs import cli\n"
+              f"with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main({argv!r})\n"
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=package_env, timeout=60)
+    assert proc.stdout == "0 False\n", proc.stderr
+
+
 def test_spectrum_output_does_not_depend_on_the_blas_thread_count(package_env):
     # the float images of GP(10006, 10007) differ in their last bits between one
     # and two BLAS threads; the printed values, rounded to six places, must not

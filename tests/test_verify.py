@@ -488,11 +488,13 @@ def test_a_wrong_closed_form_fails_only_its_owner_under_python_O(run_optimized, 
     assert proc.stdout == f"{failures}\n", proc.stdout
 
 
-# GP(2, 25) is the Paley graph srg(25, 12, 5, 6): one srg column breaks the identity, the
-# other says no srg where the spectrum has three eigenvalues on a connected undirected graph
+# GP(2, 25) is the Paley graph srg(25, 12, 5, 6): one srg column breaks the identity, one
+# says no srg where the spectrum has three eigenvalues on a connected undirected graph, and
+# one meets the identity with e and d that the connection set does not give
 SRG_CORRUPTIONS = {
     "identity": ("srg[:3] + (srg[3] + 1,)", "srg(25, 12, 5, 7) breaks (v-r-1)d = r(r-e-1)"),
     "presence": ("None", "srg None, but the spectrum has mu = 3 and principal multiplicity 1 (undirected)"),
+    "counts": ("(25, 12, 11, 0)", "srg(25, 12, 11, 0) != srg(25, 12, 5, 6) counted on the connection set"),
 }
 
 
