@@ -28,7 +28,7 @@ from .waring import graph_waring, witness
 
 def build_report_rows(q: int) -> list[FieldReportRow]:
     """The rows report prints for GF(q): verify.report_rows, whose rows verify checks."""
-    return [row for _, row in report_rows(field_of_order(q))]
+    return [row for *_, row in report_rows(field_of_order(q))]
 
 
 def _cell(value) -> str:

@@ -224,10 +224,18 @@ class FieldElement:
         return f"FieldElement({self}, GF({self.field.p}^{self.field.m}))"
 
 
+def _named(name: str, value: int) -> str:
+    """The words `name = value`, or name alone for a value past str()'s digit limit."""
+    try:
+        return f"{name} = {value}"
+    except ValueError:
+        return name
+
+
 def check_size_budget(q: int, name: str) -> None:
     """Refuse q above DEFAULT_SIZE_BUDGET, read at call time; the message calls q `name`."""
     if q > DEFAULT_SIZE_BUDGET:
-        raise SizeBudgetExceeded(f"{name} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
+        raise SizeBudgetExceeded(f"{_named(name, q)} exceeds the size budget {DEFAULT_SIZE_BUDGET}")
 
 
 def _check_field_size(p: int, m: int) -> int:
@@ -382,8 +390,8 @@ def build_field(p: int, m: int) -> FiniteField:
 
 def field_of_order(q: int) -> FiniteField:
     """The canonical GF(q), with the budget checked first: a q far past it may not factor in time."""
-    check_size_budget(q, f"q = {q}")
+    check_size_budget(q, "q")
     pm = prime_power(q)
     if pm is None:
-        raise NotPrimePower(f"q = {q} is not a prime power")
+        raise NotPrimePower(f"{_named('q', q)} is not a prime power")
     return build_field(*pm)

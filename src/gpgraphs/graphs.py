@@ -5,12 +5,12 @@ arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from a, the least divisor of m with
 n | p^a - 1, the period from its law, and the structure label from the
-components. g of a generic graph comes from one BFS over the k coset classes
-(waring reads mu - 1 off any other label), whose kernel, log_bfs, the witness
-search shares. A function marked kept (components, the label, the unsigned BFS,
-and spectra's spectrum and mu) runs once per graph, which holds its result in
-one dict. The set is listed on first read, by the witness search; verify's
-nature check compares it with the rule.
+components. g of a generic graph comes from quotient_bfs, one BFS over the k
+coset classes (waring reads mu - 1 off any other label), whose kernel, log_bfs,
+the witness search and verify's signed traversal share. A function marked kept
+(components, the label, quotient_bfs, and spectra's spectrum and mu) runs once
+per graph, which holds its result in one dict. The set is listed on first read,
+by the witness search; verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -167,27 +167,14 @@ def _first_arrivals(new: np.ndarray, step: np.ndarray) -> np.ndarray:
     return step[new] == rank
 
 
-def quotient_bfs(graph: GPGraph, signed: bool = False) -> np.ndarray:
-    """Distances from vertex 0 to the k classes log(x) mod k, -1 where unreached.
+@kept
+def quotient_bfs(graph: GPGraph) -> np.ndarray:
+    """Distances from vertex 0 to the k classes log(x) mod k, -1 where unreached, kept on the graph.
 
     Multiplying by a k-th power is an automorphism fixing 0, so this is
-    log_bfs mod k over the k-th powers; signed, over their negatives too.
-    The unsigned run is kept on the graph, read-only. The signed one,
-    verify's second method for w, is not; an undirected graph holds -1
-    among its k-th powers, so its signed steps are its unsigned ones.
+    log_bfs mod k over the k-th powers, whose logs are 0, k, ..., q - 1 - k.
     """
-    return _traverse(graph, True) if signed and graph.directed else _unsigned_traversal(graph)
-
-
-@kept
-def _unsigned_traversal(graph: GPGraph) -> np.ndarray:
-    return _traverse(graph, False)
-
-
-def _traverse(graph: GPGraph, signed: bool) -> np.ndarray:
-    """One run of the quotient BFS; quotient_bfs keeps its unsigned run on the graph."""
-    steps = np.arange(0, graph.field.q - 1, graph.k)
-    return log_bfs(graph.field.zech, signed_steps(graph.field, steps) if signed else steps, graph.k)[0]
+    return log_bfs(graph.field.zech, np.arange(0, graph.field.q - 1, graph.k), graph.k)[0]
 
 
 def signed_steps(field: FiniteField, steps: np.ndarray) -> np.ndarray:

@@ -230,12 +230,8 @@ def _fixed_by(ids: np.ndarray, shift: int) -> np.ndarray:
     automorphism maps eta_i to eta_(i + shift mod k), so eta_i is fixed
     exactly when that period has the same value.
     """
-    k = len(ids)
-    shift %= k
-    fixed = np.empty(k, dtype=bool)
-    np.equal(ids[:k - shift], ids[shift:], out=fixed[:k - shift])
-    np.equal(ids[k - shift:], ids[:shift], out=fixed[k - shift:])
-    return fixed
+    shift %= len(ids)
+    return ids == np.concatenate((ids[shift:], ids[:shift]))
 
 
 @kept

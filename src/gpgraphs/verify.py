@@ -1,16 +1,18 @@
 """The report rows, and verification sweeps that check them on all graphs up to a bound.
 
-`report_rows` builds the row that `report` prints for each GP(k, q) from the
-closed forms. Each check family compares that row, or the graph, with a
-second method (the spectrum, the traversals, the sets) and owns its laws,
-as spectra.spectrum checks none: eta^2 is summed from trace pairs
-(`moments`; both square kernels end in one histogram per multiplicity group,
-and one int64 product weights them), eta + conj(eta) is a row merged with its
-negative (`doubled_rows`), modulus n is a constant row (`boundary_rows`), and
-the srg column is checked against counts on the connection set. A failing check is recorded with
-its (k, q) and the sweep goes on; building a row checks no law, so a raise there
-is a defect that would end `report` too, and it ends `verify_field`. Each field
-comes from fields.field_of_order, whose size budget refuses a max_q before any field is built.
+`report_rows` builds the row that `report` prints for each GP(k, q) from the closed
+forms, and hands a directed graph its GP(k/2, q). Each check family compares that
+row, or the graph, with a second method (the spectrum, the traversals, the sets) and
+owns its laws, as spectra.spectrum checks none: eta^2 is summed from trace pairs
+(`moments`; both square kernels end in one histogram per multiplicity group, and one
+int64 product weights them), eta + conj(eta) is a row merged with its negative
+(`doubled_rows`), modulus n is a constant row (`boundary_rows`), w is the diameter
+of a signed traversal over r and -r (`_signed_traversal`, run here only), and the
+srg column is checked against counts on the connection set. A failing check is
+recorded with its (k, q) and the sweep goes on; building a row checks no law, so a
+raise there is a defect that would end `report` too, and it ends `verify_field`.
+Each field comes from fields.field_of_order, whose size budget refuses a max_q
+before any field is built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import check
 from .families import census
 from .fields import FiniteField, check_size_budget, field_of_order
 from .graphs import (PALEY_UNION, ComponentDecomposition, GPGraph, build_graph, classify_structure,
-                     components, period, quotient_bfs)
+                     components, log_bfs, period, quotient_bfs, signed_steps)
 from .numbertheory import divisors, prime_power, v2
 from .spectra import SpectrumReport, render_terms
 from .waring import _diameter, graph_waring
@@ -75,15 +77,15 @@ class FieldReportRow:
 ROW_FIELDS = tuple(f.name for f in fields(FieldReportRow))  # the report columns, in order
 
 
-def report_rows(field: FiniteField) -> Iterator[tuple[GPGraph, FieldReportRow]]:
-    """Each GP(k, q), k | q - 1 ascending, with the row report prints: closed forms, no spectrum."""
+def report_rows(field: FiniteField) -> Iterator[tuple[GPGraph, GPGraph | None, FieldReportRow]]:
+    """Each GP(k, q), k | q - 1 ascending, its half and the row report prints: closed forms, no spectrum."""
     p, m, q = field.p, field.m, field.q
-    g_of = {}  # w of a directed GP(k, q) is g(k/2, q), from an earlier row
+    graph_of = {}
     for k in divisors(q - 1):
-        graph = build_graph(field, k)
-        wres = graph_waring(graph, g_of.get(k // 2))
-        g_of[k] = wres.g
-        yield graph, FieldReportRow(
+        graph = graph_of[k] = build_graph(field, k)
+        half = graph_of[k // 2] if graph.directed else None  # GP(k/2, q), an earlier row; its g is w
+        wres = graph_waring(graph, half)
+        yield graph, half, FieldReportRow(
             q=q, p=p, m=m, k=k, n=graph.n, structure=classify_structure(graph).render(),
             directed=graph.directed, components=components(graph).count,
             nature=spectra.nature_for(p, m, k).render(), mu=spectra.eigenvalue_count(graph),
@@ -273,6 +275,14 @@ def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
     return ComponentDecomposition(round(math.log(size, graph.field.p)), graph.field.q // size, reached, size)
 
 
+def _signed_traversal(graph: GPGraph) -> np.ndarray:
+    """quotient_bfs over the steps r and -r, not kept: the second method for w."""
+    if not graph.directed:  # -1 is a k-th power, so each -r is a step r: the kept run
+        return quotient_bfs(graph)
+    steps = signed_steps(graph.field, np.arange(0, graph.field.q - 1, graph.k))
+    return log_bfs(graph.field.zech, steps, graph.k)[0]
+
+
 def _check_waring_formula(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
     traversed, closed_form = _traversed_components(graph), components(graph)
     if traversed != closed_form:
@@ -280,7 +290,7 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None, row: FieldReport
     principal = spectra.spectrum(graph).principal_multiplicity  # n occurs once per component
     if principal != row.components:
         raise AssertionError(f"principal multiplicity {principal} != component count {row.components}")
-    w = _diameter(quotient_bfs(graph, signed=True))  # the symmetrized graph, traversed
+    w = _diameter(_signed_traversal(graph))  # the symmetrized graph, traversed
     if row.g != (diameter := _diameter(quotient_bfs(graph))):  # the stored traversal; g exists iff connected
         raise AssertionError(f"g = {row.g} != {diameter}, the diameter of the traversal")
     if diameter is not None and diameter >= (mu := spectra.spectrum(graph).mu):  # A is diagonalizable
@@ -365,11 +375,8 @@ def verify_field(q: int) -> list[CheckOutcome]:
     """Run every check category on every report row over GF(q), and the census on their natures."""
     outcomes = {name: CheckOutcome(name) for name in CHECK_NAMES}
     field = field_of_order(q)
-    graphs, natures = {}, []
-    # ascending k: the two-re check of GP(k, q) reads the kept spectrum of GP(k/2, q)
-    for graph, row in report_rows(field):
-        graphs[row.k] = graph
-        half = graphs[row.k // 2] if graph.directed else None
+    natures = []
+    for graph, half, row in report_rows(field):
         for name, fn, directed_only in _GRAPH_CHECKS:
             if graph.directed or not directed_only:
                 _record(outcomes[name], f"q={q} k={row.k}", fn, graph, half, row)
@@ -385,7 +392,7 @@ def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
     More workers than CPUs would only compete for them, so jobs is capped
     at os.cpu_count().
     """
-    check_size_budget(max_q, f"max_q = {max_q}")
+    check_size_budget(max_q, "max_q")
     qs = [q for q in range(2, max_q + 1) if prime_power(q) is not None]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:

@@ -12,8 +12,9 @@ GP(p - 1, p) and GP((p - 1)/2, p) (k + 1, k), p-th roots of unity or
 eccentricity of 0 in the BFS over the coset classes that graphs.quotient_bfs
 keeps on the graph. The signed variant w(k, q) allows minus signs on the terms
 and is the diameter of the symmetrized graph, so by the paper's reduction it is
-g for undirected GP(k, q) and g(k/2, q) for directed GP(k, q). A witness is the
-path of graphs.log_bfs over all q - 1 logs.
+g for undirected GP(k, q) and, for directed GP(k, q), g of the graph GP(k/2, q)
+that the caller hands graph_waring (verify.report_rows, the row k/2) or that it
+builds. A witness is the path of graphs.log_bfs over all q - 1 logs.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def waring_result(field: FiniteField, k: int) -> WaringResult:
     return graph_waring(build_graph(field, k))
 
 
-def graph_waring(graph: GPGraph, half_g: int | None = None) -> WaringResult:
-    """g and w of one graph; a directed graph's w = g(k/2, q) is half_g, or computed here if None.
+def graph_waring(graph: GPGraph, half: GPGraph | None = None) -> WaringResult:
+    """g and w of one graph; a directed graph's w is the g of half, GP(k/2, q), built here if None.
 
     GP(k/2, q) contains GP(k, q), so g(k/2, q) exists whenever w is read.
     """
@@ -55,9 +56,8 @@ def graph_waring(graph: GPGraph, half_g: int | None = None) -> WaringResult:
     if (count := label.copies) > 1:  # the copies of a label are its components
         return WaringResult(False, None, None, f"GP({graph.k},{field.q}) splits into {count} components")
     g_value = _diameter(quotient_bfs(graph)) if label.kind == GENERIC else eigenvalue_count(graph) - 1
-    if graph.directed and half_g is None:
-        half_g = graph_waring(build_graph(field, graph.k // 2)).g
-    return WaringResult(True, g_value, half_g if graph.directed else g_value, None)
+    w_value = graph_waring(half or build_graph(field, graph.k // 2)).g if graph.directed else g_value
+    return WaringResult(True, g_value, w_value, None)
 
 
 def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int, FieldElement]]:

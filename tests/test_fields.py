@@ -18,8 +18,9 @@ from gpgraphs import (
     witness,
 )
 from gpgraphs import fields
-from gpgraphs.fields import _poly_mul_mod, _poly_pow_mod, _poly_trim, is_irreducible
+from gpgraphs.fields import _poly_mul_mod, _poly_pow_mod, _poly_trim, field_of_order, is_irreducible
 from gpgraphs.numbertheory import is_prime, prime_power
+from gpgraphs.verify import run_verification
 from oracles import (Element, add_outer, discrete_log, index_inv, index_mul, index_neg, index_pow,
                      irreducible_by_trial_division, trace_table)
 
@@ -69,6 +70,24 @@ def test_size_budget_is_decided_before_p_is_tested_or_p_to_the_m_built():
         assert time.perf_counter() - start < 0.1, (p.bit_length(), m.bit_length())
     with pytest.raises(NotPrime):
         build_field(1, 10 ** 12)  # p < 2 has no budget to check
+
+
+def test_a_q_past_str_limit_is_named_not_printed():
+    # str() refuses an int of more than 4,300 digits, so a q or max_q past that is named in the
+    # message, not printed, and is refused at once; a printable one is still printed
+    rows = ((field_of_order, 10 ** 5000, SizeBudgetExceeded, "q exceeds the size budget 1048576"),
+            (field_of_order, -10 ** 5000, NotPrimePower, "q is not a prime power"),
+            (field_of_order, 10 ** 4400, SizeBudgetExceeded, "q exceeds the size budget 1048576"),
+            (run_verification, 10 ** 5000, SizeBudgetExceeded, "max_q exceeds the size budget 1048576"),
+            (field_of_order, -6, NotPrimePower, "q = -6 is not a prime power"),
+            (run_verification, 5 * 10 ** 6, SizeBudgetExceeded,
+             "max_q = 5000000 exceeds the size budget 1048576"))
+    for call, value, error, message in rows:
+        start = time.perf_counter()
+        with pytest.raises(error) as raised:
+            call(value)
+        assert str(raised.value) == message
+        assert time.perf_counter() - start < 0.1, (call.__name__, value.bit_length())
 
 
 def test_extension_degree_below_1_is_not_a_prime_power():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpgraphs import cli, graphs
+from gpgraphs import cli, graphs, verify
 from gpgraphs import (
     build_field,
     build_graph,
@@ -19,7 +19,7 @@ from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.spectra import eigenvalue_count, spectrum
-from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
+from gpgraphs.verify import _signed_traversal, _traversed_components, _traversed_period, verify_field
 from oracles import (ORACLE_SIZE_LIMIT, add_outer, bfs_distances, dense_mu_and_nature, has_arc, index_add,
                      symmetric_connection, symmetrize)
 
@@ -155,7 +155,7 @@ def test_quotient_matches_vertex_bfs_sweep():
             assert quotient == oracle, (q, k)
             assert traversed == components(graph), (q, k)
             # verify's second methods: the period off the arcs, w off the signed steps
-            signed = quotient_bfs(graph, signed=True)
+            signed = _signed_traversal(graph)
             signed_w = None if (signed < 0).any() else int(signed.max())
             assert (_traversed_period(graph), signed_w) == (oracle[1], oracle[3]), (q, k)
 
@@ -165,7 +165,7 @@ def test_quotient_bfs_shape():
     dist = quotient_bfs(graph)
     assert dist.shape == (6,)  # six singleton classes; vertex 0 has no slot
     assert sorted(dist) == list(range(1, 7))
-    signed = quotient_bfs(graph, signed=True)
+    signed = _signed_traversal(graph)
     assert signed.max() == 3  # the undirected 7-cycle
 
 
@@ -174,9 +174,9 @@ def test_stored_traversal_is_shared_and_read_only():
     directed, undirected = build_graph(field, 8), build_graph(field, 4)
     stored = quotient_bfs(directed)
     assert quotient_bfs(directed) is stored
-    assert quotient_bfs(directed, signed=True) is not stored
+    assert _signed_traversal(directed) is not stored
     # an undirected graph's signed steps are its unsigned ones
-    assert quotient_bfs(undirected, signed=True) is quotient_bfs(undirected)
+    assert _signed_traversal(undirected) is quotient_bfs(undirected)
     with pytest.raises(ValueError, match="read-only"):
         stored[0] = 7
 
@@ -240,7 +240,8 @@ def quotient_oracle_cases():
 
 def test_quotient_traversal_matches_vertex_bfs_in_every_kernel_mode(kernel_mode, quotient_oracle_cases):
     for field, graph, signed, by_vertex, steps, reference in quotient_oracle_cases:
-        dist = graphs._traverse(graph, signed)
+        # the kept function itself, run afresh in each kernel mode
+        dist = _signed_traversal(graph) if signed else quotient_bfs.__wrapped__(graph)
         assert dist.tolist() == by_vertex.tolist(), (field.q, graph.k, signed)
         # one row's sums repeat mod k, so each block must keep the first of each class
         got = graphs.log_bfs(field.zech, steps, graph.k)
@@ -255,7 +256,7 @@ def test_traversal_expands_no_level_once_every_class_is_reached(monkeypatch):
     field = build_field(7, 4)
     for k in divisors(2400):
         expanded.clear()
-        dist = graphs._traverse(build_graph(field, k), False)
+        dist = quotient_bfs(build_graph(field, k))
         # expanding levels 1, ..., g - 1 reaches every class of a connected graph; a
         # disconnected one expands its last level too, and finds nothing
         assert len(expanded) == dist.max() - (dist >= 0).all(), k
@@ -276,7 +277,7 @@ def test_traversal_expands_no_level_once_every_class_is_reached(monkeypatch):
     # the loop takes its tables as memoryviews; the view of zech counts its reads
     monkeypatch.setattr(graphs, "memoryview", lambda table: CountedZech(memoryview(table))
                         if table is field.zech else memoryview(table), raising=False)
-    assert graphs._traverse(build_graph(field, 2), False).tolist() == [1, 2]
+    assert quotient_bfs(build_graph(field, 2)).tolist() == [1, 2]
     steps = range(0, 342, 2)  # 1 + omega^b = omega^zech[b], in class 1 when zech[b] is odd
     first = next(j for j, b in enumerate(steps) if field.zech[b] >= 0 and field.zech[b] % 2 == 1)
     assert len(reads) == 1 + first < len(steps)
@@ -330,11 +331,14 @@ def test_quotient_traversal_memory_over_every_k_of_gf_2_16():
 
 
 def _count_traversals(monkeypatch) -> Counter:
-    """Counts runs of the BFS kernel, not reads of the stored result, by (k, signed)."""
+    """Counts runs of the BFS kernel, not reads of the stored result, by (k, signed).
+
+    quotient_bfs runs graphs.log_bfs and verify's signed traversal its own import of it, each mod k.
+    """
     runs = Counter()
-    kernel = graphs._traverse
-    monkeypatch.setattr(graphs, "_traverse",
-                        lambda graph, signed: runs.update([(graph.k, signed)]) or kernel(graph, signed))
+    for owner, signed in ((graphs, False), (verify, True)):
+        monkeypatch.setattr(owner, "log_bfs", lambda zech, steps, k, kernel=owner.log_bfs, signed=signed:
+                            runs.update([(k, signed)]) or kernel(zech, steps, k))
     return runs
 
 

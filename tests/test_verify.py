@@ -6,7 +6,7 @@ import pytest
 from gpgraphs import build_field, build_graph, spectra, verify
 from gpgraphs.graphs import GENERIC, PALEY_UNION
 from gpgraphs.numbertheory import divisors, prime_power
-from gpgraphs.verify import CHECK_NAMES, run_verification, verify_field
+from gpgraphs.verify import CHECK_NAMES, report_rows, run_verification, verify_field
 from oracles import Cyclotomic, boundary_values, index_neg, root_power
 
 
@@ -18,6 +18,18 @@ def test_verify_field_single():
     assert by_name["census"].passed == 1
     assert by_name["nature"].passed == 2
     assert by_name["two-re"].passed == 1  # only GP(2, 3) is directed
+
+
+@pytest.mark.parametrize("q, directed", [(25, [8, 24]), (49, [16, 48])])
+def test_report_rows_hand_each_directed_row_the_graph_of_its_row_k_over_2(q, directed):
+    # w of a directed GP(k, q) is g(k/2, q), read off the very graph that row k/2 yielded
+    rows = list(report_rows(build_field(*prime_power(q))))
+    graph_of, row_of = {row.k: graph for graph, _, row in rows}, {row.k: row for _, _, row in rows}
+    assert [row.k for graph, _, row in rows if graph.directed] == directed
+    for graph, half, row in rows:
+        assert half is (graph_of[row.k // 2] if graph.directed else None), (q, row.k)
+        if graph.directed:  # GP(24, 25) and GP(48, 49) are disconnected, with no w
+            assert row.w == (row_of[row.k // 2].g if row.components == 1 else None), (q, row.k)
 
 
 def test_full_sweep_with_worker_pool():
@@ -452,12 +464,13 @@ CLOSED_FORM_CORRUPTIONS = {
         "honest = spectra.eigenvalue_count\n"
         "spectra.eigenvalue_count = lambda graph: honest(graph) + (graph.field.m == 1)",
         {"nature": (6, "q=13 k=1: eigenvalue_count 3 != mu = 2 of the spectrum")}),
-    # g = k + 1 on both cycles, and so w = g on the undirected one; verify passes the directed one its w
+    # g = k + 1 on both cycles, and so w = g on the undirected one and, on the directed one,
+    # the g of its half GP(6, 13) that verify passes it
     "cycle-g-off-by-one": (13,
         "honest = verify.graph_waring\n"
-        "verify.graph_waring = lambda graph, half_g: (\n"
-        "    dataclasses.replace(honest(graph, half_g), g=graph.k + 1, w=half_g or graph.k + 1)\n"
-        "    if 2 * graph.k >= 12 else honest(graph, half_g))",
+        "verify.graph_waring = lambda graph, half: (\n"
+        "    dataclasses.replace(honest(graph, half), g=graph.k + 1, w=(half or graph).k + 1)\n"
+        "    if 2 * graph.k >= 12 else honest(graph, half))",
         {"waring-formula": (2, "q=13 k=6: g = 7 != 6, the diameter of the traversal")}),
     # waring reads the components off the label, whose copies they are
     "two-components": (13,
