@@ -5,7 +5,8 @@ arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
 facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
 by the valuation rule. Components follow from a, the least divisor of m with
 n | p^a - 1, the period from its law, and the structure label from the
-components. g of a generic graph comes from quotient_bfs, one BFS over the k
+components; it holds its kind and the text report prints, and no fact that
+components owns. g of a generic graph comes from quotient_bfs, one BFS over the k
 coset classes (waring reads mu - 1 off any other label), whose kernel, log_bfs,
 the witness search and verify's signed traversal share. A function marked kept
 (components, the label, quotient_bfs, and spectra's spectrum and mu) runs once
@@ -228,49 +229,36 @@ GENERIC = "generic"
 
 @dataclass(frozen=True)
 class StructureLabel:
+    """A label's kind and the text report prints; the copies are components(graph).count."""
+
     kind: str
-    copies: int = 1
-    part: int | None = None      # vertex count of one component (union kinds)
-    directed: bool = False
-    hamming_b: int | None = None
-    hamming_q: int | None = None
-    component_k: int | None = None  # generic disconnected: copies of GP(component_k, part)
+    text: str
 
     def render(self) -> str:
-        if self.kind == COMPLETE_UNION:
-            body = f"K({self.part})"
-        elif self.kind == PALEY_UNION:
-            body = f"{'dP' if self.directed else 'P'}({self.part})"
-        elif self.kind == CYCLE_UNION:
-            body = f"{'dC' if self.directed else 'C'}({self.part})"
-        elif self.kind == HAMMING:
-            base = f"H({self.hamming_b},{self.hamming_q})"
-            return base + (f"=L({self.hamming_q},{self.hamming_q})" if self.hamming_b == 2 else "")
-        elif self.kind == GENERIC and self.copies > 1:
-            body = f"GP({self.component_k},{self.part})"
-        else:
-            return self.kind
-        return body if self.copies == 1 else f"{self.copies}x{body}"
+        return self.text
 
 
 @kept
 def classify_structure(graph: GPGraph) -> StructureLabel:
     """First matching label in a fixed order, kept on the graph; a union is `count` copies of a component."""
     field, k, dec = graph.field, graph.k, components(graph)
-    p, m = field.p, field.m
+    p, m, d = field.p, field.m, "d" if graph.directed else ""
+
+    def union(kind: str, body: str) -> StructureLabel:
+        return StructureLabel(kind, body if dec.count == 1 else f"{dec.count}x{body}")
 
     if dec.component_k == 1:
-        return StructureLabel(COMPLETE_UNION, copies=dec.count, part=dec.component_q)
+        return union(COMPLETE_UNION, f"K({dec.component_q})")
     if dec.component_k == 2:
-        return StructureLabel(PALEY_UNION, copies=dec.count, part=dec.component_q, directed=graph.directed)
+        return union(PALEY_UNION, f"{d}P({dec.component_q})")
     if dec.component_q == p and 2 * dec.component_k >= p - 1:  # GP(p - 1, p) or GP((p - 1)/2, p)
-        return StructureLabel(CYCLE_UNION, copies=dec.count, part=dec.component_q, directed=graph.directed)
-    if dec.count == 1:
-        for b in divisors(m)[1:]:
-            q0 = p ** (m // b)
-            if k * b * (q0 - 1) == field.q - 1:  # then (q - 1)/(q0 - 1) = kb
-                return StructureLabel(HAMMING, hamming_b=b, hamming_q=q0)
-        if m % 2 == 0 and any((p ** t + 1) % k == 0 for t in divisors(m // 2)):
-            return StructureLabel(SEMIPRIMITIVE)
-    return StructureLabel(GENERIC, copies=dec.count, part=dec.component_q, directed=graph.directed,
-                          component_k=dec.component_k)
+        return union(CYCLE_UNION, f"{d}C({dec.component_q})")
+    if dec.count > 1:
+        return union(GENERIC, f"GP({dec.component_k},{dec.component_q})")
+    for b in divisors(m)[1:]:
+        q0 = p ** (m // b)
+        if k * b * (q0 - 1) == field.q - 1:  # then (q - 1)/(q0 - 1) = kb
+            return StructureLabel(HAMMING, f"H({b},{q0})" + (f"=L({q0},{q0})" if b == 2 else ""))
+    if m % 2 == 0 and any((p ** t + 1) % k == 0 for t in divisors(m // 2)):
+        return StructureLabel(SEMIPRIMITIVE, SEMIPRIMITIVE)
+    return StructureLabel(GENERIC, GENERIC)

@@ -8,7 +8,8 @@ owns its laws, as spectra.spectrum checks none: eta^2 is summed from trace pairs
 int64 product weights them), eta + conj(eta) is a row merged with its negative
 (`doubled_rows`), modulus n is a constant row (`boundary_rows`), w is the diameter
 of a signed traversal over r and -r (`_signed_traversal`, run here only), and the
-srg column is checked against counts on the connection set. A failing check is
+srg column is checked against counts on the connection set. One table, `_CHECKS`,
+names each family once, in print order, with what it runs on. A failing check is
 recorded with its (k, q) and the sweep goes on; building a row checks no law, so a
 raise there is a defect that would end `report` too, and it ends `verify_field`.
 Each field comes from fields.field_of_order, whose size budget refuses a max_q
@@ -40,18 +41,6 @@ PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp
 # rows with n^2 > KRONECKER_RATIO * p are squared by Kronecker substitution: one
 # row took about as long either way at n^2 / p near 16 for p = 257 and 47 for p = 3001
 KRONECKER_RATIO = 32
-
-CHECK_NAMES = (
-    "nature",
-    "trace-identities",
-    "two-re",
-    "period-law",
-    "waring-formula",
-    "census",
-    "mu-directed",
-    "boundary-spectrum",
-)
-
 
 @dataclass(frozen=True)
 class FieldReportRow:
@@ -347,17 +336,20 @@ def _check_census(field: FiniteField, natures: list[str]):
                              f"for n_complex = {c.n_complex}")
 
 
-# (name, check, directed graphs only) in the order they run; each check takes
-# (graph, half, row), half the GP(k/2, q) of a directed graph and None otherwise
-_GRAPH_CHECKS = (
-    ("nature", _check_nature, False),
-    ("trace-identities", _check_moments, False),
-    ("period-law", _check_period_law, False),
-    ("mu-directed", _check_three_eigenvalues, True),
-    ("boundary-spectrum", _check_boundary, False),
-    ("waring-formula", _check_waring_formula, False),
-    ("two-re", _check_two_re, True),
+# (name, check, what it runs on) in print order: every graph, directed graphs only, or
+# the field. A graph check takes (graph, half, row), half the GP(k/2, q) of a directed
+# graph and None otherwise; the field check takes (field, the natures of its rows).
+_CHECKS = (
+    ("nature", _check_nature, "graph"),
+    ("trace-identities", _check_moments, "graph"),
+    ("two-re", _check_two_re, "directed"),
+    ("period-law", _check_period_law, "graph"),
+    ("waring-formula", _check_waring_formula, "graph"),
+    ("census", _check_census, "field"),
+    ("mu-directed", _check_three_eigenvalues, "directed"),
+    ("boundary-spectrum", _check_boundary, "graph"),
 )
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 def _record(outcome: CheckOutcome, context: str, fn, *args):
@@ -377,12 +369,14 @@ def verify_field(q: int) -> list[CheckOutcome]:
     field = field_of_order(q)
     natures = []
     for graph, half, row in report_rows(field):
-        for name, fn, directed_only in _GRAPH_CHECKS:
-            if graph.directed or not directed_only:
+        for name, fn, runs_on in _CHECKS:
+            if runs_on == "graph" or runs_on == "directed" and graph.directed:
                 _record(outcomes[name], f"q={q} k={row.k}", fn, graph, half, row)
         natures.append(row.nature)
-    _record(outcomes["census"], f"q={q}", _check_census, field, natures)
-    return [outcomes[name] for name in CHECK_NAMES]
+    for name, fn, runs_on in _CHECKS:
+        if runs_on == "field":
+            _record(outcomes[name], f"q={q}", fn, field, natures)
+    return list(outcomes.values())
 
 
 def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
@@ -408,4 +402,4 @@ def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
             target.failed += outcome.failed
             if target.first_failure is None and outcome.first_failure is not None:
                 target.first_failure = outcome.first_failure
-    return [merged[name] for name in CHECK_NAMES]
+    return list(merged.values())

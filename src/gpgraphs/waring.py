@@ -1,20 +1,20 @@
 """Waring-type numbers over finite fields, computed as graph diameters.
 
 g(k, q), the least s with every field element a sum of s k-th powers, exists
-exactly when GP(k, q) is connected and is then its diameter, at most mu - 1 as an
-abelian Cayley digraph has a diagonalizable adjacency matrix (Brouwer and Haemers,
-Spectra of Graphs, Prop. 1.3.3). Each label of graphs.classify_structure meets the
-bound, as (mu, g): complete (2, 1); Paley and oriented Paley (3, 2), three
-eigenvalues and a missing arc; semiprimitive (3, 2), strongly regular; Hamming
-H(b, q0) (b + 1, b), eigenvalues b(q0 - 1) - i q0 for i = 0..b; the p-cycles
-GP(p - 1, p) and GP((p - 1)/2, p) (k + 1, k), p-th roots of unity or
-2 cos(2 pi j / p). So g is mu - 1 on a labelled graph, and on a generic one the
-eccentricity of 0 in the BFS over the coset classes that graphs.quotient_bfs
-keeps on the graph. The signed variant w(k, q) allows minus signs on the terms
-and is the diameter of the symmetrized graph, so by the paper's reduction it is
-g for undirected GP(k, q) and, for directed GP(k, q), g of the graph GP(k/2, q)
-that the caller hands graph_waring (verify.report_rows, the row k/2) or that it
-builds. A witness is the path of graphs.log_bfs over all q - 1 logs.
+exactly when GP(k, q) is connected, one component by graphs.components, and is
+then its diameter, at most mu - 1 as an abelian Cayley digraph has a diagonalizable
+adjacency matrix (Brouwer and Haemers, Spectra of Graphs, Prop. 1.3.3). Each label
+kind of graphs.classify_structure meets the bound, as (mu, g): complete (2, 1);
+Paley and oriented Paley (3, 2), three eigenvalues and a missing arc; semiprimitive
+(3, 2), strongly regular; Hamming H(b, q0) (b + 1, b), eigenvalues b(q0 - 1) - i q0
+for i = 0..b; the p-cycles GP(p - 1, p) and GP((p - 1)/2, p) (k + 1, k), p-th roots
+of unity or 2 cos(2 pi j / p). So g is mu - 1 on a labelled graph, and on a generic
+one the eccentricity of 0 in the BFS over the coset classes that
+graphs.quotient_bfs keeps on the graph. The signed variant w(k, q) allows minus
+signs on the terms and is the diameter of the symmetrized graph, so by the paper's
+reduction it is g for undirected GP(k, q) and, for directed GP(k, q), g of the
+graph GP(k/2, q) that the caller hands graph_waring (verify.report_rows, the row
+k/2) or that it builds. A witness is the path of graphs.log_bfs over all q - 1 logs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import NumberDoesNotExist, check
 from .fields import FieldElement, FiniteField
-from .graphs import GENERIC, GPGraph, build_graph, classify_structure, log_bfs, quotient_bfs, signed_steps
+from .graphs import (GENERIC, GPGraph, build_graph, classify_structure, components, log_bfs, quotient_bfs,
+                     signed_steps)
 from .spectra import eigenvalue_count
 
 
@@ -52,10 +53,11 @@ def graph_waring(graph: GPGraph, half: GPGraph | None = None) -> WaringResult:
 
     GP(k/2, q) contains GP(k, q), so g(k/2, q) exists whenever w is read.
     """
-    field, label = graph.field, classify_structure(graph)
-    if (count := label.copies) > 1:  # the copies of a label are its components
+    field = graph.field
+    if (count := components(graph).count) > 1:
         return WaringResult(False, None, None, f"GP({graph.k},{field.q}) splits into {count} components")
-    g_value = _diameter(quotient_bfs(graph)) if label.kind == GENERIC else eigenvalue_count(graph) - 1
+    generic = classify_structure(graph).kind == GENERIC  # the labelled graphs have g = mu - 1
+    g_value = _diameter(quotient_bfs(graph)) if generic else eigenvalue_count(graph) - 1
     w_value = graph_waring(half or build_graph(field, graph.k // 2)).g if graph.directed else g_value
     return WaringResult(True, g_value, w_value, None)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter, deque
@@ -16,7 +17,7 @@ from gpgraphs import (
     waring_result,
 )
 from gpgraphs.cli import build_report_rows
-from gpgraphs.graphs import quotient_bfs
+from gpgraphs.graphs import StructureLabel, quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.spectra import eigenvalue_count, spectrum
 from gpgraphs.verify import _signed_traversal, _traversed_components, _traversed_period, verify_field
@@ -191,6 +192,11 @@ def test_a_graph_holds_its_facts_and_keeps_each_result_once():
     # would give an equal but distinct object
     assert first[3] == 2399 and len(graph.kept) == len(kept)
     assert set(vars(graph)) == {"field", "k", "n", "directed", "kept"}
+
+
+def test_a_label_holds_only_its_kind_and_text():
+    # the copies, the part and directedness are the facts of components and the graph
+    assert [f.name for f in dataclasses.fields(StructureLabel)] == ["kind", "text"]
 
 
 def _quotient_steps(field, graph, signed):
@@ -491,9 +497,9 @@ def test_classification_full_sweep_is_consistent():
             label = classify_structure(graph)
             assert label.kind in kinds
             seen.add(label.kind)
-            assert label.render()
-            if label.kind in ("complete-union", "paley-union", "generic"):
-                assert label.copies == components(graph).count
+            assert label.render() == label.text
+            copies, cross, _ = label.text.partition("x")
+            assert (int(copies) if cross else 1) == components(graph).count, label.text
             if label.kind in ("hamming", "semiprimitive"):
                 assert components(graph).count == 1
     assert seen == kinds  # no label kind is dead
@@ -504,5 +510,4 @@ def test_hamming_label_requires_connectivity():
     # nine K_9 blocks, so it must label as a complete-graph union instead.
     graph = build_graph(build_field(3, 4), 10)
     label = classify_structure(graph)
-    assert label.kind == "complete-union"
-    assert (label.copies, label.part) == (9, 9)
+    assert (label.kind, label.text) == ("complete-union", "9xK(9)")

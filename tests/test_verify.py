@@ -472,11 +472,11 @@ CLOSED_FORM_CORRUPTIONS = {
         "    dataclasses.replace(honest(graph, half), g=graph.k + 1, w=(half or graph).k + 1)\n"
         "    if 2 * graph.k >= 12 else honest(graph, half))",
         {"waring-formula": (2, "q=13 k=6: g = 7 != 6, the diameter of the traversal")}),
-    # waring reads the components off the label, whose copies they are
+    # waring reads connectivity off the components
     "two-components": (13,
-        "honest = waring.classify_structure\n"
-        "waring.classify_structure = lambda graph: (\n"
-        "    dataclasses.replace(honest(graph), copies=2) if graph.k == 4 else honest(graph))",
+        "honest = waring.components\n"
+        "waring.components = lambda graph: (\n"
+        "    dataclasses.replace(honest(graph), count=2) if graph.k == 4 else honest(graph))",
         {"waring-formula": (1, "q=13 k=4: g = None != 3, the diameter of the traversal")}),
     # the law g = mu - 1 read as g = mu on the Hamming graphs only
     "hamming-g-off-by-one": (81,
