@@ -81,18 +81,15 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"--jobs {args.jobs} must be at least 1")
     outcomes = run_verification(args.max_q, jobs=args.jobs)
     width = max(len(o.name) for o in outcomes)
-    failed_any = False
     for outcome in outcomes:
         print(f"{outcome.name.ljust(width)}  {outcome.passed:6d} pass  {outcome.failed:6d} fail")
         if outcome.failed:
-            failed_any = True
             print(f"{' ' * width}  first counterexample: {outcome.first_failure}")
     total_pass = sum(o.passed for o in outcomes)
     total_fail = sum(o.failed for o in outcomes)
-    verdict = "FAIL" if failed_any else "OK"
-    print(f"{verdict}: {len(outcomes)} check categories, "
+    print(f"{'FAIL' if total_fail else 'OK'}: {len(outcomes)} check categories, "
           f"{total_pass} passed, {total_fail} failed, q <= {args.max_q}")
-    return 1 if failed_any else 0
+    return 1 if total_fail else 0
 
 
 def _cmd_families(args) -> int:

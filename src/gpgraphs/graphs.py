@@ -1,17 +1,16 @@
 """Power-residue Cayley graphs GP(k, q) on the additive group of GF(q).
 
-The connection set is the subgroup of nonzero k-th powers, so there is an
-arc u -> v exactly when v - u is a k-th power. A graph holds arithmetic
-facts only: k reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness
-by the valuation rule. Components follow from a, the least divisor of m with
-n | p^a - 1, the period from its law, and the structure label from the
-components; it holds its kind and the text report prints, and no fact that
-components owns. g of a generic graph comes from quotient_bfs, one BFS over the k
-coset classes (waring reads mu - 1 off any other label), whose kernel, log_bfs,
-the witness search and verify's signed traversal share. A function marked kept
-(components, the label, quotient_bfs, and spectra's spectrum and mu) runs once
-per graph, which holds its result in one dict. The set is listed on first read,
-by the witness search; verify's nature check compares it with the rule.
+The connection set is the subgroup of nonzero k-th powers, so there is an arc
+u -> v exactly when v - u is a k-th power. A graph holds arithmetic facts only: k
+reduced to gcd(k, q - 1), n = (q - 1)/k, and directedness by the valuation rule.
+Components follow from a, the least divisor of m with n | p^a - 1, the period from
+its law, and the structure label from the components; it holds its kind and the
+text report prints, and no fact that components owns. g of a generic graph comes
+from quotient_bfs, one BFS over the k coset classes (waring reads mu - 1 off any
+other label), whose kernel, log_bfs, the witness search shares. A function marked
+kept (components, the label, quotient_bfs, and spectra's spectrum and mu) runs
+once per graph, which holds its result in one dict. The set is listed on first
+read, by the witness search; verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -176,11 +175,6 @@ def quotient_bfs(graph: GPGraph) -> np.ndarray:
     log_bfs mod k over the k-th powers, whose logs are 0, k, ..., q - 1 - k.
     """
     return log_bfs(graph.field.zech, np.arange(0, graph.field.q - 1, graph.k), graph.k)[0]
-
-
-def signed_steps(field: FiniteField, steps: np.ndarray) -> np.ndarray:
-    """The step logs r, then those of -r = (-1) * r in the same order; -1 has index p - 1."""
-    return np.concatenate([steps, (steps + field.log[field.p - 1]) % (field.q - 1)])
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,13 @@ row, or the graph, with a second method (the spectrum, the traversals, the sets)
 owns its laws, as spectra.spectrum checks none: eta^2 is summed from trace pairs
 (`moments`; both square kernels end in one histogram per multiplicity group, and one
 int64 product weights them), eta + conj(eta) is a row merged with its negative
-(`doubled_rows`), modulus n is a constant row (`boundary_rows`), w is the diameter
-of a signed traversal over r and -r (`_signed_traversal`, run here only), and the
-srg column is checked against counts on the connection set. One table, `_CHECKS`,
-names each family once, in print order, with what it runs on. A failing check is
-recorded with its (k, q) and the sweep goes on; building a row checks no law, so a
-raise there is a defect that would end `report` too, and it ends `verify_field`.
-Each field comes from fields.field_of_order, whose size budget refuses a max_q
-before any field is built.
+(`doubled_rows`), modulus n is a constant row (`boundary_rows`), one set of quotient
+arcs gives the period and certifies the kept traversals of g and w (`_quotient_arcs`),
+and the srg column is checked against counts on the connection set. One table,
+`_CHECKS`, names each family once, in print order, with what it runs on. A failing
+check is recorded with its (k, q) and the sweep goes on; building a row checks no law,
+so a raise there is a defect that would end `report` too, and it ends `verify_field`.
+Each field comes from fields.field_of_order, whose size budget refuses a max_q first.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ from .errors import check
 from .families import census
 from .fields import FiniteField, check_size_budget, field_of_order
 from .graphs import (PALEY_UNION, ComponentDecomposition, GPGraph, build_graph, classify_structure,
-                     components, log_bfs, period, quotient_bfs, signed_steps)
+                     components, kept, period, quotient_bfs)
 from .numbertheory import divisors, prime_power, v2
 from .spectra import SpectrumReport, render_terms
-from .waring import _diameter, graph_waring
+from .waring import graph_waring
 
 PAIR_BLOCK = 1 << 20  # trace pairs summed at once by _pair_sums: 8 MB of intp
 # rows with n^2 > KRONECKER_RATIO * p are squared by Kronecker substitution: one
@@ -227,8 +226,7 @@ def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
     expected = Counter()
     for row, mult in zip(doubled_rows(directed), directed._multiplicities.tolist()):
         expected[row.tobytes()] += mult
-    return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows),
-                                        half._multiplicities.tolist())))
+    return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows), half._multiplicities.tolist())))
 
 
 def _check_two_re(graph: GPGraph, half: GPGraph, row: FieldReportRow):
@@ -236,20 +234,42 @@ def _check_two_re(graph: GPGraph, half: GPGraph, row: FieldReportRow):
         raise AssertionError("symmetrized spectrum is not twice the real parts")
 
 
-def _traversed_period(graph: GPGraph) -> int:
-    """The gcd of d(u) + 1 - d(v) over the arcs u -> v of the quotient, d the distance from 0.
+@kept
+def _quotient_arcs(graph: GPGraph) -> np.ndarray:
+    """The q - 1 arcs x -> x + 1, x = omega^-e, as rows (tail, head) of classes mod k; head -1 is vertex 0.
 
-    Every component is a strongly connected translate of the component of 0,
-    and a quotient arc carries the value of the vertex arcs it stands for.
-    The q - 1 arcs x -> x + r, e = log(r / x), run from class -e mod k to
-    class zech[e] - e mod k, or to vertex 0 where zech[e] = -1.
+    A k-th power times x is an automorphism fixing 0, so they stand for every arc of every component,
+    a translate of that of 0, and mod k' | k they are GP(k', q)'s. x + 1 = omega^(zech[e] - e), or 0.
     """
-    dist, k, zech = quotient_bfs(graph), graph.k, graph.field.zech
-    e = np.arange(zech.size)
-    src = dist[-e % k]
-    dst = np.where(zech < 0, 0, dist[(zech - e) % k])
-    reached = src >= 0
-    return int(np.gcd.reduce(np.abs(src[reached] + 1 - dst[reached])))
+    zech = graph.field.zech
+    arcs = (np.stack([np.zeros_like(zech), zech]) - np.arange(zech.size, dtype=zech.dtype)) % graph.k
+    arcs[1, graph.field.log[graph.field.p - 1]] = -1  # 1 + omega^e = 0 where omega^e = -1, of index p - 1
+    return arcs
+
+
+def _traversed_period(graph: GPGraph) -> int:
+    """The gcd of d(u) + 1 - d(v) over the quotient arcs u -> v, d the distance from 0 (0 at head -1)."""
+    src, dst = np.concatenate((quotient_bfs(graph), [0]))[_quotient_arcs(graph)]
+    return int(np.gcd.reduce(src + 1 - dst, where=src >= 0, initial=0))
+
+
+@kept
+def _certified_diameter(graph: GPGraph) -> int | None:
+    """The diameter of graph's kept traversal, once its quotient arcs certify it; kept on the graph.
+
+    As a BFS certificate (McConnell et al. 2011) the laws put no class above or below its distance. For a
+    directed GP(2k, q), -1 lies in class k, so graph's arcs are its own mod k, of the steps r and -r: its w.
+    """
+    level, arcs = quotient_bfs(graph).astype(np.uint32), _quotient_arcs(graph)  # unreached, -1: 2^32 - 1
+    src, dst = np.concatenate((level, [0]))[arcs]  # d = 0 at vertex 0, head -1
+    step = dst - src
+    laws = (("class 0 must be at level 1", level[0] == 1),
+            ("no arc may leave the reached classes or skip a level", step.max() <= 1),
+            ("each other reached class must have an in-arc from the level below",  # an arc of step 1
+             (np.bincount(arcs[1][step == 1], minlength=graph.k) >= (level < 2 ** 31))[1:].all()))
+    if broken := [law for law, holds in laws if not holds]:
+        raise AssertionError(f"the traversal of GP({graph.k},{graph.field.q}) is not certified: {broken[0]}")
+    return None if (top := int(level.max())) >= 2 ** 31 else top  # a negative level reads 2^31 or more
 
 
 def _check_period_law(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
@@ -259,17 +279,8 @@ def _check_period_law(graph: GPGraph, half: GPGraph | None, row: FieldReportRow)
 
 def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
     """Components from the quotient BFS: the component of 0 has 1 + n * (classes reached) vertices."""
-    reached = int((quotient_bfs(graph) >= 0).sum())
-    size = 1 + graph.n * reached
+    size = 1 + graph.n * (reached := int((quotient_bfs(graph) >= 0).sum()))
     return ComponentDecomposition(round(math.log(size, graph.field.p)), graph.field.q // size, reached, size)
-
-
-def _signed_traversal(graph: GPGraph) -> np.ndarray:
-    """quotient_bfs over the steps r and -r, not kept: the second method for w."""
-    if not graph.directed:  # -1 is a k-th power, so each -r is a step r: the kept run
-        return quotient_bfs(graph)
-    steps = signed_steps(graph.field, np.arange(0, graph.field.q - 1, graph.k))
-    return log_bfs(graph.field.zech, steps, graph.k)[0]
 
 
 def _check_waring_formula(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
@@ -279,15 +290,13 @@ def _check_waring_formula(graph: GPGraph, half: GPGraph | None, row: FieldReport
     principal = spectra.spectrum(graph).principal_multiplicity  # n occurs once per component
     if principal != row.components:
         raise AssertionError(f"principal multiplicity {principal} != component count {row.components}")
-    w = _diameter(_signed_traversal(graph))  # the symmetrized graph, traversed
-    if row.g != (diameter := _diameter(quotient_bfs(graph))):  # the stored traversal; g exists iff connected
+    if row.g != (diameter := _certified_diameter(graph)):  # g exists iff connected
         raise AssertionError(f"g = {row.g} != {diameter}, the diameter of the traversal")
     if diameter is not None and diameter >= (mu := spectra.spectrum(graph).mu):  # A is diagonalizable
         raise AssertionError(f"diameter {diameter} is not below mu = {mu} of the spectrum")
+    w = _certified_diameter(half) if half else diameter  # half's arcs are graph's mod k/2, so w <= g
     if w != row.w:  # the reduction: w is g(k, q) undirected, g(k/2, q) directed
         raise AssertionError(f"w = {w} by diameter != {row.w} by reduction to g")
-    if row.g is not None and w > row.g:
-        raise AssertionError(f"w = {w} inconsistent with g = {row.g}")
 
 
 def boundary_rows(report: SpectrumReport) -> np.ndarray:
@@ -305,8 +314,8 @@ def _check_boundary(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
     boundary = boundary_rows(report)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
     found = sorted(set(report._rows[boundary, 0].tolist()))
-    q, p = graph.field.q, graph.field.p
-    expected = list(range(p)) if graph.k == q - 1 else [0]  # zeta^j (n = 1), or n itself
+    field = graph.field
+    expected = list(range(field.p)) if graph.k == field.q - 1 else [0]  # zeta^j (n = 1), or n itself
     if found != expected:
         values = sorted({render_terms(e.terms) for e in report._entries(boundary)})
         raise AssertionError(f"boundary spectrum {values} != expected")
@@ -395,11 +404,8 @@ def run_verification(max_q: int, jobs: int = 1) -> list[CheckOutcome]:
     else:
         per_q = [verify_field(q) for q in qs]
     merged = {name: CheckOutcome(name) for name in CHECK_NAMES}
-    for outcomes in per_q:
-        for outcome in outcomes:
-            target = merged[outcome.name]
-            target.passed += outcome.passed
-            target.failed += outcome.failed
-            if target.first_failure is None and outcome.first_failure is not None:
-                target.first_failure = outcome.first_failure
+    for outcome in (outcome for outcomes in per_q for outcome in outcomes):
+        target = merged[outcome.name]
+        target.passed, target.failed = target.passed + outcome.passed, target.failed + outcome.failed
+        target.first_failure = target.first_failure or outcome.first_failure  # the first in q order
     return list(merged.values())

@@ -12,9 +12,9 @@ of unity or 2 cos(2 pi j / p). So g is mu - 1 on a labelled graph, and on a gene
 one the eccentricity of 0 in the BFS over the coset classes that
 graphs.quotient_bfs keeps on the graph. The signed variant w(k, q) allows minus
 signs on the terms and is the diameter of the symmetrized graph, so by the paper's
-reduction it is g for undirected GP(k, q) and, for directed GP(k, q), g of the
-graph GP(k/2, q) that the caller hands graph_waring (verify.report_rows, the row
-k/2) or that it builds. A witness is the path of graphs.log_bfs over all q - 1 logs.
+reduction it is g for undirected GP(k, q) and, for directed GP(k, q), g of the graph
+GP(k/2, q) that the caller hands graph_waring (verify.report_rows, the row k/2) or that
+it builds. A witness is a path of graphs.log_bfs over all q - 1 logs (`signed_steps` for w).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import NumberDoesNotExist, check
 from .fields import FieldElement, FiniteField
-from .graphs import (GENERIC, GPGraph, build_graph, classify_structure, components, log_bfs, quotient_bfs,
-                     signed_steps)
+from .graphs import GENERIC, GPGraph, build_graph, classify_structure, components, log_bfs, quotient_bfs
 from .spectra import eigenvalue_count
 
 
@@ -62,6 +61,11 @@ def graph_waring(graph: GPGraph, half: GPGraph | None = None) -> WaringResult:
     return WaringResult(True, g_value, w_value, None)
 
 
+def signed_steps(field: FiniteField, steps: np.ndarray) -> np.ndarray:
+    """The step logs r, then those of -r = (-1) * r in the same order; -1 has index p - 1."""
+    return np.concatenate([steps, (steps + field.log[field.p - 1]) % (field.q - 1)])
+
+
 def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int, FieldElement]]:
     """A shortest representation of target as a (possibly signed) sum of k-th powers.
 
@@ -69,10 +73,9 @@ def witness(field: FiniteField, k: int, target, signed: bool) -> list[tuple[int,
     the BFS distance of the target, so the longest witness over all targets
     has length g(k, q) (unsigned) or w(k, q) (signed).
 
-    The path is the one graphs.log_bfs finds over all q - 1 logs, its steps
-    the k-th powers ascending and then, for a signed directed graph, their
-    negatives in the same order. An undirected graph already contains
-    every -r, so signing adds no step there.
+    The path is the one graphs.log_bfs finds over all q - 1 logs, its steps the k-th
+    powers ascending and then, for a signed directed graph, their negatives in the
+    same order. An undirected graph contains every -r, so signing adds no step.
     """
     graph = build_graph(field, k)
     target_idx = field.element(target).index

@@ -29,6 +29,7 @@ from gpgraphs import (
 from gpgraphs.cli import FieldReportRow
 from gpgraphs.errors import check
 from gpgraphs.families import _cyclotomic_value
+from gpgraphs.graphs import log_bfs
 from gpgraphs.numbertheory import divisors, is_prime
 from gpgraphs.spectra import Entry, Nature, ValueClass, embed_coeffs, render_terms
 from gpgraphs.verify import KRONECKER_RATIO, _kronecker_square, _pair_sums, boundary_rows
@@ -229,6 +230,18 @@ def has_arc(graph, u, v) -> bool:
 def symmetric_connection(graph) -> np.ndarray:
     """Connection set of the underlying undirected graph (k-th powers and their negatives), ascending."""
     return np.union1d(graph.connection, [index_neg(graph.field, r) for r in graph.connection.tolist()])
+
+
+def quotient_steps(field, graph, signed: bool) -> np.ndarray:
+    """The steps of the quotient BFS: the logs of the k-th powers, then, if signed (odd q), their negatives."""
+    steps = np.arange(0, field.q - 1, graph.k)
+    return np.concatenate([steps, (steps + (field.q - 1) // 2) % (field.q - 1)]) if signed else steps
+
+
+def signed_traversal(graph) -> np.ndarray:
+    """Class distances over the steps r and -r, by graphs.log_bfs mod k; an undirected graph holds each -r."""
+    field = graph.field
+    return log_bfs(field.zech, quotient_steps(field, graph, graph.directed), graph.k)[0]
 
 
 def symmetrize(graph):

@@ -20,9 +20,9 @@ from gpgraphs.cli import build_report_rows
 from gpgraphs.graphs import StructureLabel, quotient_bfs
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.spectra import eigenvalue_count, spectrum
-from gpgraphs.verify import _signed_traversal, _traversed_components, _traversed_period, verify_field
+from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
 from oracles import (ORACLE_SIZE_LIMIT, add_outer, bfs_distances, dense_mu_and_nature, has_arc, index_add,
-                     symmetric_connection, symmetrize)
+                     quotient_steps, signed_traversal, symmetric_connection, symmetrize)
 
 
 def test_build_examples():
@@ -155,10 +155,16 @@ def test_quotient_matches_vertex_bfs_sweep():
             quotient = (traversed.count, period(graph), wres.g, wres.w)
             assert quotient == oracle, (q, k)
             assert traversed == components(graph), (q, k)
-            # verify's second methods: the period off the arcs, w off the signed steps
-            signed = _signed_traversal(graph)
+            # verify's period off the arcs, and w off the signed steps
+            signed = signed_traversal(graph)
             signed_w = None if (signed < 0).any() else int(signed.max())
             assert (_traversed_period(graph), signed_w) == (oracle[1], oracle[3]), (q, k)
+            if graph.directed:  # -1 is in class k/2, so the signed classes mod k/2 are those of GP(k/2, q)
+                half = build_graph(field, k // 2)
+                assert signed.tolist() == np.tile(quotient_bfs(half), 2).tolist(), (q, k)
+                # and the quotient arcs of GP(k, q) folded mod k/2 are those of GP(k/2, q), vertex 0 kept
+                arcs = verify._quotient_arcs(graph)
+                assert np.array_equal(np.where(arcs < 0, -1, arcs % half.k), verify._quotient_arcs(half)), (q, k)
 
 
 def test_quotient_bfs_shape():
@@ -166,7 +172,7 @@ def test_quotient_bfs_shape():
     dist = quotient_bfs(graph)
     assert dist.shape == (6,)  # six singleton classes; vertex 0 has no slot
     assert sorted(dist) == list(range(1, 7))
-    signed = _signed_traversal(graph)
+    signed = signed_traversal(graph)
     assert signed.max() == 3  # the undirected 7-cycle
 
 
@@ -175,9 +181,10 @@ def test_stored_traversal_is_shared_and_read_only():
     directed, undirected = build_graph(field, 8), build_graph(field, 4)
     stored = quotient_bfs(directed)
     assert quotient_bfs(directed) is stored
-    assert _signed_traversal(directed) is not stored
-    # an undirected graph's signed steps are its unsigned ones
-    assert _signed_traversal(undirected) is quotient_bfs(undirected)
+    assert signed_traversal(directed) is not stored
+    # an undirected graph's signed steps reach its classes as its unsigned ones do
+    signed = graphs.log_bfs(field.zech, quotient_steps(field, undirected, True), undirected.k)[0]
+    assert signed.tolist() == quotient_bfs(undirected).tolist()
     with pytest.raises(ValueError, match="read-only"):
         stored[0] = 7
 
@@ -197,12 +204,6 @@ def test_a_graph_holds_its_facts_and_keeps_each_result_once():
 def test_a_label_holds_only_its_kind_and_text():
     # the copies, the part and directedness are the facts of components and the graph
     assert [f.name for f in dataclasses.fields(StructureLabel)] == ["kind", "text"]
-
-
-def _quotient_steps(field, graph, signed):
-    """The steps of the quotient BFS: the logs of the k-th powers, then their negatives if signed."""
-    steps = np.arange(0, field.q - 1, graph.k)
-    return np.concatenate([steps, (steps + (field.q - 1) // 2) % (field.q - 1)]) if signed else steps
 
 
 def _reference_log_bfs(zech, steps, modulus):
@@ -238,7 +239,7 @@ def quotient_oracle_cases():
             graph = build_graph(field, k)
             for signed in (False, True) if graph.directed else (False,):
                 vertex = bfs_distances(field, symmetric_connection(graph) if signed else graph.connection)
-                steps = _quotient_steps(field, graph, signed)
+                steps = quotient_steps(field, graph, signed)
                 reference = _reference_log_bfs(zech, steps.tolist(), graph.k)
                 cases.append((field, graph, signed, vertex[field.exp[:graph.k]], steps, reference))
     return cases
@@ -246,11 +247,11 @@ def quotient_oracle_cases():
 
 def test_quotient_traversal_matches_vertex_bfs_in_every_kernel_mode(kernel_mode, quotient_oracle_cases):
     for field, graph, signed, by_vertex, steps, reference in quotient_oracle_cases:
-        # the kept function itself, run afresh in each kernel mode
-        dist = _signed_traversal(graph) if signed else quotient_bfs.__wrapped__(graph)
+        got = graphs.log_bfs(field.zech, steps, graph.k)
+        # unsigned, the kept function itself, run afresh in each kernel mode
+        dist = got[0] if signed else quotient_bfs.__wrapped__(graph)
         assert dist.tolist() == by_vertex.tolist(), (field.q, graph.k, signed)
         # one row's sums repeat mod k, so each block must keep the first of each class
-        got = graphs.log_bfs(field.zech, steps, graph.k)
         assert [a.tolist() for a in got] == list(reference), (field.q, graph.k, signed)
 
 
@@ -337,28 +338,25 @@ def test_quotient_traversal_memory_over_every_k_of_gf_2_16():
 
 
 def _count_traversals(monkeypatch) -> Counter:
-    """Counts runs of the BFS kernel, not reads of the stored result, by (k, signed).
+    """Counts runs of the BFS kernel mod k, not reads of the stored result, by (k, signed).
 
-    quotient_bfs runs graphs.log_bfs and verify's signed traversal its own import of it, each mod k.
+    quotient_bfs runs graphs.log_bfs over the n = (q - 1)/k k-th powers; a signed run takes 2n steps.
     """
     runs = Counter()
-    for owner, signed in ((graphs, False), (verify, True)):
-        monkeypatch.setattr(owner, "log_bfs", lambda zech, steps, k, kernel=owner.log_bfs, signed=signed:
-                            runs.update([(k, signed)]) or kernel(zech, steps, k))
+    kernel = graphs.log_bfs
+    monkeypatch.setattr(graphs, "log_bfs", lambda zech, steps, k: runs.update([(k, steps.size > zech.size // k)])
+                        or kernel(zech, steps, k))
     return runs
 
 
-def test_verify_traverses_undirected_graphs_once_and_directed_twice(monkeypatch):
+def test_verify_traverses_each_graph_once(monkeypatch):
     runs = _count_traversals(monkeypatch)
     assert all(o.failed == 0 for o in verify_field(25))
-    field = build_field(5, 2)
-    expected = Counter()
-    for k in divisors(24):
-        expected[k, False] = 1
-        if build_graph(field, k).directed:
-            expected[k, True] = 1  # GP(8, 25) and the disconnected GP(24, 25)
-    assert runs == expected
-    assert sum(runs.values()) == 8 + 2
+    # the certificates of g and w read the kept traversals: the directed GP(8, 25) and
+    # the disconnected GP(24, 25) are traversed once, unsigned, as every other graph
+    assert runs == Counter((k, False) for k in divisors(24))
+    assert sum(runs.values()) == 8
+    assert not hasattr(verify, "log_bfs")
 
 
 def test_report_traverses_each_connected_generic_graph_once_and_never_signed(monkeypatch):

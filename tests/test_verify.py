@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gpgraphs import build_field, build_graph, spectra, verify
+from gpgraphs import build_field, build_graph, graphs, spectra, verify
 from gpgraphs.graphs import GENERIC, PALEY_UNION
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, report_rows, run_verification, verify_field
@@ -332,11 +332,14 @@ def test_corrupted_directedness_fails_the_nature_check(monkeypatch, corrupted_k,
 
 
 def test_waring_check_compares_the_traversal_with_the_closed_form(monkeypatch):
-    # the traversal of GP(4, 25) loses one of its 4 classes; components(graph) stays exact
+    # the traversal of GP(4, 25) loses one of its 4 classes; components(graph) stays exact. The
+    # directed GP(8, 25), whose half it is, refuses it too: its arcs mod 4 certify that traversal
     _corrupt(monkeypatch, verify, "quotient_bfs", 4,
              lambda dist: np.where(np.arange(dist.size) == 0, -1, dist))
+    half_failure = "the traversal of GP(4,25) is not certified: class 0 must be at level 1"
+    assert _failing_rows(25)[1:] == [(8, "waring-formula", half_failure)]
     waring = next(o for o in verify_field(25) if o.name == "waring-formula")
-    assert (waring.passed, waring.failed) == (7, 1)
+    assert (waring.passed, waring.failed) == (6, 2)
     assert waring.first_failure == (
         "q=25 k=4: traversal gives ComponentDecomposition(a=2, count=1, component_k=3, component_q=19), "
         "order of p mod n gives ComponentDecomposition(a=2, count=1, component_k=4, component_q=25)")
@@ -360,12 +363,102 @@ def test_period_law_compares_the_traversal_with_the_closed_form(monkeypatch):
     assert law.first_failure == "q=25 k=8: period 1 by traversal != closed form 2"
 
 
-def test_waring_check_compares_the_signed_traversal_with_the_reduction(monkeypatch):
-    # a reduction that gives the directed GP(8, 25) w = g(8, 25) = 4; its signed traversal gives 3
+def test_waring_check_compares_the_certified_half_with_the_reduction(monkeypatch):
+    # a reduction that gives the directed GP(8, 25) w = g(8, 25) = 4; the traversal of its half
+    # GP(4, 25), certified by the arcs of GP(8, 25) mod 4, gives 3
     _corrupt(monkeypatch, verify, "graph_waring", 8, lambda result: dataclasses.replace(result, w=result.g))
     waring = next(o for o in verify_field(25) if o.name == "waring-formula")
     assert (waring.passed, waring.failed) == (7, 1)
     assert waring.first_failure == "q=25 k=8: w = 3 by diameter != 4 by reduction to g"
+
+
+def _raise_the_farthest_level(monkeypatch, q, k):
+    """The kept traversal of GP(k, q), which report and verify both read, puts its farthest level one further."""
+    honest = graphs.log_bfs
+
+    def corrupted(zech, steps, modulus):
+        dist, parent, step = honest(zech, steps, modulus)
+        if (zech.size + 1, modulus) == (q, k):
+            dist = np.where(dist == dist.max(), dist + 1, dist)
+        return dist, parent, step
+
+    monkeypatch.setattr(graphs, "log_bfs", corrupted)
+
+
+def _failing_rows(q):
+    """(k, family, message) of each failing graph check over GF(q), in sweep order."""
+    failing = []
+    for graph, half, row in report_rows(build_field(*prime_power(q))):
+        for name, check, runs_on in verify._CHECKS:
+            if runs_on == "graph" or runs_on == "directed" and graph.directed:
+                try:
+                    check(graph, half, row)
+                except AssertionError as exc:
+                    failing.append((row.k, name, str(exc)))
+    return failing
+
+
+def test_a_farther_level_fails_only_the_distance_certificate_also_under_python_O(monkeypatch, run_optimized):
+    # GP(3, 13) is undirected and generic with g = 2 < mu = 4, and no directed row's half, as
+    # GP(6, 13) is undirected: with its farthest level at 3, report prints g = 3, which is still
+    # below mu and gives the same period, so only the certificate of the traversal can refuse it
+    failure = ("the traversal of GP(3,13) is not certified: "
+               "no arc may leave the reached classes or skip a level")
+    expected = {"waring-formula": (1, f"q=13 k=3: {failure}")}
+    _raise_the_farthest_level(monkeypatch, 13, 3)
+    assert {o.name: (o.failed, o.first_failure) for o in verify_field(13) if o.failed} == expected
+    proc = run_optimized("""
+        import numpy as np
+
+        from gpgraphs import graphs
+        from gpgraphs.verify import verify_field
+
+        honest = graphs.log_bfs
+
+        def corrupted(zech, steps, modulus):
+            dist, parent, step = honest(zech, steps, modulus)
+            if (zech.size + 1, modulus) == (13, 3):
+                dist = np.where(dist == dist.max(), dist + 1, dist)
+            return dist, parent, step
+
+        graphs.log_bfs = corrupted
+        print({o.name: (o.failed, o.first_failure) for o in verify_field(13) if o.failed})
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected}\n", proc.stdout
+
+
+def test_a_farther_level_of_a_half_fails_its_row_and_its_directed_row(monkeypatch):
+    # GP(4, 25) is the half of the directed GP(8, 25), whose w is the certified diameter of
+    # GP(4, 25): its arcs are those of GP(8, 25) folded mod 4, so both rows refuse the traversal
+    _raise_the_farthest_level(monkeypatch, 25, 4)
+    failure = ("the traversal of GP(4,25) is not certified: "
+               "no arc may leave the reached classes or skip a level")
+    assert _failing_rows(25) == [(4, "waring-formula", failure), (8, "waring-formula", failure)]
+    waring = next(o for o in verify_field(25) if o.name == "waring-formula")
+    assert (waring.passed, waring.failed, waring.first_failure) == (6, 2, f"q=25 k=4: {failure}")
+
+
+# GP(4, 25) is undirected with g = 3: one wrong level for each law of the certificate
+LEVEL_ONE, NO_SKIP = "class 0 must be at level 1", "no arc may leave the reached classes or skip a level"
+NO_IN_ARC = "each other reached class must have an in-arc from the level below"
+
+
+@pytest.mark.parametrize("change, law", [
+    (lambda dist: np.where(np.arange(dist.size) == 0, 2, dist), LEVEL_ONE),
+    (lambda dist: np.where(dist == dist.max(), dist + 1, dist), NO_SKIP),
+    (lambda dist: np.where(dist == dist.max(), -1, dist), NO_SKIP),
+    (lambda dist: np.where(dist == dist.max(), dist - 1, dist), NO_IN_ARC),
+    (lambda dist: np.where(np.arange(dist.size) == 3, 1, dist), NO_IN_ARC),  # class 3, at 3, beside class 0
+], ids=["class-0-at-2", "farthest-plus-1", "farthest-unreached", "farthest-minus-1", "second-class-at-1"])
+def test_each_law_of_the_certificate_refuses_a_wrong_level(monkeypatch, change, law):
+    graph = build_graph(build_field(5, 2), 4)
+    certify = verify._certified_diameter.__wrapped__  # the kept function, run afresh
+    assert certify(graph) == 3
+    _corrupt(monkeypatch, verify, "quotient_bfs", 4, change)
+    with pytest.raises(AssertionError) as raised:
+        certify(graph)
+    assert str(raised.value) == f"the traversal of GP(4,25) is not certified: {law}"
 
 
 def test_nature_check_compares_with_the_arithmetic_rule_first(monkeypatch):

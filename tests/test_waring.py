@@ -19,10 +19,9 @@ from gpgraphs import (
 )
 from gpgraphs import graphs
 from gpgraphs.graphs import quotient_bfs
-from gpgraphs.verify import _signed_traversal
 from gpgraphs.numbertheory import divisors, prime_power
 from oracles import (Element, bfs_distances, discrete_log, index_add, index_neg, is_primitive_divisor,
-                     symmetrize, verify_reduction)
+                     signed_traversal, symmetrize, verify_reduction)
 
 
 def test_g_values():
@@ -258,7 +257,7 @@ def _terms_or_message(fn, field, k, target, signed):
 
 def _oracle_targets(field, graph, signed):
     # a seeded target, a vertex of the farthest class, and an unreachable one if any
-    dist = _signed_traversal(graph) if signed else quotient_bfs(graph)
+    dist = signed_traversal(graph) if signed else quotient_bfs(graph)
     targets = {random.Random(field.q * 1009 + graph.k).randrange(1, field.q)}
     targets.add(int(field.exp[int(dist.argmax())]))
     unreached = (dist < 0).nonzero()[0]
