@@ -256,10 +256,10 @@ class FiniteField:
 
     The tables are flat numpy arrays: exp[e] is the index of omega^e for
     e in [0, q - 1), log inverts it (log[0] = -1) and trace_of_exp[e] is
-    Tr(omega^e). They are all the field holds, with zech on first read.
+    Tr(omega^e). They are all the field computes on, with zech on first read.
     -1 has index p - 1, so its log is field.log[p - 1].
 
-    Instances are immutable once constructed and safe to share.
+    The tables are immutable and safe to share; graphs.build_graph fills `graphs`.
     build_field() gives the canonical field and caches it; the constructor
     takes any monic irreducible modulus and checks that it is one.
     """
@@ -280,6 +280,7 @@ class FiniteField:
         self.m = m
         self.q = q
         self.modulus = modulus
+        self.graphs = {}
         self._build_tables()
 
     # -- construction internals ------------------------------------------------
@@ -366,8 +367,8 @@ class FiniteField:
         return f"FiniteField(GF({self.p}^{self.m}), modulus={self.modulus_str()})"
 
 
-# least recently used first, keyed by (p, m); the fields' q add up to at most
-# DEFAULT_SIZE_BUDGET, except that the newest field stays even when it alone is larger
+# least recently used first, keyed by (p, m); a field weighs q, and q more per graph with its O(q) kept
+# results; the weights add up to at most DEFAULT_SIZE_BUDGET, except that the newest field may pass it alone
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
@@ -381,9 +382,11 @@ def build_field(p: int, m: int) -> FiniteField:
     field = _FIELD_CACHE.pop((p, m), None)
     if field is None:
         field = FiniteField(p, m, canonical_modulus(p, m))
-        cached = field.q + sum(f.q for f in _FIELD_CACHE.values())
+        cached = field.q + sum(f.q * (1 + len(f.graphs)) for f in _FIELD_CACHE.values())
         while _FIELD_CACHE and cached > DEFAULT_SIZE_BUDGET:
-            cached -= _FIELD_CACHE.pop(next(iter(_FIELD_CACHE))).q
+            evicted = _FIELD_CACHE.pop(next(iter(_FIELD_CACHE)))
+            cached -= evicted.q * (1 + len(evicted.graphs))
+            evicted.graphs.clear()  # they refer back to it: now refcounting frees its tables at once
     _FIELD_CACHE[(p, m)] = field  # now the most recently used
     return field
 

@@ -7,10 +7,10 @@ Components follow from a, the least divisor of m with n | p^a - 1, the period fr
 its law, and the structure label from the components; it holds its kind and the
 text report prints, and no fact that components owns. g of a generic graph comes
 from quotient_bfs, one BFS over the k coset classes (waring reads mu - 1 off any
-other label), whose kernel, log_bfs, the witness search shares. A function marked
-kept (components, the label, quotient_bfs, and spectra's spectrum and mu) runs
-once per graph, which holds its result in one dict. The set is listed on first
-read, by the witness search; verify's nature check compares it with the rule.
+other label), whose kernel, log_bfs, the witness search shares. build_graph returns the field's own
+graph, one per gcd(k, q - 1), so a function marked kept (components, the label, quotient_bfs, spectra's
+spectrum and mu) runs once per graph while its field stays cached; the graph keeps its result in one
+dict. The witness search lists the set on first read; verify's nature check compares it with the rule.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from .numbertheory import divisors, v2
 class GPGraph:
     """The graph GP(k, q): vertices GF(q), arcs u -> v iff v - u is a k-th power.
 
-    The constructor reads no table and builds nothing of size n.
+    build_graph checks k and gives the field's own; the constructor reads no table, builds nothing of size n.
     """
 
     def __init__(self, field: FiniteField, k: int):
-        if k < 1:
-            raise ValueError(f"k = {k} must be positive")
         q = field.q
         self.field = field
         self.k = math.gcd(k, q - 1)
@@ -55,19 +53,24 @@ class GPGraph:
 
 
 def build_graph(field: FiniteField, k: int) -> GPGraph:
-    return GPGraph(field, k)
+    """GP(k, q) as the one graph field.graphs holds for gcd(k, q - 1), made on first use."""
+    if k < 1:
+        raise ValueError(f"k = {k} must be positive")
+    k = math.gcd(k, field.q - 1)
+    if k not in field.graphs:
+        field.graphs[k] = GPGraph(field, k)
+    return field.graphs[k]
 
 
 def kept(compute):
-    """compute(graph), run on the first call and kept in graph.kept; a kept array is read-only."""
+    """compute(graph), run on the first call and kept in graph.kept, None too; a kept array is read-only."""
     @wraps(compute)
     def read(graph: GPGraph):
-        value = graph.kept.get(compute)
-        if value is None:
+        if compute not in graph.kept:
             value = graph.kept[compute] = compute(graph)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-        return value
+        return graph.kept[compute]
     return read
 
 

@@ -261,6 +261,8 @@ def spectrum(graph: GPGraph) -> SpectrumReport:
     classes = np.zeros(len(values), dtype=np.int64)
     classes[ids] = irrational.astype(np.int64) + nonreal
     nature = Nature(int(classes.max()))
+    for array in (values, multiplicities, classes):  # every caller of the graph shares them
+        array.setflags(write=False)
 
     return SpectrumReport(
         q=q, k=k, n=n,

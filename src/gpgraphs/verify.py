@@ -68,11 +68,10 @@ ROW_FIELDS = tuple(f.name for f in fields(FieldReportRow))  # the report columns
 def report_rows(field: FiniteField) -> Iterator[tuple[GPGraph, GPGraph | None, FieldReportRow]]:
     """Each GP(k, q), k | q - 1 ascending, its half and the row report prints: closed forms, no spectrum."""
     p, m, q = field.p, field.m, field.q
-    graph_of = {}
     for k in divisors(q - 1):
-        graph = graph_of[k] = build_graph(field, k)
-        half = graph_of[k // 2] if graph.directed else None  # GP(k/2, q), an earlier row; its g is w
-        wres = graph_waring(graph, half)
+        graph = build_graph(field, k)
+        half = build_graph(field, k // 2) if graph.directed else None  # the earlier row k/2; its g is w
+        wres = graph_waring(graph)
         yield graph, half, FieldReportRow(
             q=q, p=p, m=m, k=k, n=graph.n, structure=classify_structure(graph).render(),
             directed=graph.directed, components=components(graph).count,
@@ -243,6 +242,7 @@ def _quotient_arcs(graph: GPGraph) -> np.ndarray:
     """
     zech = graph.field.zech
     arcs = (np.stack([np.zeros_like(zech), zech]) - np.arange(zech.size, dtype=zech.dtype)) % graph.k
+    arcs = arcs.astype(np.min_scalar_type(-graph.k))  # kept as long as the field: int8 up to k = 128
     arcs[1, graph.field.log[graph.field.p - 1]] = -1  # 1 + omega^e = 0 where omega^e = -1, of index p - 1
     return arcs
 

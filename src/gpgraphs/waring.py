@@ -12,9 +12,9 @@ of unity or 2 cos(2 pi j / p). So g is mu - 1 on a labelled graph, and on a gene
 one the eccentricity of 0 in the BFS over the coset classes that
 graphs.quotient_bfs keeps on the graph. The signed variant w(k, q) allows minus
 signs on the terms and is the diameter of the symmetrized graph, so by the paper's
-reduction it is g for undirected GP(k, q) and, for directed GP(k, q), g of the graph
-GP(k/2, q) that the caller hands graph_waring (verify.report_rows, the row k/2) or that
-it builds. A witness is a path of graphs.log_bfs over all q - 1 logs (`signed_steps` for w).
+reduction it is g for undirected GP(k, q) and, for directed GP(k, q), g of GP(k/2, q),
+the field's own graph, whose kept results answer it. A witness is a path of
+graphs.log_bfs over all q - 1 logs (`signed_steps` for w).
 """
 
 from __future__ import annotations
@@ -37,27 +37,19 @@ class WaringResult:
     reason_if_absent: str | None
 
 
-def _diameter(dist: np.ndarray) -> int | None:
-    """The largest of the distances from 0; None if some vertex is unreached."""
-    return None if (dist < 0).any() else int(dist.max())
-
-
 def waring_result(field: FiniteField, k: int) -> WaringResult:
     """g(k, q) and w(k, q) of GP(k, q), or why they do not exist."""
     return graph_waring(build_graph(field, k))
 
 
-def graph_waring(graph: GPGraph, half: GPGraph | None = None) -> WaringResult:
-    """g and w of one graph; a directed graph's w is the g of half, GP(k/2, q), built here if None.
-
-    GP(k/2, q) contains GP(k, q), so g(k/2, q) exists whenever w is read.
-    """
+def graph_waring(graph: GPGraph) -> WaringResult:
+    """g and w of one graph; a directed graph's w is the g of GP(k/2, q), which contains it."""
     field = graph.field
     if (count := components(graph).count) > 1:
         return WaringResult(False, None, None, f"GP({graph.k},{field.q}) splits into {count} components")
     generic = classify_structure(graph).kind == GENERIC  # the labelled graphs have g = mu - 1
-    g_value = _diameter(quotient_bfs(graph)) if generic else eigenvalue_count(graph) - 1
-    w_value = graph_waring(half or build_graph(field, graph.k // 2)).g if graph.directed else g_value
+    g_value = int(quotient_bfs(graph).max()) if generic else eigenvalue_count(graph) - 1  # all reached
+    w_value = graph_waring(build_graph(field, graph.k // 2)).g if graph.directed else g_value
     return WaringResult(True, g_value, w_value, None)
 
 

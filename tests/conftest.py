@@ -7,7 +7,24 @@ from pathlib import Path
 import pytest
 
 import gpgraphs
-from gpgraphs import graphs
+from gpgraphs import fields, graphs
+
+
+def _drop_graphs():
+    for field in fields._FIELD_CACHE.values():
+        field.graphs.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_graphs():
+    """Each test starts and ends with no graph on a cached field.
+
+    build_graph returns the field's own graph, so a result a test corrupts or counts
+    would otherwise stay kept on it for the tests after.
+    """
+    _drop_graphs()
+    yield
+    _drop_graphs()
 
 
 @pytest.fixture

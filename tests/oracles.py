@@ -233,9 +233,9 @@ def symmetric_connection(graph) -> np.ndarray:
 
 
 def quotient_steps(field, graph, signed: bool) -> np.ndarray:
-    """The steps of the quotient BFS: the logs of the k-th powers, then, if signed (odd q), their negatives."""
+    """The steps of the quotient BFS: the logs of the k-th powers, then, if signed, their negatives."""
     steps = np.arange(0, field.q - 1, graph.k)
-    return np.concatenate([steps, (steps + (field.q - 1) // 2) % (field.q - 1)]) if signed else steps
+    return np.concatenate([steps, (steps + field.log[field.p - 1]) % (field.q - 1)]) if signed else steps
 
 
 def signed_traversal(graph) -> np.ndarray:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -449,3 +450,22 @@ def test_field_cache_evicts_the_least_recently_used_field(monkeypatch):
     assert rebuilt.modulus == quintic.modulus
     assert build_field(5, 8) is rebuilt
     assert (2, 19) not in fields._FIELD_CACHE  # least recently used when 5^8 came back
+
+
+def test_field_cache_weighs_each_graph_as_q_and_drops_the_graphs_it_evicts(monkeypatch):
+    # budget 64: GF(25) with one graph weighs 50 and GF(7) 7, which fit; a second graph on
+    # GF(25) makes 75, so GF(3) evicts it, where counting q alone would keep all three
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 64)
+    field = build_field(5, 2)
+    build_graph(field, 4)
+    build_field(7, 1)
+    assert list(fields._FIELD_CACHE) == [(5, 2), (7, 1)]
+    build_graph(field, 8)
+    build_field(3, 1)
+    assert list(fields._FIELD_CACHE) == [(7, 1), (3, 1)]
+    assert field.graphs == {}
+    # no graph refers back to the evicted field, so refcounting frees it at once
+    evicted = weakref.ref(field)
+    del field
+    assert evicted() is None

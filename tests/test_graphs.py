@@ -22,7 +22,7 @@ from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.spectra import eigenvalue_count, spectrum
 from gpgraphs.verify import _traversed_components, _traversed_period, verify_field
 from oracles import (ORACLE_SIZE_LIMIT, add_outer, bfs_distances, dense_mu_and_nature, has_arc, index_add,
-                     quotient_steps, signed_traversal, symmetric_connection, symmetrize)
+                     index_neg, quotient_steps, signed_traversal, symmetric_connection, symmetrize)
 
 
 def test_build_examples():
@@ -38,8 +38,24 @@ def test_k_is_reduced():
     field = build_field(5, 2)
     assert build_graph(field, 28).k == 4
     assert build_graph(field, 25).k == 1
-    with pytest.raises(ValueError):
-        build_graph(field, 0)
+    # to the field's own graph for gcd(k, q - 1)
+    assert build_graph(field, 28) is build_graph(field, math.gcd(28, 24)) is field.graphs[4]
+    for k in (0, -3):  # refused before any reduction: gcd(0, 24) = 24 and gcd(-3, 24) = 3
+        with pytest.raises(ValueError, match=f"^k = {k} must be positive$"):
+            build_graph(field, k)
+    assert set(field.graphs) == {1, 4}
+
+
+def test_a_kept_none_is_computed_once():
+    calls = []
+
+    @graphs.kept
+    def nothing(graph):
+        calls.append(graph.k)
+
+    graph = build_graph(build_field(5, 2), 24)  # disconnected, so verify's kept certificate of it is None
+    assert nothing(graph) is None and nothing(graph) is None
+    assert calls == [24] and graph.kept == {nothing.__wrapped__: None}
 
 
 def test_degrees_are_n_everywhere():
@@ -174,6 +190,16 @@ def test_quotient_bfs_shape():
     assert sorted(dist) == list(range(1, 7))
     signed = signed_traversal(graph)
     assert signed.max() == 3  # the undirected 7-cycle
+
+
+def test_signed_steps_add_the_log_of_minus_one():
+    # -1 has log (q - 1)/2 for odd q, and is 1, log 0, for even q: there signing repeats each step
+    for (p, m), k in (((5, 2), 8), ((2, 4), 3)):
+        field = build_field(p, m)
+        steps = quotient_steps(field, build_graph(field, k), False)
+        negatives = quotient_steps(field, build_graph(field, k), True)[steps.size:]
+        assert negatives.tolist() == [int(field.log[index_neg(field, int(x))]) for x in field.exp[steps]]
+    assert negatives.tolist() == steps.tolist()  # GF(16)
 
 
 def test_stored_traversal_is_shared_and_read_only():
@@ -383,6 +409,17 @@ def test_report_traverses_each_connected_generic_graph_once_and_never_signed(mon
         == [(1, 2, 1), (2, 3, 2), (1199, 1200, 1199), (2398, 2399, 2398)]
     # every directed graph is connected, and its w is the g of row k/2
     assert [(row.k, row.w) for row in rows if row.directed] == [(2, 1), (22, 2), (218, 4), (2398, 1199)]
+
+
+def test_a_second_report_prints_the_same_bytes_and_traverses_nothing(monkeypatch, capsys):
+    # every kept result stays on the cached field's own graphs, so the second run reads them
+    runs = _count_traversals(monkeypatch)
+    assert cli.main(["report", "--q", "2401"]) == 0
+    first, traversed = capsys.readouterr().out, sum(runs.values())
+    assert traversed == 19
+    assert cli.main(["report", "--q", "2401"]) == 0
+    assert capsys.readouterr().out == first
+    assert sum(runs.values()) == traversed
 
 
 def test_waring_command_runs_no_signed_traversal(monkeypatch, capsys):

@@ -498,3 +498,12 @@ def test_spectrum_laws_survive_python_O(run_optimized):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("waring-formula 1 q=25 k=6: principal multiplicity 6 "
                            "!= component count 5\n"), proc.stdout
+
+
+def test_the_shared_spectrum_arrays_are_read_only():
+    # every caller of the field's own GP(4, 81) reads the one kept report
+    report = spectrum(build_graph(build_field(3, 4), 4))
+    assert spectrum(build_graph(build_field(3, 4), 4)) is report
+    for array in (report._rows, report._multiplicities, report._classes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1

@@ -558,12 +558,12 @@ CLOSED_FORM_CORRUPTIONS = {
         "spectra.eigenvalue_count = lambda graph: honest(graph) + (graph.field.m == 1)",
         {"nature": (6, "q=13 k=1: eigenvalue_count 3 != mu = 2 of the spectrum")}),
     # g = k + 1 on both cycles, and so w = g on the undirected one and, on the directed one,
-    # the g of its half GP(6, 13) that verify passes it
+    # the g of its half GP(6, 13), k/2 + 1
     "cycle-g-off-by-one": (13,
         "honest = verify.graph_waring\n"
-        "verify.graph_waring = lambda graph, half: (\n"
-        "    dataclasses.replace(honest(graph, half), g=graph.k + 1, w=(half or graph).k + 1)\n"
-        "    if 2 * graph.k >= 12 else honest(graph, half))",
+        "verify.graph_waring = lambda graph: (\n"
+        "    dataclasses.replace(honest(graph), g=graph.k + 1, w=graph.k // (1 + graph.directed) + 1)\n"
+        "    if 2 * graph.k >= 12 else honest(graph))",
         {"waring-formula": (2, "q=13 k=6: g = 7 != 6, the diameter of the traversal")}),
     # waring reads connectivity off the components
     "two-components": (13,
@@ -653,3 +653,12 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)  # unknown: run serially
     assert run_verification(9, jobs=8) == capped
     assert sizes == [3]
+
+
+def test_kept_arcs_take_the_narrowest_signed_type_that_holds_their_classes():
+    # they live as long as the field stays cached: GF(4096) has q - 1 = 4095 = 3^2 * 5 * 7 * 13
+    field = build_field(2, 12)
+    for k, dtype in ((1, np.int8), (65, np.int8), (315, np.int16), (4095, np.int16)):
+        arcs = verify._quotient_arcs(build_graph(field, k))
+        assert arcs.dtype == dtype and arcs.shape == (2, 4095), k
+        assert arcs.min() == -1 and arcs.max() == k - 1, k
