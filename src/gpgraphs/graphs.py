@@ -63,13 +63,13 @@ def build_graph(field: FiniteField, k: int) -> GPGraph:
 
 
 def kept(compute):
-    """compute(graph), run on the first call and kept in graph.kept, None too; a kept array is read-only."""
+    """compute(graph), kept in graph.kept once it returns, None too; a raise keeps nothing."""
     @wraps(compute)
     def read(graph: GPGraph):
         if compute not in graph.kept:
             value = graph.kept[compute] = compute(graph)
             if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+                value.setflags(write=False)  # a kept array is read-only
         return graph.kept[compute]
     return read
 

@@ -8,10 +8,12 @@ owns its laws, as spectra.spectrum checks none: eta^2 is summed from trace pairs
 int64 product weights them), eta + conj(eta) is a row merged with its negative
 (`doubled_rows`), modulus n is a constant row (`boundary_rows`), one set of quotient
 arcs gives the period and certifies the kept traversals of g and w (`_quotient_arcs`),
-and the srg column is checked against counts on the connection set. One table,
-`_CHECKS`, names each family once, in print order, with what it runs on. A failing
-check is recorded with its (k, q) and the sweep goes on; building a row checks no law,
-so a raise there is a defect that would end `report` too, and it ends `verify_field`.
+and the srg column is checked against counts on the connection set. A law of the graph
+alone, and a second method's answer of a few ints, is kept on the graph once it holds
+(graphs.kept: a raise keeps nothing), so a sweep over cached fields compares only the
+rows. One table, `_CHECKS`, names each family once, in print order, with what it runs
+on. A failing check is recorded with its (k, q) and the sweep goes on; building a row
+checks no law, so a raise there is a defect that ends `report` and `verify_field` alike.
 Each field comes from fields.field_of_order, whose size budget refuses a max_q first.
 """
 
@@ -88,42 +90,54 @@ class CheckOutcome:
 
 
 def _check_nature(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
-    """The row's nature, mu and srg against the spectrum; the valuation rule against realness and the set."""
+    """The row's nature and mu against the spectrum, then its srg against the set's kept laws and counts."""
     report = spectra.spectrum(graph)
     if report.nature.render() != row.nature:
         raise AssertionError(f"eigenvalue nature {report.nature.render()} != arithmetic rule {row.nature}")
     if row.mu != report.mu:
         raise AssertionError(f"eigenvalue_count {row.mu} != mu = {report.mu} of the spectrum")
-    shape = "directed" if graph.directed else "undirected"
-    if (report.nature is spectra.Nature.COMPLEX) != graph.directed:
-        raise AssertionError(f"{report.nature.render()} spectrum, but the valuation rule says {shape}")
-    field, connection, p = graph.field, graph.connection, graph.field.p
-    held = np.zeros(field.q, dtype=bool)  # a table, as np.isin would import numpy.ma (about 1 MB)
-    held[connection] = True
-    if held[p - 1] == graph.directed:  # -1 has the coefficients (p - 1, 0, ..., 0)
-        raise AssertionError(f"membership of -1 disagrees with the valuation rule ({shape})")
-    pows = p ** np.arange(field.m)  # an index's base-p digits are its coefficients
-    if graph.directed:  # -r coefficient by coefficient
-        if held[(p - connection[:, None] // pows % p) % p @ pows].any():
-            raise AssertionError("the directed connection set holds some r and -r")
-    # n distinct logs that are multiples of k are 0, k, ..., q - 1 - k; the zero element's log is -1
-    if not np.array_equal(np.sort(field.log[connection]), np.arange(0, field.q - 1, graph.k)):
-        raise AssertionError(f"the connection set is not the n = {graph.n} k-th powers")
-    # a connected undirected graph is strongly regular exactly when it has three eigenvalues
-    connected_undirected = not graph.directed and report.principal_multiplicity == 1
-    if (row.srg is not None) != (connected_undirected and report.mu == 3):
+    if (row.srg is not None) != ((counted := _connection_set(graph)) is not None):
+        shape = "directed" if graph.directed else "undirected"
         raise AssertionError(f"srg {row.srg}, but the spectrum has mu = {report.mu} and principal "
                              f"multiplicity {report.principal_multiplicity} ({shape})")
     if row.srg is not None:
         v, r, e, d = row.srg
         if (v - r - 1) * d != r * (r - e - 1):
             raise AssertionError(f"srg{row.srg} breaks (v-r-1)d = r(r-e-1)")
-        # e and d count the common neighbours x of 0 and u (x and x - u in the set), for the
-        # adjacent u = 1 and the non-adjacent w, the least nonzero index outside the set
-        w = int(np.argmin(held[1:])) + 1
-        common = [int(held[(connection[:, None] // pows - u // pows) % p @ pows].sum()) for u in (1, w)]
-        if row.srg != (counted := (field.q, graph.n, *common)):
+        if row.srg != counted:
             raise AssertionError(f"srg{row.srg} != srg{counted} counted on the connection set")
+
+
+def _held(graph: GPGraph) -> np.ndarray:
+    """The connection set as a table over the element indices: np.isin would import numpy.ma (about 1 MB)."""
+    held = np.zeros(graph.field.q, dtype=bool)
+    held[graph.connection] = True
+    return held
+
+
+@kept
+def _connection_set(graph: GPGraph) -> tuple[int, int, int, int] | None:
+    """The set's laws by the valuation rule, then (q, n, e, d) counted on it where the spectrum says srg."""
+    field, connection, p, report = graph.field, graph.connection, graph.field.p, spectra.spectrum(graph)
+    shape, held = "directed" if graph.directed else "undirected", _held(graph)
+    if (report.nature is spectra.Nature.COMPLEX) != graph.directed:
+        raise AssertionError(f"{report.nature.render()} spectrum, but the valuation rule says {shape}")
+    if held[p - 1] == graph.directed:  # -1 has the coefficients (p - 1, 0, ..., 0)
+        raise AssertionError(f"membership of -1 disagrees with the valuation rule ({shape})")
+    pows = p ** np.arange(field.m)  # an index's base-p digits are its coefficients
+    if graph.directed and held[(p - connection[:, None] // pows % p) % p @ pows].any():  # -r by coefficients
+        raise AssertionError("the directed connection set holds some r and -r")
+    # n distinct logs that are multiples of k are 0, k, ..., q - 1 - k; the zero element's log is -1
+    if not np.array_equal(np.sort(field.log[connection]), np.arange(0, field.q - 1, graph.k)):
+        raise AssertionError(f"the connection set is not the n = {graph.n} k-th powers")
+    # a connected undirected graph is strongly regular exactly when it has three eigenvalues
+    if graph.directed or report.principal_multiplicity != 1 or report.mu != 3:
+        return None
+    # e and d count the common neighbours x of 0 and u (x and x - u in the set), for the
+    # adjacent u = 1 and the non-adjacent w, the least nonzero index outside the set
+    w = int(np.argmin(held[1:])) + 1
+    common = [int(held[(connection[:, None] // pows - u // pows) % p @ pows].sum()) for u in (1, w)]
+    return field.q, graph.n, *common
 
 
 def _pair_sums(rows: np.ndarray, p: int, group: np.ndarray, count: int) -> np.ndarray:
@@ -197,7 +211,14 @@ def _render(coeffs) -> str:
     return render_terms((j, c) for j, c in enumerate(coeffs.tolist()) if c)
 
 
-def _check_moments(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
+def _law(law):
+    """law(graph) as a check of (graph, half, row), kept on the graph once it holds (graphs.kept)."""
+    law = kept(law)
+    return lambda graph, half, row: law(graph)
+
+
+@_law
+def _check_moments(graph: GPGraph):
     first, second = moments(spectra.spectrum(graph))
     if first.any():
         raise AssertionError(f"sum of eigenvalues is {_render(first)}, not 0")
@@ -228,8 +249,9 @@ def two_re_holds(directed: SpectrumReport, half: SpectrumReport) -> bool:
     return expected == Counter(dict(zip(map(np.ndarray.tobytes, half._rows), half._multiplicities.tolist())))
 
 
-def _check_two_re(graph: GPGraph, half: GPGraph, row: FieldReportRow):
-    if not two_re_holds(spectra.spectrum(graph), spectra.spectrum(half)):
+@_law
+def _check_two_re(graph: GPGraph):
+    if not two_re_holds(spectra.spectrum(graph), spectra.spectrum(build_graph(graph.field, graph.k // 2))):
         raise AssertionError("symmetrized spectrum is not twice the real parts")
 
 
@@ -247,6 +269,7 @@ def _quotient_arcs(graph: GPGraph) -> np.ndarray:
     return arcs
 
 
+@kept
 def _traversed_period(graph: GPGraph) -> int:
     """The gcd of d(u) + 1 - d(v) over the quotient arcs u -> v, d the distance from 0 (0 at head -1)."""
     src, dst = np.concatenate((quotient_bfs(graph), [0]))[_quotient_arcs(graph)]
@@ -277,6 +300,7 @@ def _check_period_law(graph: GPGraph, half: GPGraph | None, row: FieldReportRow)
         raise AssertionError(f"period {traversed} by traversal != closed form {row.period}")
 
 
+@kept
 def _traversed_components(graph: GPGraph) -> ComponentDecomposition:
     """Components from the quotient BFS: the component of 0 has 1 + n * (classes reached) vertices."""
     size = 1 + graph.n * (reached := int((quotient_bfs(graph) >= 0).sum()))
@@ -309,19 +333,20 @@ def boundary_rows(report: SpectrumReport) -> np.ndarray:
     return np.flatnonzero((rows == rows[:, :1]).all(axis=1))
 
 
-def _check_boundary(graph: GPGraph, half: GPGraph | None, row: FieldReportRow):
+@_law
+def _check_boundary(graph: GPGraph):
     report = spectra.spectrum(graph)
     boundary = boundary_rows(report)
     # boundary rows are constant and n wide, so each is named by its trace t (n * zeta^t)
     found = sorted(set(report._rows[boundary, 0].tolist()))
-    field = graph.field
-    expected = list(range(field.p)) if graph.k == field.q - 1 else [0]  # zeta^j (n = 1), or n itself
+    expected = list(range(graph.field.p)) if graph.k == graph.field.q - 1 else [0]  # zeta^j (n = 1), or n
     if found != expected:
         values = sorted({render_terms(e.terms) for e in report._entries(boundary)})
         raise AssertionError(f"boundary spectrum {values} != expected")
 
 
-def _check_three_eigenvalues(graph: GPGraph, half: GPGraph, row: FieldReportRow):
+@_law
+def _check_three_eigenvalues(graph: GPGraph):
     """A digraph has mu >= 3, and mu = 3 exactly when its label is a union of oriented Paley graphs."""
     mu = spectra.spectrum(graph).mu
     if mu < 3:
@@ -345,9 +370,9 @@ def _check_census(field: FiniteField, natures: list[str]):
                              f"for n_complex = {c.n_complex}")
 
 
-# (name, check, what it runs on) in print order: every graph, directed graphs only, or
-# the field. A graph check takes (graph, half, row), half the GP(k/2, q) of a directed
-# graph and None otherwise; the field check takes (field, the natures of its rows).
+# (name, check, what it runs on) in print order: every graph, directed graphs only, or the field.
+# A graph check takes (graph, half, row), half the GP(k/2, q) of a directed graph and None otherwise
+# (a `_law` reads the graph alone); the field check takes (field, the natures of its rows).
 _CHECKS = (
     ("nature", _check_nature, "graph"),
     ("trace-identities", _check_moments, "graph"),
@@ -361,13 +386,13 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
-def _record(outcome: CheckOutcome, context: str, fn, *args):
+def _record(outcome: CheckOutcome, fn, args: tuple, q: int, k: int | None = None):
     try:
         fn(*args)
     except Exception as exc:  # a failure anywhere must not stop the sweep
         outcome.failed += 1
-        if outcome.first_failure is None:
-            outcome.first_failure = f"{context}: {exc}"
+        if outcome.first_failure is None:  # named only now: a pass formats nothing
+            outcome.first_failure = f"q={q}: {exc}" if k is None else f"q={q} k={k}: {exc}"
     else:
         outcome.passed += 1
 
@@ -380,11 +405,11 @@ def verify_field(q: int) -> list[CheckOutcome]:
     for graph, half, row in report_rows(field):
         for name, fn, runs_on in _CHECKS:
             if runs_on == "graph" or runs_on == "directed" and graph.directed:
-                _record(outcomes[name], f"q={q} k={row.k}", fn, graph, half, row)
+                _record(outcomes[name], fn, (graph, half, row), q, row.k)
         natures.append(row.nature)
     for name, fn, runs_on in _CHECKS:
         if runs_on == "field":
-            _record(outcomes[name], f"q={q}", fn, field, natures)
+            _record(outcomes[name], fn, (field, natures), q)
     return list(outcomes.values())
 
 

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gpgraphs import build_field, build_graph, graphs, spectra, verify
-from gpgraphs.graphs import GENERIC, PALEY_UNION
+from gpgraphs import build_field, build_graph, fields, graphs, spectra, verify
+from gpgraphs.graphs import GENERIC, PALEY_UNION, ComponentDecomposition
 from gpgraphs.numbertheory import divisors, prime_power
 from gpgraphs.verify import CHECK_NAMES, report_rows, run_verification, verify_field
 from oracles import Cyclotomic, boundary_values, index_neg, root_power
@@ -662,3 +662,150 @@ def test_kept_arcs_take_the_narrowest_signed_type_that_holds_their_classes():
         arcs = verify._quotient_arcs(build_graph(field, k))
         assert arcs.dtype == dtype and arcs.shape == (2, 4095), k
         assert arcs.min() == -1 and arcs.max() == k - 1, k
+
+
+# each second method that a kept law runs; a sweep that reads the kept laws calls none of them
+SECOND_METHODS = ("moments", "two_re_holds", "boundary_rows", "_held")
+
+
+def _counting(monkeypatch, names=SECOND_METHODS):
+    """Counts the calls to each of verify's names; each still returns what it returned."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, honest):
+        def call(*args):
+            calls[name] += 1
+            return honest(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    return calls
+
+
+@pytest.mark.parametrize("q", [25, 49, 81])
+def test_a_second_sweep_of_a_cached_field_runs_no_second_method(monkeypatch, q):
+    calls = _counting(monkeypatch)
+    first = verify_field(q)
+    assert all(o.failed == 0 for o in first)
+    assert all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    assert verify_field(q) == first
+    assert calls == dict.fromkeys(SECOND_METHODS, 0)
+
+
+def test_verify_keeps_laws_and_small_quantities_on_a_graph_and_no_array_but_its_arcs():
+    # GP(8, 25) is directed, GP(2, 25) the Paley graph srg(25, 12, 5, 6)
+    verify_field(25)
+    field = build_field(5, 2)
+    ours = {k: {fn.__name__: value for fn, value in graph.kept.items() if fn.__module__ == verify.__name__}
+            for k, graph in field.graphs.items()}
+    laws = ["_connection_set", "_check_moments", "_check_two_re", "_quotient_arcs", "_traversed_period",
+            "_certified_diameter", "_traversed_components", "_check_three_eigenvalues", "_check_boundary"]
+    assert sorted(ours[8]) == sorted(laws)
+    assert sorted(ours[2]) == sorted(name for name in laws if name not in ("_check_two_re",
+                                                                          "_check_three_eigenvalues"))
+    assert ours[2]["_connection_set"] == (25, 12, 5, 6) and ours[8]["_connection_set"] is None
+    for k, kept in ours.items():
+        for name, value in kept.items():
+            small = value is None or isinstance(value, (int, tuple, ComponentDecomposition))
+            assert isinstance(value, np.ndarray) if name == "_quotient_arcs" else small, (k, name)
+
+
+# over GF(25): the directed GP(8, 25) has period 1 and w = g(4, 25) = 3, GP(2, 25) is the
+# Paley graph srg(25, 12, 5, 6), GP(4, 25) has mu = 5 and GP(6, 25) 5 components
+CORRUPTED_BETWEEN_SWEEPS = {
+    "period": (verify, "period", 8, lambda period: 2,
+               {"period-law": (1, "q=25 k=8: period 1 by traversal != closed form 2")}),
+    "srg-counts": (spectra, "srg_parameters", 2, lambda srg: (25, 12, 11, 0),
+                   {"nature": (1, "q=25 k=2: srg(25, 12, 11, 0) != srg(25, 12, 5, 6) counted on the "
+                                  "connection set")}),
+    "mu": (spectra, "eigenvalue_count", 4, lambda mu: mu + 1,
+           {"nature": (1, "q=25 k=4: eigenvalue_count 6 != mu = 5 of the spectrum")}),
+    "w": (verify, "graph_waring", 8, lambda result: dataclasses.replace(result, w=result.g),
+          {"waring-formula": (1, "q=25 k=8: w = 3 by diameter != 4 by reduction to g")}),
+    "components": (verify, "components", 6, lambda dec: dataclasses.replace(dec, count=dec.count + 1),
+                   {"waring-formula": (1, "q=25 k=6: traversal gives ComponentDecomposition(a=1, count=5, "
+                                          "component_k=1, component_q=5), order of p mod n gives "
+                                          "ComponentDecomposition(a=1, count=6, component_k=1, "
+                                          "component_q=5)")}),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTED_BETWEEN_SWEEPS))
+def test_a_closed_form_corrupted_between_sweeps_fails_its_owner_on_the_second(monkeypatch, name):
+    # the laws of the first sweep stay kept, and each row is still compared with them
+    owner, attr, corrupted_k, change, failures = CORRUPTED_BETWEEN_SWEEPS[name]
+    assert all(o.failed == 0 for o in verify_field(25))
+    _corrupt(monkeypatch, owner, attr, corrupted_k, change)
+    second = verify_field(25)
+    assert {o.name: (o.failed, o.first_failure) for o in second if o.failed} == failures
+    build_field(5, 2).graphs.clear()  # a sweep with nothing kept reports the same
+    assert verify_field(25) == second
+
+
+def _break_the_first_moment(honest):
+    def broken(report):
+        first, second = honest(report)
+        if report.k == 6:  # GP(6, 25): its eigenvalues now sum to zeta
+            first = first.copy()
+            first[1] += 1
+        return first, second
+    return broken
+
+
+def test_a_broken_law_is_never_kept(monkeypatch):
+    monkeypatch.setattr(verify, "moments", _break_the_first_moment(verify.moments))
+    calls = _counting(monkeypatch, ("moments",))
+    failures = []
+    for _ in range(2):
+        moments = next(o for o in verify_field(25) if o.name == "trace-identities")
+        failures.append((moments.passed, moments.failed, moments.first_failure, calls["moments"]))
+        calls["moments"] = 0
+    # the first sweep runs moments on all 8 graphs, the second only on the one whose law broke
+    assert failures == [(7, 1, "q=25 k=6: sum of eigenvalues is z, not 0", 8),
+                        (7, 1, "q=25 k=6: sum of eigenvalues is z, not 0", 1)]
+
+
+def test_a_broken_law_is_never_kept_under_python_O(run_optimized):
+    proc = run_optimized("""
+        from gpgraphs import verify
+        from gpgraphs.verify import verify_field
+
+        honest, runs = verify.moments, []
+
+        def broken(report):
+            runs.append(report.k)
+            first, second = honest(report)
+            if report.k == 6:
+                first = first.copy()
+                first[1] += 1
+            return first, second
+
+        verify.moments = broken
+        for _ in range(2):
+            moments = next(o for o in verify_field(25) if o.name == "trace-identities")
+            print(moments.passed, moments.failed, moments.first_failure, len(runs))
+            runs.clear()
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("7 1 q=25 k=6: sum of eigenvalues is z, not 0 8\n"
+                           "7 1 q=25 k=6: sum of eigenvalues is z, not 0 1\n"), proc.stdout
+
+
+def test_an_evicted_field_takes_its_kept_laws_with_it(monkeypatch):
+    # budget 256: GF(25) with its 8 graphs weighs 25 * 9 = 225, so GF(49) evicts it
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    monkeypatch.setattr(fields, "DEFAULT_SIZE_BUDGET", 256)
+    calls = _counting(monkeypatch)
+    first = verify_field(25)
+    computed = dict(calls)
+    field = build_field(5, 2)
+    assert len(field.graphs) == 8 and all(computed.values()), computed
+    calls.update(dict.fromkeys(calls, 0))
+    assert verify_field(25) == first and not any(calls.values())  # cached: nothing recomputed
+    build_field(7, 2)
+    assert list(fields._FIELD_CACHE) == [(7, 2)] and field.graphs == {}
+    assert verify_field(25) == first
+    assert calls == computed  # a new GF(25): every law is computed again
+    assert build_field(5, 2) is not field
